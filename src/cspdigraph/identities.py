@@ -190,13 +190,21 @@ def parse_op_table(text: str) -> OpTable:
         if toks[0] == "op":
             if len(toks) != 5 or toks[3] != "over":
                 raise ParseError("expected 'op <name> <arity> over <size>'", lineno)
-            name, arity, size = toks[1], int(toks[2]), int(toks[4])
+            try:
+                name, arity, size = toks[1], int(toks[2]), int(toks[4])
+            except ValueError:
+                raise ParseError("arity and size must be integers", lineno) from None
+            if arity < 0 or size < 1:
+                raise ParseError("arity must be >= 0 and size >= 1", lineno)
         else:
             if name is None:
                 raise ParseError("table row before 'op' header", lineno)
             if len(toks) != arity + 1:
                 raise ParseError(f"expected {arity} inputs and one output", lineno)
-            nums = [int(t) for t in toks]
+            try:
+                nums = [int(t) for t in toks]
+            except ValueError:
+                raise ParseError("table entries must be integers", lineno) from None
             rows[tuple(nums[:-1])] = nums[-1]
     if name is None:
         raise ParseError("missing 'op' header")

@@ -320,7 +320,15 @@ class LiftedOp:
             if z == 0:
                 return min(chosen, key=self._key)
             return max(chosen, key=self._key_star)
-        return min(set(c), key=self._key)
+        distinct = set(c)
+        if len(distinct) == 2:
+            # two vertices on one carrier and level: label them like 3a so
+            # the zigzag witness decides, which keeps the identities of
+            # f_z on such (isolated) tuples
+            low, high = sorted(distinct, key=self._key)
+            labels = tuple(0 if v == low else 2 for v in c)
+            return low if self.f_z(labels) == 0 else high
+        return min(distinct, key=self._key)
 
 
 def lift_op(meta: TemplateDigraph, f_a: OpTable, f_z: OpTable) -> LiftedOp:

@@ -2,10 +2,22 @@
 
 Backtracking over a smallest-domain-first variable order with
 generalized arc consistency maintained on every relation constraint.
-Domains are bitmasks over target elements, so propagation is cheap even
-for a few hundred candidate values.  The search is deterministic: ties
-break on variable index and values are tried in target declaration
-order, which keeps every downstream artifact byte-reproducible.
+Domains are bitmasks over target elements.  A binary constraint over
+two distinct variables is revised with neighbour masks of the target
+relation, built once per search: the values of one variable that keep a
+support are the OR of the in- or out-neighbour masks over the set bits
+of the other variable's domain (bitwise arc consistency), and each OR is
+remembered per domain mask.  Every other constraint, k-ary or with a
+repeated variable, is revised by scanning the target tuples; the two
+revisions prune exactly the same values.
+
+The search is iterative: an explicit stack of branching points and a
+trail that records every domain write as (variable, old mask), so that
+backtracking pops the trail back to the node's mark.  Depth is bounded
+by memory, not by the interpreter's recursion limit.  The search is
+deterministic: ties break on variable index and values are tried in
+target declaration order, which keeps every downstream artifact
+byte-reproducible.
 
 Each search owns its mutable state; structures themselves are never
 modified, so concurrent searches over shared inputs are safe.
@@ -14,7 +26,7 @@ modified, so concurrent searches over shared inputs are safe.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .builder import PathSpec, build_path
 from .errors import (
@@ -34,12 +46,70 @@ def _as_structure(x, role):
     return x.as_structure(role) if isinstance(x, Digraph) else x
 
 
-class _Constraint:
-    __slots__ = ("scope", "tuples")
+# distinct domain masks remembered per side of a binary relation; the
+# bound keeps a long search's memory flat
+_MEMO_LIMIT = 1 << 14
 
-    def __init__(self, scope: tuple[int, ...], tuples: Sequence[tuple[int, ...]]):
+
+class _Neighbours:
+    """One side of a binary target relation as neighbour masks.
+
+    ``rows[a]`` is the mask of the values adjacent to ``a``; ``union``
+    ORs the rows over the set bits of a domain and remembers the result
+    per domain mask, since the same masks recur across constraints.
+    """
+
+    __slots__ = ("rows", "memo")
+
+    def __init__(self, rows: list[int]):
+        self.rows = rows
+        self.memo: dict[int, int] = {}
+
+    def union(self, dom: int) -> int:
+        sup = self.memo.get(dom)
+        if sup is None:
+            rows = self.rows
+            sup = 0
+            rest = dom
+            while rest:
+                low = rest & -rest
+                sup |= rows[low.bit_length() - 1]
+                rest ^= low
+            if len(self.memo) >= _MEMO_LIMIT:
+                self.memo.clear()
+            self.memo[dom] = sup
+        return sup
+
+
+def _neighbour_masks(
+    tuples: Iterable[tuple[int, ...]], n_vals: int
+) -> tuple[_Neighbours, _Neighbours]:
+    """(out, inn): out[a] holds every b and inn[b] every a with (a, b) in R."""
+    out = [0] * n_vals
+    inn = [0] * n_vals
+    for a, b in tuples:
+        out[a] |= 1 << b
+        inn[b] |= 1 << a
+    return _Neighbours(out), _Neighbours(inn)
+
+
+class _Constraint:
+    __slots__ = ("scope", "tuples", "masks", "requeue")
+
+    def __init__(
+        self,
+        scope: tuple[int, ...],
+        tuples: frozenset[tuple[int, ...]],
+        masks: tuple[_Neighbours, _Neighbours] | None,
+    ):
         self.scope = scope
         self.tuples = tuples
+        # (out, inn) of the target relation when the scope is two distinct
+        # variables; None sends the constraint to the tuple scan
+        self.masks = masks
+        # with a repeated variable, the constraint's own pruning can take
+        # away supports it counted, so it is revised again after a change
+        self.requeue = len(set(scope)) != len(scope)
 
 
 class _Search:
@@ -68,22 +138,41 @@ class _Search:
                 for el in allowed:
                     mask |= 1 << target.element_index(el)
                 self.domains[source.element_index(name)] = mask
+        # (var, old mask) for every domain write, oldest first
+        self.trail: list[tuple[int, int]] = []
 
         self.constraints: list[_Constraint] = []
         for rel in source.relations:
-            targets = target.relation(rel.name).tuples
+            target_rel = target.relation(rel.name)
+            tuples = frozenset(target_rel.tuples)
+            masks = None
             for t in rel.tuples:
-                self.constraints.append(_Constraint(t, targets))
+                binary = len(t) == 2 and t[0] != t[1]
+                if binary and masks is None:
+                    masks = _neighbour_masks(tuples, self.n_vals)
+                self.constraints.append(
+                    _Constraint(t, tuples, masks if binary else None)
+                )
         self.by_var: list[list[int]] = [[] for _ in range(self.n_vars)]
         for ci, c in enumerate(self.constraints):
             for v in set(c.scope):
                 self.by_var[v].append(ci)
-        self.degree = [len(self.by_var[v]) for v in range(self.n_vars)]
+        degree = [len(cs) for cs in self.by_var]
+        # branching order among equal domain sizes: higher degree first,
+        # then lower index
+        self.order = sorted(range(self.n_vars), key=lambda v: (-degree[v], v))
 
     # -- propagation ------------------------------------------------------
 
+    def _set(self, var: int, mask: int) -> None:
+        self.trail.append((var, self.domains[var]))
+        self.domains[var] = mask
+
     def _revise(self, c: _Constraint) -> list[int] | None:
-        """Prune unsupported values; returns changed vars or None on wipeout."""
+        """Prune unsupported values by a scan of the target tuples.
+
+        Returns the changed vars, or None on wipeout.
+        """
         doms = self.domains
         support = [0] * len(c.scope)
         for t in c.tuples:
@@ -99,22 +188,55 @@ class _Search:
             if new != doms[var]:
                 if new == 0:
                     return None
-                doms[var] = new
+                self._set(var, new)
                 changed.append(var)
         return changed
 
-    def _achieve_gac(self, queue: list[int]) -> bool:
+    def _revise_pair(self, c: _Constraint) -> list[int] | None:
+        """The same pruning as ``_revise``, from the neighbour masks.
+
+        For scope (u, v) the values of u that keep a support are the
+        in-neighbours of v's domain, and those of v the out-neighbours of
+        what is left of u's.
+        """
+        doms = self.domains
+        u, v = c.scope
+        out, inn = c.masks
+        du = doms[u]
+        dv = doms[v]
+        nu = du & inn.union(dv)
+        if not nu:
+            return None
+        nv = dv & out.union(nu)
+        if not nv:
+            return None
+        changed = []
+        if nu != du:
+            self._set(u, nu)
+            changed.append(u)
+        if nv != dv:
+            self._set(v, nv)
+            changed.append(v)
+        return changed
+
+    def _achieve_gac(self, queue: Iterable[int]) -> bool:
+        constraints = self.constraints
+        by_var = self.by_var
         pending = set(queue)
         while pending:
             ci = pending.pop()
-            changed = self._revise(self.constraints[ci])
+            c = constraints[ci]
+            changed = self._revise(c) if c.masks is None else self._revise_pair(c)
             if changed is None:
                 return False
-            # re-enqueue the constraint itself too: supports were computed
-            # against pre-revision domains, so its own pruning can
-            # invalidate them (repeated variables make this visible)
-            for var in changed:
-                pending.update(self.by_var[var])
+            if changed:
+                for var in changed:
+                    pending.update(by_var[var])
+                # without a repeated variable every surviving value keeps
+                # the support it was found with, so a second revise of the
+                # same constraint would prune nothing
+                if not c.requeue:
+                    pending.discard(ci)
         return True
 
     def _check_assigned(self) -> bool:
@@ -124,54 +246,80 @@ class _Search:
             if any(doms[v].bit_count() != 1 for v in c.scope):
                 continue
             vals = tuple(doms[v].bit_length() - 1 for v in c.scope)
-            if vals not in set(c.tuples):
+            if vals not in c.tuples:
                 return False
         return True
 
     # -- search -----------------------------------------------------------
 
-    def _pick(self) -> int | None:
-        best = None
-        best_key = None
-        for v in range(self.n_vars):
-            size = self.domains[v].bit_count()
-            if size > 1:
-                key = (size, -self.degree[v], v)
-                if best_key is None or key < best_key:
-                    best, best_key = v, key
-        return best
+    def _pick(self, start: int) -> tuple[int | None, int]:
+        """The branching variable and the position of the first unfixed one.
 
-    def _values(self, mask: int) -> Iterator[int]:
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        The smallest domain wins, ties going to the earlier variable of
+        ``self.order``.  Every variable before position ``start`` of the
+        order must be fixed already; domains only shrink below a node, so
+        a child starts where its parent's scan found the first open one.
+        """
+        doms = self.domains
+        order = self.order
+        n = len(order)
+        first = start
+        while first < n and doms[order[first]].bit_count() <= 1:
+            first += 1
+        best, best_size = None, 0
+        for i in range(first, n):
+            size = doms[order[i]].bit_count()
+            if size > 1 and (best is None or size < best_size):
+                best, best_size = order[i], size
+                if size == 2:  # no open domain is smaller
+                    break
+        return best, first
 
     def solutions(self) -> Iterator[Hom]:
         if any(d == 0 for d in self.domains):
             return
         if self.propagate:
-            if not self._achieve_gac(list(range(len(self.constraints)))):
+            if not self._achieve_gac(range(len(self.constraints))):
                 return
         yield from self._dfs()
 
     def _dfs(self) -> Iterator[Hom]:
-        var = self._pick()
+        """Depth-first over an explicit stack of (var, untried values, mark, first).
+
+        ``mark`` is the trail length when the node was entered: popping
+        the trail back to it restores the node's domains before each value.
+        """
+        var, first = self._pick(0)
         if var is None:
             if self.propagate or self._check_assigned():
                 yield self._extract()
             return
-        saved = list(self.domains)
-        for val in self._values(saved[var]):
-            self.domains[var] = 1 << val
-            ok = True
-            if self.propagate:
-                ok = self._achieve_gac(list(self.by_var[var]))
+        doms = self.domains
+        trail = self.trail
+        by_var = self.by_var
+        propagate = self.propagate
+        stack = [(var, doms[var], len(trail), first)]
+        while stack:
+            var, untried, mark, first = stack[-1]
+            while len(trail) > mark:
+                v, old = trail.pop()
+                doms[v] = old
+            if not untried:
+                stack.pop()
+                continue
+            low = untried & -untried
+            stack[-1] = (var, untried ^ low, mark, first)
+            self._set(var, low)
+            if propagate:
+                if not self._achieve_gac(by_var[var]):
+                    continue
             elif not self._check_assigned():
-                ok = False
-            if ok:
-                yield from self._dfs()
-            self.domains[:] = saved
+                continue
+            nxt, nxt_first = self._pick(first)
+            if nxt is None:
+                yield self._extract()
+            else:
+                stack.append((nxt, doms[nxt], len(trail), nxt_first))
 
     def _extract(self) -> Hom:
         return {

@@ -281,6 +281,45 @@ def test_lift_verb_with_explicit_witness(ctx, capsys):
     assert code == 0 and out == "lift ok\n"
 
 
+@pytest.mark.parametrize(
+    "table, line",
+    [
+        ("op m 3 over 2\n0 0 x 0\n", 2),
+        ("op m three over 2\n", 1),
+        ("op m -1 over 2\n", 1),
+    ],
+    ids=["row", "header", "negative-arity"],
+)
+def test_lift_witness_with_bad_numbers_is_usage_error(ctx, capsys, table, line):
+    edge = ctx / "edge.rel"
+    edge.write_text("structure edge\ndomain 0 1\nrelation R 2\ntuple 0 1\nend\n")
+    bad = ctx / "bad.op"
+    bad.write_text(table)
+    code, out, err = run(
+        capsys, "lift", "--template", str(edge),
+        "--sigma", str(ctx / "majority.ids"), "--witness", f"m={bad}",
+    )
+    assert code == 2 and out == ""
+    assert f"line {line}:" in err
+
+
+def test_solve_deep_search_exits_zero(ctx, capsys):
+    # one branching level per element: deeper than the recursion limit
+    n = 5000
+    inst = ctx / "wide.rel"
+    inst.write_text(
+        "instance wide\ndomain " + " ".join(f"v{i}" for i in range(n))
+        + "\nrelation R 2\nend\n"
+    )
+    edge = ctx / "edge.rel"
+    edge.write_text("structure edge\ndomain 0 1\nrelation R 2\ntuple 0 1\nend\n")
+    code, out, _ = run(
+        capsys, "solve", "--instance", str(inst), "--template", str(edge)
+    )
+    assert code == 0
+    assert len(out.splitlines()) == n
+
+
 def test_export_dot(ctx, capsys):
     zz = ctx / "z.dg"
     zz.write_text("digraph z\nvertex a\nvertex b\nedge a b\nend\n")

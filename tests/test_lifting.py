@@ -39,6 +39,7 @@ from cspdigraph.lifting import (
     zz_p2,
 )
 from cspdigraph.solver import endomorphisms, enumerate_homs, is_hom, is_polymorphism
+from cspdigraph.structures import make_structure
 
 Z = {"00": 0, "01": 1, "10": 2, "11": 3}
 
@@ -274,6 +275,20 @@ def test_lift_majority_on_single_edge_template(edge_template):
     assert report.ok
 
 
+@pytest.mark.parametrize(
+    "tuples",
+    [[(0, 1), (1, 0), (1, 1)], [(0, 0), (0, 1), (1, 1)]],
+    ids=["or", "imp"],
+)
+def test_lift_majority_on_or_and_imp_templates(tuples):
+    # these encodings have isolated same-level tuples with two vertices on
+    # one carrier (case 3c); m(x,x,y) = x holds there only if the lifted
+    # value follows the zigzag witness
+    meta = build_digraph(make_structure("a", ["0", "1"], [("R", 2, tuples)]))
+    report = lift_all(meta, majority_identities(), {"m": _maj_bool()})
+    assert report.ok, report.text()
+
+
 def test_lift_permutability_on_single_edge_template(edge_template):
     from cspdigraph.identities import perm3_identities
     from cspdigraph.solver import find_operations
@@ -284,6 +299,22 @@ def test_lift_permutability_on_single_edge_template(edge_template):
     report = lift_all(meta := build_digraph(edge_template), sigma, found,
                       {"p1": zz_p1(), "p2": zz_p2()})
     assert report.ok
+
+
+def test_lifted_permutability_on_parity4_satisfies_its_identities(parity4):
+    # the same case-3c tuples as on OR and IMP; the full report, with its
+    # 80^3 polymorphism check, is what `cspdg lift` prints for the fixtures
+    from cspdigraph.identities import perm3_identities
+    from cspdigraph.solver import find_operations, satisfies
+
+    sigma = perm3_identities()
+    meta = build_digraph(parity4)
+    found = find_operations(parity4, sigma)
+    on_zigzag = find_operations(zigzag(), sigma)
+    tables = {
+        name: lift_op(meta, found[name], on_zigzag[name]) for name, _ in sigma.symbols
+    }
+    assert satisfies(tables, sigma, len(meta.digraph.vertices))
 
 
 def test_lift_rejects_non_polymorphism(two_cycle):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspdigraph.builder import build_digraph, build_path, path_spec
 from cspdigraph.errors import SignatureMismatch
@@ -14,6 +16,7 @@ from cspdigraph.identities import (
 from cspdigraph.lifting import zigzag, zz_median, zz_p1, zz_p2
 from cspdigraph.rng import Lcg64
 from cspdigraph.solver import (
+    _Search,
     core_of,
     endomorphisms,
     enumerate_homs,
@@ -123,6 +126,65 @@ def test_enumeration_is_complete_and_duplicate_free():
             if is_hom(x, a, mapping):
                 count += 1
         assert len(homs) == count
+
+
+def test_deep_search_does_not_recurse():
+    # 5000 unconstrained elements: one branching level each
+    n = 5000
+    x = make_structure(
+        "wide", [f"v{i}" for i in range(n)], [("R", 2, [])], role="instance"
+    )
+    a = make_structure("edge", ["0", "1"], [("R", 2, [(0, 1)])])
+    hom = find_hom(x, a)
+    assert hom == {f"v{i}": "0" for i in range(n)}
+
+
+@st.composite
+def _template_and_instance(draw):
+    """A template with a binary and a ternary relation, and an instance.
+
+    Instance rows draw from few elements, so scopes with a repeated
+    variable such as (u, u) or (u, v, u) are common.
+    """
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+
+    def rows(size, arity, min_size, max_size):
+        row = st.tuples(*[st.integers(0, size - 1)] * arity)
+        return draw(st.lists(row, min_size=min_size, max_size=max_size))
+
+    a = make_structure(
+        "a",
+        [str(i) for i in range(m)],
+        [("B", 2, rows(m, 2, 1, 10)), ("T", 3, rows(m, 3, 1, 8))],
+    )
+    x = make_structure(
+        "x",
+        [f"v{i}" for i in range(n)],
+        [("B", 2, rows(n, 2, 0, 8)), ("T", 3, rows(n, 3, 0, 3))],
+        role="instance",
+    )
+    return x, a
+
+
+@given(_template_and_instance())
+@settings(max_examples=200, deadline=None)
+def test_neighbour_masks_keep_the_tuple_scan_order(pair):
+    x, a = pair
+    scan = _Search(x, a)
+    for c in scan.constraints:
+        c.masks = None
+    homs = list(enumerate_homs(x, a))
+    assert homs == list(scan.solutions())
+    # and they are exactly the maps that pass the raw definition
+    every = (
+        {x.domain[i]: a.domain[v] for i, v in enumerate(vals)}
+        for vals in itertools.product(range(len(a.domain)), repeat=len(x.domain))
+    )
+    brute = [h for h in every if is_hom(x, a, h)]
+    assert sorted(sorted(h.items()) for h in homs) == sorted(
+        sorted(h.items()) for h in brute
+    )
 
 
 def test_every_returned_hom_passes_the_definition(two_cycle):
