@@ -127,12 +127,6 @@ class TemplateDigraph:
     def height(self) -> int:
         return self.k + 2
 
-    def kind(self, vid: int) -> str:
-        return self.digraph.provenance[vid].kind
-
-    def index_set_of(self, e: tuple[int, tuple[int, ...]]) -> frozenset[int]:
-        return self.path_specs[e].singles
-
     def path_of(self, vid: int) -> tuple[int, tuple[int, ...]]:
         e = self.v_path[vid]
         if e is None:

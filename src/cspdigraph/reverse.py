@@ -10,7 +10,9 @@ The pipeline, per connected component of the input digraph:
   stage 3   full-height components are compiled into hyperedges: the
             induced subgraph between the extreme levels splits into
             internal components, each of which pins a set of tuple
-            positions (gamma); objects of four kinds record who must
+            positions (gamma, read off the component's own edges: a
+            directed three-edge walk across a position's levels pins
+            it, no search needed); objects of four kinds record who must
             share those positions, an equivalence closure identifies
             vertices, and class representatives become the elements of
             the output instance.
@@ -24,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .builder import TemplateDigraph, build_digraph, path_spec
+from .builder import TemplateDigraph, build_digraph
 from .errors import InternalInvariantViolation, TrivialTemplate, Unbalanced
-from .solver import find_hom, interpretable_at_levels
+from .solver import UnionFind, find_hom
 from .structures import Digraph, RelStructure, make_digraph, make_structure
 
 
@@ -118,34 +120,6 @@ def stage2_decide(component: Digraph, meta: TemplateDigraph) -> bool:
     return find_hom(component, meta.digraph) is not None
 
 
-def fan_at_element(meta: TemplateDigraph, a: int) -> Digraph:
-    keep = [meta.elem_vid[a]]
-    keep.extend(meta.tuple_vid[r] for r in meta.tuples)
-    for r in meta.tuples:
-        keep.extend(meta.path_vids[(a, r)][1:-1])
-    return meta.digraph.induced(keep, name=f"fan:a:{a}")
-
-
-def fan_at_tuple(meta: TemplateDigraph, r: tuple[int, ...]) -> Digraph:
-    keep = [meta.tuple_vid[r]]
-    keep.extend(meta.elem_vid)
-    for a in range(len(meta.template.domain)):
-        keep.extend(meta.path_vids[(a, r)][1:-1])
-    return meta.digraph.induced(keep, name="fan:r")
-
-
-def stage2_decide_fans(component: Digraph, meta: TemplateDigraph) -> bool:
-    """Cross-check variant: a low component maps into the encoding iff it
-    maps into some fan of paths sharing an element or sharing a tuple."""
-    for a in range(len(meta.template.domain)):
-        if find_hom(component, fan_at_element(meta, a)) is not None:
-            return True
-    for r in meta.tuples:
-        if find_hom(component, fan_at_tuple(meta, r)) is not None:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Stage 3A: internal components, gamma, and the four object kinds
 
@@ -157,51 +131,62 @@ class InternalComponent:
     base: tuple[int, ...]
     top: tuple[int, ...]
     height: int
+    # every edge of g with an endpoint among the vertices; the other
+    # endpoint is then a vertex, a base or a top vertex
+    edges: tuple[tuple[int, int], ...]
     gamma: frozenset[int] = frozenset()
 
 
 def internal_components(
     g: Digraph, comp: list[int], levels: dict[int, int], height: int
 ) -> list[InternalComponent]:
-    internal = [v for v in comp if 0 < levels[v] < height]
-    member = set(internal)
-    nbr: dict[int, list[int]] = {v: [] for v in internal}
-    for u, v in g.edges:
-        if u in member and v in member:
-            nbr[u].append(v)
-            nbr[v].append(u)
+    """Components of the vertices strictly between levels 0 and height.
+
+    An out-neighbour of an internal vertex is internal or a top vertex,
+    an in-neighbour internal or a base vertex, so one walk over the
+    neighbour lists finds each component's base, top and edges.
+    """
     out_n = g.out_neighbours()
     in_n = g.in_neighbours()
     seen: set[int] = set()
     result = []
-    for root in internal:
-        if root in seen:
+    for root in comp:
+        if root in seen or not 0 < levels[root] < height:
             continue
         comp_vs = [root]
+        base: set[int] = set()
+        top: set[int] = set()
+        edges: list[tuple[int, int]] = []
         seen.add(root)
         stack = [root]
         while stack:
             u = stack.pop()
-            for w in nbr[u]:
-                if w not in seen:
+            for w in out_n[u]:
+                edges.append((u, w))
+                if levels[w] == height:
+                    top.add(w)
+                elif w not in seen:
+                    seen.add(w)
+                    comp_vs.append(w)
+                    stack.append(w)
+            for w in in_n[u]:
+                if levels[w] == 0:
+                    edges.append((w, u))
+                    base.add(w)
+                elif w not in seen:
                     seen.add(w)
                     comp_vs.append(w)
                     stack.append(w)
         comp_vs.sort()
-        base = sorted(
-            {u for v in comp_vs for u in in_n[v] if levels[u] == 0}
-        )
-        top = sorted(
-            {u for v in comp_vs for u in out_n[v] if levels[u] == height}
-        )
         lv = [levels[v] for v in comp_vs]
         result.append(
             InternalComponent(
                 cid=len(result),
                 vertices=tuple(comp_vs),
-                base=tuple(base),
-                top=tuple(top),
+                base=tuple(sorted(base)),
+                top=tuple(sorted(top)),
                 height=max(lv) - min(lv),
+                edges=tuple(edges),
             )
         )
     return result
@@ -211,15 +196,10 @@ def boundary_subgraph(
     g: Digraph, c: InternalComponent, levels: dict[int, int]
 ) -> tuple[Digraph, dict[str, int]]:
     """The component plus its base and top, with only its own edges."""
-    member = set(c.vertices)
-    keep = sorted(member | set(c.base) | set(c.top))
+    keep = sorted(c.vertices + c.base + c.top)
     names = [g.vertices[v] for v in keep]
     remap = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (remap[u], remap[v])
-        for u, v in g.edges
-        if (u in member or v in member) and u in remap and v in remap
-    ]
+    edges = [(remap[u], remap[v]) for u, v in c.edges]
     sub = make_digraph(f"around:{names[0]}", names, edges)
     level_of = {g.vertices[v]: levels[v] for v in keep}
     return sub, level_of
@@ -232,22 +212,11 @@ def gamma(
 
     Position j is forced exactly when the component (with its base and
     top attached at their true levels) does not map into the path that
-    is single everywhere except a zigzag at j.
+    is single everywhere except a zigzag at j.  The one obstruction to
+    that fold is a directed three-edge walk crossing levels j-1..j+2,
+    so j is forced iff some edge leaving level j has an in-edge at its
+    tail and an out-edge at its head.
     """
-    sub, level_of = boundary_subgraph(g, c, levels)
-    forced = []
-    for j in range(1, k + 1):
-        spec = path_spec(k, set(range(1, k + 1)) - {j})
-        if not interpretable_at_levels(sub, level_of, spec):
-            forced.append(j)
-    return frozenset(forced)
-
-
-def gamma_fast(
-    g: Digraph, c: InternalComponent, levels: dict[int, int], k: int
-) -> frozenset[int]:
-    """Equivalent criterion: a directed three-edge walk crossing levels
-    j-1..j+2 is the one obstruction to folding position j into a zigzag."""
     sub, level_of = boundary_subgraph(g, c, levels)
     has_in = [False] * len(sub.vertices)
     has_out = [False] * len(sub.vertices)
@@ -381,22 +350,6 @@ def build_objects(
 # Stage 3B: equivalence closure and assembly
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 @dataclass
 class SimPartition:
     x_order: tuple[str, ...]
@@ -407,9 +360,11 @@ class SimPartition:
 def sim_closure(objects: ReverseObjects) -> SimPartition:
     """One equivalence closure over the statically generated pair set.
 
-    Pairs come from (1) per-position overlaps between any two objects,
-    including an object with itself, (2) shared-base edges, (3) shared-top
-    edges propagated through the two objects' position sets.
+    Pairs come from (1) each position set of each object, (2) shared-base
+    edges, (3) shared-top edges propagated through the two objects'
+    position sets.  Two objects whose sets at a position overlap need no
+    pairs of their own: each set is united, so they meet by transitivity.
+    Every class is rooted at its least-ranked member.
     """
     rank = {x: i for i, x in enumerate(objects.x_order)}
     uf = UnionFind(len(objects.x_order))
@@ -425,12 +380,6 @@ def sim_closure(objects: ReverseObjects) -> SimPartition:
     for sets in all_sets:
         for members in sets:
             unite(members)
-    for a_idx in range(len(all_sets)):
-        for b_idx in range(a_idx + 1, len(all_sets)):
-            for i in range(objects.k):
-                va, vb = all_sets[a_idx][i], all_sets[b_idx][i]
-                if set(va) & set(vb):
-                    unite(va + vb)
     for b, d in objects.edges4:
         uf.union(rank[name(b)], rank[name(d)])
     by_top = {o.e: o for o in objects.type1}

@@ -433,6 +433,24 @@ def core_of(structure) -> RelStructure:
 # Operation search (the indicator construction)
 
 
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path halving; the least index is the root."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
 def _cells(symbols: Sequence[tuple[str, int]], n: int):
     order = []
     for name, arity in symbols:
@@ -465,19 +483,7 @@ def find_operations(
     cells = _cells(symbols, n)
     cell_id = {c: i for i, c in enumerate(cells)}
 
-    parent = list(range(len(cells)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    uf = UnionFind(len(cells))
     constant: dict[int, int] = {}
 
     def eval_side(term, env):
@@ -497,7 +503,7 @@ def find_operations(
             lhs = eval_side(ident.lhs, env)
             rhs = eval_side(ident.rhs, env)
             if lhs[0] == "cell" and rhs[0] == "cell":
-                union(lhs[1], rhs[1])
+                uf.union(lhs[1], rhs[1])
             elif lhs[0] == "cell":
                 pending_consts.append((lhs[1], rhs[1]))
             elif rhs[0] == "cell":
@@ -505,11 +511,11 @@ def find_operations(
             elif lhs[1] != rhs[1]:
                 return None
     for cell, value in pending_consts:
-        root = find(cell)
+        root = uf.find(cell)
         if constant.setdefault(root, value) != value:
             return None
 
-    reps = sorted({find(i) for i in range(len(cells))})
+    reps = sorted({uf.find(i) for i in range(len(cells))})
     var_name = {r: f"c{r}" for r in reps}
     rel_tuples: dict[str, list[tuple[int, ...]]] = {r.name: [] for r in s.relations}
     rep_pos = {r: i for i, r in enumerate(reps)}
@@ -517,7 +523,7 @@ def find_operations(
         for name, arity in symbols:
             for combo in itertools.product(rel.tuples, repeat=arity):
                 row = tuple(
-                    rep_pos[find(cell_id[(name, tuple(t[j] for t in combo))])]
+                    rep_pos[uf.find(cell_id[(name, tuple(t[j] for t in combo))])]
                     for j in range(rel.arity)
                 )
                 rel_tuples[rel.name].append(row)
@@ -539,7 +545,7 @@ def find_operations(
     for name, arity in symbols:
         values = []
         for args in itertools.product(range(n), repeat=arity):
-            rep = find(cell_id[(name, args)])
+            rep = uf.find(cell_id[(name, args)])
             values.append(s.element_index(hom[var_name[rep]]))
         tables[name] = OpTable(name, arity, n, tuple(values))
     return tables

@@ -265,6 +265,7 @@ def parse_structure(text: str) -> RelStructure:
             if len(toks) < 2:
                 raise ParseError("empty domain", lineno)
             domain = toks[1:]
+            index = {t: i for i, t in enumerate(domain)}
         elif kw == "blocks":
             try:
                 blocks = [int(t) for t in toks[1:]]
@@ -294,9 +295,9 @@ def parse_structure(text: str) -> RelStructure:
                 )
             idx = []
             for t in toks[1:]:
-                if t not in domain:
+                if t not in index:
                     raise ParseError(f"unknown element name {t!r}", lineno)
-                idx.append(domain.index(t))
+                idx.append(index[t])
             tuples.append(tuple(idx))
         elif kw == "end":
             ended = True
@@ -373,9 +374,6 @@ def serialize_digraph(g: Digraph) -> str:
 
 # ---------------------------------------------------------------------------
 # Canonical comparisons
-
-CompareKind = Literal["element", "tuple-lex", "A×R-lex", "R×A-lex"]
-
 
 def canonical_compare(s: RelStructure, x, y, kind: str) -> int:
     """Strict total comparison; returns -1, 0 or 1.

@@ -15,13 +15,7 @@ from .builder import build_digraph, build_path, path_spec
 from .forward import forward_instance
 from .identities import OpTable, majority_identities, wnu_identities
 from .merge import merge_instance, merge_template
-from .reverse import (
-    assign_levels,
-    components,
-    reverse_instance,
-    stage2_decide,
-    stage2_decide_fans,
-)
+from .reverse import reverse_instance
 from .rng import Lcg64
 from .solver import enumerate_homs, find_hom, is_core
 from .structures import Digraph, RelStructure, make_digraph, make_structure

@@ -1,0 +1,31 @@
+"""The benchmark's traced pass wraps package functions by name.
+
+`perfbench/run.py --trace 1` looks up every `(module, function)` pair of
+its FUNCTIONS table with getattr, so renaming or nesting one of those
+functions would crash the traced run.  The table is read with ast, so
+this test neither imports nor changes the benchmark.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def _functions_table():
+    tree = ast.parse(RUN_PY.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no FUNCTIONS table in {RUN_PY}")
+
+
+def test_traced_functions_are_module_level_callables():
+    table = _functions_table()
+    assert table
+    for module, fn, _ in table:
+        mod = importlib.import_module(f"cspdigraph.{module}")
+        assert callable(vars(mod).get(fn)), f"cspdigraph.{module}.{fn}"

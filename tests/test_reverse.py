@@ -1,21 +1,23 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspdigraph.builder import build_digraph, build_path, path_spec
 from cspdigraph.errors import TrivialTemplate, Unbalanced
 from cspdigraph.forward import forward_instance
+from cspdigraph.merge import merge_instance, merge_template
 from cspdigraph.reverse import (
     assign_levels,
+    boundary_subgraph,
     build_objects,
     components,
     fixed_no,
     fixed_yes,
     gamma,
-    gamma_fast,
     internal_components,
     reverse_instance,
     sim_closure,
     stage2_decide,
-    stage2_decide_fans,
     assemble_instance,
 )
 from cspdigraph.rng import Lcg64
@@ -28,6 +30,63 @@ from worked_example import EXPECTED_GAMMAS, worked_digraph
 def _levels(g):
     comp = components(g)[0]
     return comp, assign_levels(g, comp)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the definitions that the production criteria are checked against
+
+
+def fan_at_element(meta, a):
+    keep = [meta.elem_vid[a]]
+    keep.extend(meta.tuple_vid[r] for r in meta.tuples)
+    for r in meta.tuples:
+        keep.extend(meta.path_vids[(a, r)][1:-1])
+    return meta.digraph.induced(keep, name=f"fan:a:{a}")
+
+
+def fan_at_tuple(meta, r):
+    keep = [meta.tuple_vid[r]]
+    keep.extend(meta.elem_vid)
+    for a in range(len(meta.template.domain)):
+        keep.extend(meta.path_vids[(a, r)][1:-1])
+    return meta.digraph.induced(keep, name="fan:r")
+
+
+def stage2_decide_fans(component, meta):
+    """A low component maps into the encoding iff it maps into some fan of
+    paths sharing an element or sharing a tuple."""
+    for a in range(len(meta.template.domain)):
+        if find_hom(component, fan_at_element(meta, a)) is not None:
+            return True
+    for r in meta.tuples:
+        if find_hom(component, fan_at_tuple(meta, r)) is not None:
+            return True
+    return False
+
+
+def gamma_by_search(g, c, levels, k):
+    """Position j is forced exactly when the component (with its base and
+    top attached at their true levels) does not map into the path that is
+    single everywhere except a zigzag at j."""
+    sub, level_of = boundary_subgraph(g, c, levels)
+    forced = []
+    for j in range(1, k + 1):
+        spec = path_spec(k, set(range(1, k + 1)) - {j})
+        if not interpretable_at_levels(sub, level_of, spec):
+            forced.append(j)
+    return frozenset(forced)
+
+
+def edges_by_scan(g, c):
+    """Edges with an endpoint in the component and both endpoints in the
+    component, its base or its top, found by scanning every edge of g."""
+    member = set(c.vertices)
+    near = member | set(c.base) | set(c.top)
+    return [
+        (u, v)
+        for u, v in g.edges
+        if (u in member or v in member) and u in near and v in near
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +221,7 @@ def test_gamma_of_path_interior_is_its_single_set(singles):
     comp, assignment = _levels(g)
     (c,) = internal_components(g, comp, assignment.levels, assignment.height)
     assert gamma(g, c, assignment.levels, k) == frozenset(singles)
-    assert gamma_fast(g, c, assignment.levels, k) == frozenset(singles)
+    assert gamma_by_search(g, c, assignment.levels, k) == frozenset(singles)
 
 
 def test_gamma_of_slack_vertex_is_empty():
@@ -181,32 +240,45 @@ def test_gamma_of_slack_vertex_is_empty():
     assert gamma(g, slack[0], assignment.levels, 2) == frozenset()
 
 
+def _random_internals(seed, ks, per_k):
+    """Internal components of random full-height digraph instances."""
+    rng = Lcg64(seed)
+    for k in ks:
+        found = 0
+        while found < per_k:
+            g = random_digraph_instance(rng, n_levels=k + 2)
+            for comp in components(g):
+                try:
+                    assignment = assign_levels(g, comp)
+                except Unbalanced:
+                    continue
+                if assignment.height != k + 2:
+                    continue
+                for c in internal_components(g, comp, assignment.levels, k + 2):
+                    yield k, g, assignment.levels, c
+                    found += 1
+
+
 def test_gamma_matches_fast_criterion_on_random_components():
-    rng = Lcg64(37)
-    checked = 0
-    while checked < 60:
-        k = rng.randint(2, 3)
-        g = random_digraph_instance(rng, n_levels=k + 2)
-        for comp in components(g):
-            try:
-                assignment = assign_levels(g, comp)
-            except Unbalanced:
-                continue
-            if assignment.height != k + 2:
-                continue
-            for c in internal_components(g, comp, assignment.levels, k + 2):
-                assert gamma(g, c, assignment.levels, k) == gamma_fast(
-                    g, c, assignment.levels, k
-                )
-                checked += 1
+    """The local criterion in production agrees with the solver-based one."""
+    for k, g, levels, c in _random_internals(37, (2, 3, 4), 40):
+        assert gamma(g, c, levels, k) == gamma_by_search(g, c, levels, k)
+
+
+def test_component_edges_match_a_scan_of_every_edge():
+    for _, g, _, c in _random_internals(53, (2, 3, 4), 40):
+        assert sorted(c.edges) == sorted(edges_by_scan(g, c))
+        assert len(set(c.edges)) == len(c.edges)
+    g = worked_digraph()
+    comp, assignment = _levels(g)
+    for c in internal_components(g, comp, assignment.levels, 4):
+        assert sorted(c.edges) == sorted(edges_by_scan(g, c))
 
 
 def test_forced_positions_remain_interpretable_at_their_minimum():
     """Each component maps into the path whose singles are exactly gamma."""
     g = worked_digraph()
     comp, assignment = _levels(g)
-    from cspdigraph.reverse import boundary_subgraph
-
     for c in internal_components(g, comp, assignment.levels, 4):
         gm = gamma(g, c, assignment.levels, 2)
         sub, level_of = boundary_subgraph(g, c, assignment.levels)
@@ -262,7 +334,7 @@ def test_worked_fixture_objects(two_cycle):
         first = g.vertices[c.vertices[0]]
         c.gamma = gamma(g, c, assignment.levels, 2)
         assert c.gamma == frozenset(EXPECTED_GAMMAS[first]), first
-        assert gamma_fast(g, c, assignment.levels, 2) == c.gamma
+        assert gamma_by_search(g, c, assignment.levels, 2) == c.gamma
 
     obj = build_objects(g, comp, assignment.levels, parts, 2)
     by_top = {g.vertices[o.e]: o.sets for o in obj.type1}
@@ -456,3 +528,34 @@ def test_assembled_instances_receive_their_source():
         as_template = make_structure("b", res.instance.domain, [(rel.name, rel.arity, rel.tuples)])
         assert find_hom(g, build_digraph(as_template).digraph) is not None
         seen += 1
+
+
+@st.composite
+def _template_and_instance(draw):
+    """A non-trivial single-relation template and an instance with a tuple."""
+    k = draw(st.integers(2, 3))
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 5))
+
+    def rows(size, min_size, nonconstant):
+        row = st.tuples(*[st.integers(0, size - 1)] * k)
+        if nonconstant:
+            row = row.filter(lambda r: len(set(r)) > 1)
+        return draw(st.lists(row, min_size=min_size, max_size=4))
+
+    template = make_structure("a", [str(i) for i in range(m)], [("R", k, rows(m, 1, True))])
+    x = make_structure(
+        "x", [f"x{i}" for i in range(n)], [("R", k, rows(n, 1, False))], role="instance"
+    )
+    return template, x
+
+
+@given(_template_and_instance())
+@settings(max_examples=100, deadline=None)
+def test_reverse_of_forward_is_hom_equivalent_to_the_source(pair):
+    template, x = pair
+    merged, blocks = merge_template(template)
+    g = forward_instance(merge_instance(x, blocks), blocks.total)
+    y = reverse_instance(g, merged).instance
+    assert find_hom(x, y) is not None
+    assert find_hom(y, x) is not None
