@@ -19,7 +19,7 @@ elements (declaration order), all tuples (tuple-lex), then interiors by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NotInterior, ParseError, PreconditionError
@@ -64,6 +64,14 @@ class PathSpec:
         """Number of edges; the path has length()+1 vertices."""
         return 2 + self.k + 2 * (self.k - len(self.singles))
 
+    def segment_sets(self) -> tuple[frozenset[int], ...]:
+        """For each vertex position, the segments containing it."""
+        sets: list[set[int]] = [set() for _ in range(self.length() + 1)]
+        for l in range(1, self.k + 1):
+            for p in self.segment_positions(l):
+                sets[p].add(l)
+        return tuple(map(frozenset, sets))
+
 
 def path_spec(k: int, singles: Iterable[int] = ()) -> PathSpec:
     return PathSpec(k, frozenset(singles))
@@ -93,13 +101,6 @@ def index_set(a: int, r: Sequence[int]) -> frozenset[int]:
     return frozenset(i + 1 for i, ri in enumerate(r) if ri == a)
 
 
-def segments_at_position(spec: PathSpec, pos: int) -> frozenset[int]:
-    """Segments of the path containing the vertex at the given position."""
-    return frozenset(
-        l for l in range(1, spec.k + 1) if pos in spec.segment_positions(l)
-    )
-
-
 @dataclass
 class TemplateDigraph:
     """The built digraph plus everything needed to navigate it.
@@ -116,12 +117,16 @@ class TemplateDigraph:
     tuple_vid: dict[tuple[int, ...], int]
     path_specs: dict[tuple[int, tuple[int, ...]], PathSpec]
     path_vids: dict[tuple[int, tuple[int, ...]], tuple[int, ...]]
-    # per-vertex arrays
+    # per-vertex arrays; elements are exactly the vertices at level 0 and
+    # tuples exactly those at level k+2
     lvl: tuple[int, ...]
     v_path: tuple[tuple[int, tuple[int, ...]] | None, ...]
     v_pos: tuple[int | None, ...]
-    out_nbrs: list[list[int]] = field(default_factory=list)
-    in_nbrs: list[list[int]] = field(default_factory=list)
+    v_segs: tuple[frozenset[int], ...]  # segments holding the vertex; empty off paths
+    out_nbrs: list[list[int]]
+    in_nbrs: list[list[int]]
+    has_out: tuple[bool, ...]
+    has_in: tuple[bool, ...]
 
     @property
     def height(self) -> int:
@@ -134,8 +139,8 @@ class TemplateDigraph:
         return e
 
     def segment_indices(self, vid: int) -> frozenset[int]:
-        e = self.path_of(vid)
-        return segments_at_position(self.path_specs[e], self.v_pos[vid])
+        self.path_of(vid)
+        return self.v_segs[vid]
 
     def segment_vids(self, e: tuple[int, tuple[int, ...]], l: int) -> tuple[int, ...]:
         rng = self.path_specs[e].segment_positions(l)
@@ -190,6 +195,7 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
     path_vids: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     v_path: list[tuple[int, tuple[int, ...]] | None] = [None] * len(vertices)
     v_pos: list[int | None] = [None] * len(vertices)
+    v_segs: list[frozenset[int]] = [frozenset()] * len(vertices)
 
     for a in range(len(template.domain)):
         aname = template.domain[a]
@@ -198,6 +204,7 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
             spec = PathSpec(k, index_set(a, r))
             path_specs[e] = spec
             steps = spec.orientations()
+            segs = spec.segment_sets()
             vids = [elem_vid[a]]
             level = 0
             for j, s in enumerate(steps[:-1], start=1):
@@ -209,6 +216,7 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
                 )
                 v_path.append(e)
                 v_pos.append(j)
+                v_segs.append(segs[j])
                 vids.append(vid)
             vids.append(tuple_vid[r])
             path_vids[e] = tuple(vids)
@@ -217,7 +225,9 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
                 edges.append((u, v) if s == 1 else (v, u))
 
     g = make_digraph(f"dg:{template.name}", vertices, edges, levels, prov)
-    meta = TemplateDigraph(
+    out_nbrs = g.out_neighbours()
+    in_nbrs = g.in_neighbours()
+    return TemplateDigraph(
         template=template,
         digraph=g,
         k=k,
@@ -229,10 +239,12 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
         lvl=tuple(levels),
         v_path=tuple(v_path),
         v_pos=tuple(v_pos),
+        v_segs=tuple(v_segs),
+        out_nbrs=out_nbrs,
+        in_nbrs=in_nbrs,
+        has_out=tuple(map(bool, out_nbrs)),
+        has_in=tuple(map(bool, in_nbrs)),
     )
-    meta.out_nbrs = g.out_neighbours()
-    meta.in_nbrs = g.in_neighbours()
-    return meta
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ template.
 
 from __future__ import annotations
 
-from .builder import PathSpec, build_path, path_spec
+from .builder import path_spec
 from .errors import ArityMismatch
 from .structures import Digraph, RelStructure, make_digraph
 
@@ -61,18 +61,3 @@ def gadget_size(n_elements: int, n_tuples: int, k: int) -> tuple[int, int]:
         n_elements + n_tuples * per_tuple_vertices,
         n_tuples * per_tuple_edges,
     )
-
-
-def fixed_yes_digraph(template: RelStructure) -> Digraph:
-    """A one-vertex digraph; it maps into any nonempty encoded digraph."""
-    return make_digraph("yes:vertex", ["v"], [])
-
-
-def single_edge_probe() -> Digraph:
-    """A single directed edge; also always a yes instance of the encoding."""
-    return make_digraph("yes:edge", ["u", "v"], [(0, 1)])
-
-
-def full_path_probe(k: int) -> Digraph:
-    """The all-single-edges path; yes exactly when some pair uses it whole."""
-    return build_path(PathSpec(k, frozenset(range(1, k + 1))), name="probe:fullpath")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .builder import TemplateDigraph, segments_at_position
+from .builder import TemplateDigraph
 from .errors import (
     ArityMismatch,
     InternalInvariantViolation,
@@ -168,9 +168,7 @@ def in_delta(meta: TemplateDigraph, c: tuple[int, ...]) -> bool:
     """
     if len({meta.lvl[v] for v in c}) != 1:
         return False
-    if all(meta.out_nbrs[v] for v in c):
-        return True
-    return all(meta.in_nbrs[v] for v in c)
+    return all(meta.has_out[v] for v in c) or all(meta.has_in[v] for v in c)
 
 
 def delta_bfs(meta: TemplateDigraph, m: int) -> set[tuple[int, ...]]:
@@ -198,40 +196,51 @@ def delta_bfs(meta: TemplateDigraph, m: int) -> set[tuple[int, ...]]:
 # Case analysis and the lifted operation
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CaseData:
+    """The case of a vertex tuple, with what its value is computed from.
+
+    Cases 2a-2c carry the carriers, the target path e, the common segment
+    l and, for 2b/2c, which carriers zigzag at l; case 3a carries its two
+    carriers.  The other cases carry only their tag.
+    """
+
     tag: str
     paths: tuple | None = None
     e: tuple | None = None
     l: int | None = None
     labels: tuple | None = None
-    candidates: tuple | None = None
 
 
-def _coordinatewise(meta: TemplateDigraph, f_a: OpTable, tuples):
-    return tuple(
-        f_a(tuple(t[j] for t in tuples)) for j in range(meta.k)
-    )
+# the tag-only cases, shared by every call
+_CASE_1A = CaseData("1a")
+_CASE_1B = CaseData("1b")
+_CASE_3B = CaseData("3b")
+_CASE_3C = CaseData("3c")
+
+
+def _coordinatewise(f_a: OpTable, tuples):
+    return tuple(map(f_a, zip(*tuples)))
 
 
 def classify(
     meta: TemplateDigraph, c: tuple[int, ...], f_a: OpTable
 ) -> CaseData:
-    prov = meta.digraph.provenance
-    kinds = {prov[v].kind for v in c}
-    if kinds == {"element"}:
-        return CaseData("1a")
-    if kinds == {"tuple"}:
-        return CaseData("1b")
+    levels = set(map(meta.lvl.__getitem__, c))
+    if len(levels) == 2:
+        return _CASE_3B
+    if len(levels) != 1:
+        return _CASE_3C
+    level = meta.lvl[c[0]]
+    if level == 0:
+        return _CASE_1A
+    if level == meta.k + 2:
+        return _CASE_1B
     if in_delta(meta, c):
         es = tuple(meta.v_path[v] for v in c)
-        e_a = f_a(tuple(e[0] for e in es))
-        e_r = _coordinatewise(meta, f_a, [e[1] for e in es])
-        e = (e_a, e_r)
-        common = None
-        for v, ei in zip(c, es):
-            segs = segments_at_position(meta.path_specs[ei], meta.v_pos[v])
-            common = segs if common is None else common & segs
+        elems, rows = zip(*es)
+        e = (f_a(elems), _coordinatewise(f_a, rows))
+        common = frozenset.intersection(*(meta.v_segs[v] for v in c))
         if not common:
             raise InternalInvariantViolation(
                 f"diagonal-component tuple {c} has no common segment"
@@ -241,22 +250,21 @@ def classify(
             return CaseData("2a", paths=es, e=e, l=l)
         zig = tuple(l not in meta.path_specs[ei].singles for ei in es)
         return CaseData("2b" if all(zig) else "2c", paths=es, e=e, l=l, labels=zig)
-    levels = {meta.lvl[v] for v in c}
-    if len(levels) == 1:
-        carriers = {meta.v_path[v] for v in c}
-        if len(carriers) == 2:
-            return CaseData("3a", paths=tuple(sorted(carriers)))
-        return CaseData("3c")
-    if len(levels) == 2:
-        return CaseData("3b", labels=tuple(sorted(levels)))
-    return CaseData("3c")
+    carriers = {meta.v_path[v] for v in c}
+    if len(carriers) == 2:
+        return CaseData("3a", paths=tuple(sorted(carriers)))
+    return _CASE_3C
 
 
 class LiftedOp:
     """Sparse lifted operation over the encoded digraph's vertices.
 
     Values are computed per call from the case analysis; nothing the
-    size of |D|^m is ever materialized.
+    size of |D|^m is ever materialized, and no value is remembered
+    between calls.  The case analysis reads per-vertex arrays built once:
+    levels, segment sets and has-out/has-in flags on the TemplateDigraph,
+    and here the rank of every vertex under each of the two orders, so
+    that an order-least or order-greatest choice is a minimum over ints.
     """
 
     def __init__(self, meta: TemplateDigraph, f_a: OpTable, f_z: OpTable):
@@ -277,8 +285,16 @@ class LiftedOp:
         self.name = f"lift:{f_a.name}"
         self.arity = f_a.arity
         self.size = len(meta.digraph.vertices)
-        self._key = order_key(meta, "ar")
-        self._key_star = order_key(meta, "ra")
+        # vertices listed in each order, and each vertex's place in it; both
+        # orders rank by level first
+        self._by_rank = sorted(range(self.size), key=order_key(meta, "ar"))
+        self._by_rank_star = sorted(range(self.size), key=order_key(meta, "ra"))
+        self._rank = {v: i for i, v in enumerate(self._by_rank)}
+        self._rank_star = {v: i for i, v in enumerate(self._by_rank_star)}
+
+    def _least(self, vids) -> int:
+        """The 'ar'-least of the given vertices."""
+        return self._by_rank[min(map(self._rank.__getitem__, vids))]
 
     def _segment_offset(self, vid: int, e, l: int) -> int:
         start = self.meta.path_specs[e].segment_positions(l)[0]
@@ -287,48 +303,50 @@ class LiftedOp:
     def __call__(self, c: tuple[int, ...]) -> int:
         meta = self.meta
         case = classify(meta, c, self.f_a)
-        if case.tag == "1a":
+        tag = case.tag
+        if tag == "3b":
+            # the least vertex overall lies on the lower level, the greatest
+            # on the higher one, in either order
+            low = self._least(c)
+            lvl = meta.lvl
+            lo = lvl[low]
+            if self.f_z(tuple([0 if lvl[v] == lo else 2 for v in c])) == 0:
+                return low
+            return self._by_rank_star[max(map(self._rank_star.__getitem__, c))]
+        if tag == "3c":
+            low = self._least(c)
+            distinct = set(c)
+            if len(distinct) == 2:
+                # two vertices on one carrier and level: label them like 3a so
+                # the zigzag witness decides, which keeps the identities of
+                # f_z on such (isolated) tuples
+                labels = tuple([0 if v == low else 2 for v in c])
+                if self.f_z(labels) == 0:
+                    return low
+                distinct.discard(low)
+                return distinct.pop()
+            return low
+        if tag == "1a":
             elems = tuple(meta.digraph.provenance[v].elem for v in c)
             return meta.elem_vid[self.f_a(elems)]
-        if case.tag == "1b":
+        if tag == "1b":
             rows = [meta.digraph.provenance[v].tup for v in c]
-            return meta.tuple_vid[_coordinatewise(meta, self.f_a, rows)]
-        if case.tag in ("2a", "2b", "2c"):
-            seg = meta.segment_vids(case.e, case.l)
-            level = meta.lvl[c[0]]
-            if case.tag == "2a":
-                return seg[0] if meta.lvl[seg[0]] == level else seg[1]
-            offsets = [
-                self._segment_offset(v, ei, case.l) if zig else None
-                for v, ei, zig in zip(c, case.paths, case.labels)
-            ]
-            if case.tag == "2b":
-                return seg[self.f_z(tuple(offsets))]
-            candidates = {seg[o] for o in offsets if o is not None}
-            return min(candidates, key=self._key)
-        if case.tag == "3a":
-            low, high = case.paths
-            labels = tuple(0 if meta.v_path[v] == low else 2 for v in c)
+            return meta.tuple_vid[_coordinatewise(self.f_a, rows)]
+        if tag == "3a":
+            low_path = case.paths[0]
+            labels = tuple(0 if meta.v_path[v] == low_path else 2 for v in c)
             z = self.f_z(labels)
-            chosen = {v for v, lab in zip(c, labels) if lab == z}
-            return min(chosen, key=self._key)
-        if case.tag == "3b":
-            lo, hi = case.labels
-            labels = tuple(0 if meta.lvl[v] == lo else 2 for v in c)
-            z = self.f_z(labels)
-            chosen = {v for v, lab in zip(c, labels) if lab == z}
-            if z == 0:
-                return min(chosen, key=self._key)
-            return max(chosen, key=self._key_star)
-        distinct = set(c)
-        if len(distinct) == 2:
-            # two vertices on one carrier and level: label them like 3a so
-            # the zigzag witness decides, which keeps the identities of
-            # f_z on such (isolated) tuples
-            low, high = sorted(distinct, key=self._key)
-            labels = tuple(0 if v == low else 2 for v in c)
-            return low if self.f_z(labels) == 0 else high
-        return min(distinct, key=self._key)
+            return self._least([v for v, lab in zip(c, labels) if lab == z])
+        seg = meta.segment_vids(case.e, case.l)
+        if tag == "2a":
+            return seg[0] if meta.lvl[seg[0]] == meta.lvl[c[0]] else seg[1]
+        offsets = [
+            self._segment_offset(v, ei, case.l) if zig else None
+            for v, ei, zig in zip(c, case.paths, case.labels)
+        ]
+        if tag == "2b":
+            return seg[self.f_z(tuple(offsets))]
+        return self._least([seg[o] for o in offsets if o is not None])
 
 
 def lift_op(meta: TemplateDigraph, f_a: OpTable, f_z: OpTable) -> LiftedOp:

@@ -272,9 +272,12 @@ def build_objects(
     # beta for base-free components, gamma-kind for positions nobody pins.
     alpha: list[str] = []
     beta: list[str] = []
+    # top-free components by base vertex, in internals order
+    top_free_on: dict[int, list[InternalComponent]] = {}
     for c in internals:
         if not c.top:
             for b in c.base:
+                top_free_on.setdefault(b, []).append(c)
                 alpha.extend(
                     f"xa:{c.cid}:{name(b)}:{i}"
                     for i in range(1, k + 1)
@@ -317,13 +320,12 @@ def build_objects(
 
     type2: list[TypeIIObject] = []
     for b in g0:
-        for c in internals:
-            if b in c.base and not c.top:
-                sets = tuple(
-                    (name(b),) if i in c.gamma else (f"xa:{c.cid}:{name(b)}:{i}",)
-                    for i in range(1, k + 1)
-                )
-                type2.append(TypeIIObject(b, c.cid, sets))
+        for c in top_free_on.get(b, ()):
+            sets = tuple(
+                (name(b),) if i in c.gamma else (f"xa:{c.cid}:{name(b)}:{i}",)
+                for i in range(1, k + 1)
+            )
+            type2.append(TypeIIObject(b, c.cid, sets))
 
     edges3 = sorted(
         {

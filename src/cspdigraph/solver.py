@@ -551,18 +551,51 @@ def find_operations(
     return tables
 
 
+def _column_images(op, tuples, j: int):
+    """Images of column j under op, one chunk per tuple at the first place.
+
+    op is tabulated once over C^m, with C the sorted values occurring in
+    column j; every tuple of C^m occurs in some combination of m tuples,
+    so nothing is evaluated that the check does not need.  Chunk i holds
+    the images, read off the table, of the combinations whose first tuple
+    is tuples[i], in itertools.product order.
+    """
+    m = op.arity
+    values = sorted({t[j] for t in tuples})
+    place = {v: i for i, v in enumerate(values)}
+    table = [op(args) for args in itertools.product(values, repeat=m)]
+    if m == 0:
+        yield table  # the one, empty, combination
+        return
+    col = [place[t[j]] for t in tuples]
+    n = len(values)
+    rest = [0]  # table offsets of the last m-1 places, over all combinations
+    for _ in range(m - 1):
+        rest = [r * n + p for r in rest for p in col]
+    stride = n ** (m - 1)
+    for p in col:
+        yield map(table.__getitem__, map((p * stride).__add__, rest))
+
+
 def is_polymorphism(op, structure) -> bool:
-    """Exhaustive preservation check over all tuple combinations."""
+    """Exhaustive preservation check over all tuple combinations.
+
+    Each column of each relation gets its own table of op over the values
+    that occur in that column (see _column_images), and every one of the
+    |R|^m combinations is then checked by lookups.  op is evaluated at
+    most once per table entry, and a table is never larger than the set
+    of combinations it serves; besides the tables, memory holds the
+    images of the |R|^(m-1) combinations that share a first tuple.
+    Nothing outlives the call.
+    """
     s = _as_structure(structure, "template")
     if op.size != len(s.domain):
         raise ArityMismatch("operation domain does not match the structure")
     for rel in s.relations:
         allowed = set(rel.tuples)
-        for combo in itertools.product(rel.tuples, repeat=op.arity):
-            image = tuple(
-                op(tuple(t[j] for t in combo)) for j in range(rel.arity)
-            )
-            if image not in allowed:
+        columns = [_column_images(op, rel.tuples, j) for j in range(rel.arity)]
+        for chunk in zip(*columns):
+            if not allowed.issuperset(zip(*chunk)):
                 return False
     return True
 

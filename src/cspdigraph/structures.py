@@ -26,6 +26,7 @@ serialization are exact inverses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
 from .errors import NonemptyRelationRequired, ParseError
@@ -85,10 +86,14 @@ class RelStructure:
     def is_instance(self) -> bool:
         return self.role == "instance"
 
+    @cached_property
+    def _element_at(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.domain)}
+
     def element_index(self, name: str) -> int:
         try:
-            return self.domain.index(name)
-        except ValueError:
+            return self._element_at[name]
+        except KeyError:
             raise ParseError(f"unknown element name {name!r}") from None
 
     def signature(self) -> tuple[tuple[str, int], ...]:
@@ -170,10 +175,14 @@ class Digraph:
         if self.provenance is not None and len(self.provenance) != n:
             raise ParseError("provenance does not cover all vertices")
 
+    @cached_property
+    def _vertex_at(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.vertices)}
+
     def vertex_index(self, name: str) -> int:
         try:
-            return self.vertices.index(name)
-        except ValueError:
+            return self._vertex_at[name]
+        except KeyError:
             raise ParseError(f"unknown vertex {name!r}") from None
 
     def out_neighbours(self) -> list[list[int]]:

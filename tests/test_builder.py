@@ -7,7 +7,6 @@ from cspdigraph.builder import (
     dmeta_to_text,
     index_set,
     path_spec,
-    segments_at_position,
 )
 from cspdigraph.errors import NotInterior, PreconditionError
 from cspdigraph.structures import make_structure
@@ -54,12 +53,15 @@ def test_index_set():
 
 def test_segments_at_position():
     spec = path_spec(3, [3])
-    assert segments_at_position(spec, 1) == {1}
+    segs = spec.segment_sets()
+    assert len(segs) == spec.length() + 1
+    assert segs[0] == segs[-1] == frozenset()
+    assert segs[1] == {1}
     # boundary between segments 1 and 2 of an all-zigzag prefix
-    assert segments_at_position(spec, 4) == {1, 2}
+    assert segs[4] == {1, 2}
     # zigzag-interior positions belong to one segment
-    assert segments_at_position(spec, 2) == {1}
-    assert segments_at_position(spec, 3) == {1}
+    assert segs[2] == {1}
+    assert segs[3] == {1}
 
 
 @pytest.mark.parametrize(

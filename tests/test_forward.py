@@ -1,19 +1,13 @@
 import pytest
 
-from cspdigraph.builder import build_digraph
+from cspdigraph.builder import PathSpec, build_digraph, build_path
 from cspdigraph.errors import ArityMismatch
-from cspdigraph.forward import (
-    forward_instance,
-    full_path_probe,
-    gadget_size,
-    fixed_yes_digraph,
-    single_edge_probe,
-)
+from cspdigraph.forward import forward_instance, gadget_size
 from cspdigraph.merge import merge_instance, merge_template
 from cspdigraph.reverse import assign_levels, components
 from cspdigraph.rng import Lcg64
 from cspdigraph.solver import find_hom
-from cspdigraph.structures import make_structure
+from cspdigraph.structures import Digraph, RelStructure, make_digraph, make_structure
 from cspdigraph.verify import random_instance_for, random_multi_template
 
 
@@ -77,6 +71,21 @@ def test_tuple_components_are_balanced_of_full_height():
         has_apex = any(g.vertices[v].startswith("y:") for v in comp)
         if has_apex:
             assert assign_levels(g, comp).height == 5
+
+
+def fixed_yes_digraph(template: RelStructure) -> Digraph:
+    """A one-vertex digraph; it maps into any nonempty encoded digraph."""
+    return make_digraph("yes:vertex", ["v"], [])
+
+
+def single_edge_probe() -> Digraph:
+    """A single directed edge; also always a yes instance of the encoding."""
+    return make_digraph("yes:edge", ["u", "v"], [(0, 1)])
+
+
+def full_path_probe(k: int) -> Digraph:
+    """The all-single-edges path; yes exactly when some pair uses it whole."""
+    return build_path(PathSpec(k, frozenset(range(1, k + 1))), name="probe:fullpath")
 
 
 def test_probes(two_cycle):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -21,6 +22,7 @@ from cspdigraph.identities import (
     wnu_identities,
 )
 from cspdigraph.lifting import (
+    LiftedOp,
     classify,
     delta_bfs,
     in_delta,
@@ -259,6 +261,69 @@ def test_case2c_agrees_with_zigzag_minimum(two_cycle):
 
 # ---------------------------------------------------------------------------
 # Lifting
+
+
+def _join2():
+    return OpTable("join", 2, 2, tuple(max(t) for t in itertools.product(range(2), repeat=2)))
+
+
+# sha256 of the comma-joined values of the lift on every tuple of V^m, in
+# itertools.product order, computed with a case analysis that derived
+# kinds, segments and order keys per call, so they pin the values apart
+# from the per-vertex arrays; every lift below meets all eight cases
+PINNED_LIFTS = {
+    "majority-on-edge": (
+        [(0, 1)], _maj_bool, zz_median,
+        "b5e18b457ae394bc05ef28f86b1bfcd879b921f3f63235370a52dbd6b8472f01",
+    ),
+    "wnu-allmin-on-2cycle": (
+        [(0, 1), (1, 0)], _xor3, lambda: zz_allmin(3),
+        "1c99cbb41aa56f0cd4bdc8c60885f73e9e2a87b66f3c0b16d6163bdebd901c99",
+    ),
+    "join-meet-on-or": (
+        [(0, 1), (1, 0), (1, 1)], _join2, zz_meet,
+        "586cf3a2a37b53a77630a6daeaf05b9286f7e78b518347d461f50a13a67c7b0d",
+    ),
+    "majority-on-imp": (
+        [(0, 0), (0, 1), (1, 1)], _maj_bool, zz_median,
+        "0d725b97ac3ca7cc474cd3434c85ab8c791be96303cf2fb1b6e3a9a21a85fddd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LIFTS))
+def test_lifted_values_are_pinned(name):
+    tuples, f_a, f_z, digest = PINNED_LIFTS[name]
+    meta = build_digraph(make_structure(name, ["0", "1"], [("R", 2, tuples)]))
+    op = lift_op(meta, f_a(), f_z())
+    every = list(itertools.product(range(len(meta.digraph.vertices)), repeat=op.arity))
+    values = ",".join(str(op(c)) for c in every)
+    assert hashlib.sha256(values.encode()).hexdigest() == digest
+    tags = {classify(meta, c, op.f_a).tag for c in every}
+    assert tags == {"1a", "1b", "2a", "2b", "2c", "3a", "3b", "3c"}
+
+
+def test_lift_all_reports_a_broken_lift(monkeypatch, edge_template):
+    """Swapping the segment ends that case 2a returns must show as FAIL."""
+    meta = build_digraph(edge_template)
+    lifted = LiftedOp.__call__
+    swapped = 0
+
+    def broken(self, c):
+        nonlocal swapped
+        value = lifted(self, c)
+        case = classify(self.meta, c, self.f_a)
+        if case.tag != "2a":
+            return value
+        swapped += 1
+        low, high = self.meta.segment_vids(case.e, case.l)
+        return high if value == low else low
+
+    monkeypatch.setattr(LiftedOp, "__call__", broken)
+    report = lift_all(meta, majority_identities(), {"m": _maj_bool()})
+    assert swapped > 0
+    assert not report.ok
+    assert report.lines[0] == "polymorphism m: FAIL (12^3 edge tuples)"
 
 
 def test_lift_restricted_to_elements_is_the_original(edge_template):

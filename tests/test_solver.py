@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from cspdigraph.solver import (
     is_polymorphism,
     satisfies,
 )
-from cspdigraph.structures import make_digraph, make_structure
+from cspdigraph.structures import Relation, RelStructure, make_digraph, make_structure
 from cspdigraph.verify import random_instance_for, random_single_template
 
 
@@ -260,6 +261,63 @@ def test_boolean_majority_preserves_single_edge(edge_template):
         tuple(sorted(t)[1] for t in itertools.product(range(2), repeat=3)),
     )
     assert is_polymorphism(maj, edge_template)
+
+
+def brute_force_preserves(op, s) -> bool:
+    """The raw definition: every combination of tuples maps to a tuple."""
+    for rel in s.relations:
+        allowed = set(rel.tuples)
+        for combo in itertools.product(rel.tuples, repeat=op.arity):
+            image = tuple(op(tuple(t[j] for t in combo)) for j in range(rel.arity))
+            if image not in allowed:
+                return False
+    return True
+
+
+@st.composite
+def _structure_and_op(draw):
+    """Relations of arity 1-3 over two or three elements, some with a
+    constant column, with repeated tuples kept (Relation is built directly,
+    not deduplicated), and an op of arity 1-3: mostly a random table, which
+    seldom preserves everything, now and then a projection, which does."""
+    n = draw(st.integers(2, 3))
+    rels = []
+    for name in ("R", "S")[: draw(st.integers(1, 2))]:
+        k = draw(st.integers(1, 3))
+        row = st.tuples(*[st.integers(0, n - 1)] * k)
+        rows = sorted(draw(st.sets(row, min_size=1, max_size=6)))
+        if draw(st.booleans()):
+            j, v = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+            rows = [t[:j] + (v,) + t[j + 1 :] for t in rows]
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+        rels.append(Relation(name, k, tuple(rows)))
+    s = RelStructure("s", tuple(str(i) for i in range(n)), tuple(rels))
+    m = draw(st.integers(1, 3))
+    if draw(st.integers(0, 4)) == 4:  # Hypothesis leans to 0
+        i = draw(st.integers(0, m - 1))
+        values = tuple(args[i] for args in itertools.product(range(n), repeat=m))
+    else:
+        # uniform cells from a drawn seed; cells drawn one by one lean to
+        # all-zero tables, which preserve any relation holding the zero row
+        rnd = random.Random(draw(st.integers(0, 2**32)))
+        values = tuple(rnd.randrange(n) for _ in range(n**m))
+    return s, OpTable("f", m, n, values)
+
+
+@given(_structure_and_op())
+@settings(max_examples=300, deadline=None)
+def test_is_polymorphism_matches_the_definition(pair):
+    s, op = pair
+    assert is_polymorphism(op, s) == brute_force_preserves(op, s)
+
+
+def test_constant_map_off_the_relation_is_no_polymorphism(edge_template):
+    assert not is_polymorphism(OpTable("c", 3, 2, (0,) * 8), edge_template)
+    assert not is_polymorphism(OpTable("swap", 1, 2, (1, 0)), edge_template)
+    # a nullary op has the one empty combination to check
+    assert not is_polymorphism(OpTable("c", 0, 2, (0,)), edge_template)
+    loop = make_structure("loop", ["0", "1"], [("R", 2, [(0, 1), (1, 1)])])
+    assert is_polymorphism(OpTable("c", 0, 2, (1,)), loop)
 
 
 def test_permutability_witnesses_on_the_zigzag():
