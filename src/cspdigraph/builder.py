@@ -123,8 +123,6 @@ class TemplateDigraph:
     v_path: tuple[tuple[int, tuple[int, ...]] | None, ...]
     v_pos: tuple[int | None, ...]
     v_segs: tuple[frozenset[int], ...]  # segments holding the vertex; empty off paths
-    out_nbrs: list[list[int]]
-    in_nbrs: list[list[int]]
     has_out: tuple[bool, ...]
     has_in: tuple[bool, ...]
 
@@ -225,8 +223,6 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
                 edges.append((u, v) if s == 1 else (v, u))
 
     g = make_digraph(f"dg:{template.name}", vertices, edges, levels, prov)
-    out_nbrs = g.out_neighbours()
-    in_nbrs = g.in_neighbours()
     return TemplateDigraph(
         template=template,
         digraph=g,
@@ -240,10 +236,8 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
         v_path=tuple(v_path),
         v_pos=tuple(v_pos),
         v_segs=tuple(v_segs),
-        out_nbrs=out_nbrs,
-        in_nbrs=in_nbrs,
-        has_out=tuple(map(bool, out_nbrs)),
-        has_in=tuple(map(bool, in_nbrs)),
+        has_out=tuple(any(d == 1 for _, d in nbrs) for nbrs in g.neighbours),
+        has_in=tuple(any(d == -1 for _, d in nbrs) for nbrs in g.neighbours),
     )
 
 

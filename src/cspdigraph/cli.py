@@ -2,8 +2,10 @@
 
 Exit codes: 0 success or YES decision, 1 NO decision, 2 usage or input
 errors, 3 precondition violations (trivial template, identity-set shape,
-and similar).  All primary output is byte-deterministic given the same
-inputs and seed; diagnostics go to the error stream.
+and similar), 4 internal errors (any other exception, reported on one
+line, so that a crash never reads as an answer).  All primary output is
+byte-deterministic given the same inputs and seed; diagnostics go to the
+error stream.
 """
 
 from __future__ import annotations
@@ -368,15 +370,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

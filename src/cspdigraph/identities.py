@@ -126,9 +126,12 @@ def parse_identities(text: str) -> IdentitySet:
             if len(parts) != 3:
                 raise ParseError("expected 'symbol <name> <arity>'", lineno)
             try:
-                symbols.append((parts[1], int(parts[2])))
+                arity = int(parts[2])
             except ValueError:
                 raise ParseError(f"bad arity {parts[2]!r}", lineno) from None
+            if arity < 0:
+                raise ParseError("arity must be >= 0", lineno)
+            symbols.append((parts[1], arity))
         elif toks[0] == "identity":
             if len(toks) != 2 or "=" not in toks[1]:
                 raise ParseError("expected 'identity <lhs> = <rhs>'", lineno)
@@ -169,6 +172,7 @@ class OpTable:
             raise ParseError(f"table {self.name!r} has out-of-range values")
 
     def __call__(self, args: tuple[int, ...]) -> int:
+        """The value at args: arity indices in 0..size-1, unchecked here."""
         idx = 0
         for a in args:
             idx = idx * self.size + a

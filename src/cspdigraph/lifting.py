@@ -173,22 +173,18 @@ def in_delta(meta: TemplateDigraph, c: tuple[int, ...]) -> bool:
 
 def delta_bfs(meta: TemplateDigraph, m: int) -> set[tuple[int, ...]]:
     """Oracle: explicit search of the power from the diagonal."""
-    nbr: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    nbrs = meta.digraph.neighbours
     start = [tuple([v] * m) for v in range(len(meta.digraph.vertices))]
     seen = set(start)
     stack = list(start)
     while stack:
         cur = stack.pop()
-        steps = [meta.out_nbrs[v] for v in cur]
-        for nxt in itertools.product(*steps):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-        steps = [meta.in_nbrs[v] for v in cur]
-        for nxt in itertools.product(*steps):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        for direction in (1, -1):
+            steps = [[w for w, d in nbrs[v] if d == direction] for v in cur]
+            for nxt in itertools.product(*steps):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
     return seen
 
 

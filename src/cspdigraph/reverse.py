@@ -38,11 +38,8 @@ from .structures import Digraph, RelStructure, make_digraph, make_structure
 
 def components(g: Digraph) -> list[list[int]]:
     """Connected components (ignoring orientation), ordered by least vertex."""
+    nbrs = g.neighbours
     n = len(g.vertices)
-    nbr: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
     seen = [False] * n
     out = []
     for root in range(n):
@@ -53,7 +50,7 @@ def components(g: Digraph) -> list[list[int]]:
         stack = [root]
         while stack:
             u = stack.pop()
-            for w in nbr[u]:
+            for w, _ in nbrs[u]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -74,19 +71,14 @@ def assign_levels(g: Digraph, comp: list[int]) -> LevelAssignment:
     The witness is a closed walk with nonzero net orientation, built
     from the propagation tree plus the offending edge.
     """
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in comp}
-    in_comp = set(comp)
-    for u, v in g.edges:
-        if u in in_comp and v in in_comp:
-            adj[u].append((v, 1))
-            adj[v].append((u, -1))
+    nbrs = g.neighbours
     root = comp[0]
     level = {root: 0}
     parent: dict[int, int] = {root: root}
     stack = [root]
     while stack:
         u = stack.pop()
-        for w, delta in adj[u]:
+        for w, delta in nbrs[u]:
             want = level[u] + delta
             if w not in level:
                 level[w] = want
@@ -120,6 +112,13 @@ def stage2_decide(component: Digraph, meta: TemplateDigraph) -> bool:
     return find_hom(component, meta.digraph) is not None
 
 
+def _component_digraph(g: Digraph, comp: list[int]) -> Digraph:
+    """One component (sorted vertex ids) on its own, from its out-edges."""
+    at = {v: i for i, v in enumerate(comp)}
+    edges = tuple((at[u], at[w]) for u in comp for w, d in g.neighbours[u] if d == 1)
+    return Digraph(f"part:{g.vertices[comp[0]]}", tuple(g.vertices[v] for v in comp), edges)
+
+
 # ---------------------------------------------------------------------------
 # Stage 3A: internal components, gamma, and the four object kinds
 
@@ -146,8 +145,7 @@ def internal_components(
     an in-neighbour internal or a base vertex, so one walk over the
     neighbour lists finds each component's base, top and edges.
     """
-    out_n = g.out_neighbours()
-    in_n = g.in_neighbours()
+    nbrs = g.neighbours
     seen: set[int] = set()
     result = []
     for root in comp:
@@ -161,19 +159,17 @@ def internal_components(
         stack = [root]
         while stack:
             u = stack.pop()
-            for w in out_n[u]:
-                edges.append((u, w))
-                if levels[w] == height:
-                    top.add(w)
-                elif w not in seen:
-                    seen.add(w)
-                    comp_vs.append(w)
-                    stack.append(w)
-            for w in in_n[u]:
-                if levels[w] == 0:
+            for w, d in nbrs[u]:
+                if d == 1:
+                    edges.append((u, w))
+                    if levels[w] == height:
+                        top.add(w)
+                        continue
+                elif levels[w] == 0:
                     edges.append((w, u))
                     base.add(w)
-                elif w not in seen:
+                    continue
+                if w not in seen:
                     seen.add(w)
                     comp_vs.append(w)
                     stack.append(w)
@@ -195,7 +191,8 @@ def internal_components(
 def boundary_subgraph(
     g: Digraph, c: InternalComponent, levels: dict[int, int]
 ) -> tuple[Digraph, dict[str, int]]:
-    """The component plus its base and top, with only its own edges."""
+    """The component plus its base and top, with only its own edges (the
+    solver-based cross-check's input; gamma reads c.edges directly)."""
     keep = sorted(c.vertices + c.base + c.top)
     names = [g.vertices[v] for v in keep]
     remap = {v: i for i, v in enumerate(keep)}
@@ -215,20 +212,15 @@ def gamma(
     is single everywhere except a zigzag at j.  The one obstruction to
     that fold is a directed three-edge walk crossing levels j-1..j+2,
     so j is forced iff some edge leaving level j has an in-edge at its
-    tail and an out-edge at its head.
+    tail and an out-edge at its head, all among the component's edges.
     """
-    sub, level_of = boundary_subgraph(g, c, levels)
-    has_in = [False] * len(sub.vertices)
-    has_out = [False] * len(sub.vertices)
-    for u, v in sub.edges:
-        has_out[u] = True
-        has_in[v] = True
-    forced = set()
-    for u, v in sub.edges:
-        j = level_of[sub.vertices[u]]
-        if 1 <= j <= k and has_in[u] and has_out[v]:
-            forced.add(j)
-    return frozenset(forced)
+    tails = {u for u, _ in c.edges}
+    heads = {v for _, v in c.edges}
+    return frozenset(
+        levels[u]
+        for u, v in c.edges
+        if 1 <= levels[u] <= k and u in heads and v in tails
+    )
 
 
 @dataclass
@@ -506,8 +498,7 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
             )
             return ReverseResult(fixed_no(template), "fixed-no", reports)
         if assignment.height < n:
-            sub = g.induced(comp, name=f"part:{names[0]}")
-            if not stage2_decide(sub, meta):
+            if not stage2_decide(_component_digraph(g, comp), meta):
                 reports.append(ComponentReport(names, "fixed-no", "low component, no map"))
                 return ReverseResult(fixed_no(template), "fixed-no", reports)
             reports.append(ComponentReport(names, "low-yes"))

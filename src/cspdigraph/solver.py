@@ -601,7 +601,15 @@ def is_polymorphism(op, structure) -> bool:
 
 
 def satisfies(tables: Mapping[str, OpTable], sigma: IdentitySet, size: int) -> bool:
-    """Check every identity of the set over all evaluations."""
+    """Check every identity of the set over all evaluations, after checking
+    each table's arity and size once (an OpTable lookup checks neither)."""
+    for name, arity in sigma.symbols:
+        op = tables.get(name)
+        if op is not None and (op.arity, op.size) != (arity, size):
+            raise ArityMismatch(
+                f"table {name!r} is {op.arity}-ary over {op.size} values, "
+                f"symbol {name!r} needs {arity}-ary over {size}"
+            )
 
     def eval_side(term, env):
         if term.symbol is None:

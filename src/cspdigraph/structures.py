@@ -185,17 +185,15 @@ class Digraph:
         except KeyError:
             raise ParseError(f"unknown vertex {name!r}") from None
 
-    def out_neighbours(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.vertices]
+    @cached_property
+    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each vertex, (w, 1) per edge to w and (w, -1) per edge from w,
+        in edge order; built on first use, for every walk over the digraph."""
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         for u, v in self.edges:
-            out[u].append(v)
-        return out
-
-    def in_neighbours(self) -> list[list[int]]:
-        inn: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in self.edges:
-            inn[v].append(u)
-        return inn
+            nbrs[u].append((v, 1))
+            nbrs[v].append((u, -1))
+        return tuple(map(tuple, nbrs))
 
     def induced(self, vertex_ids: Sequence[int], name: str | None = None) -> "Digraph":
         """Induced subgraph, keeping vertex names and relative order."""

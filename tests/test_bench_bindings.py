@@ -3,14 +3,18 @@
 `perfbench/run.py --trace 1` looks up every `(module, function)` pair of
 its FUNCTIONS table with getattr, so renaming or nesting one of those
 functions would crash the traced run.  The table is read with ast, so
-this test neither imports nor changes the benchmark.
+that test neither imports nor changes the benchmark.  The benchmark's
+own unit tests, which call package functions too, run in a subprocess.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
-RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN_PY = ROOT / "perfbench" / "run.py"
 
 
 def _functions_table():
@@ -29,3 +33,15 @@ def test_traced_functions_are_module_level_callables():
     for module, fn, _ in table:
         mod = importlib.import_module(f"cspdigraph.{module}")
         assert callable(vars(mod).get(fn)), f"cspdigraph.{module}.{fn}"
+
+
+def test_benchmark_unit_tests_pass():
+    """The benchmark's own unittest suite, which calls package functions."""
+    done = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench", "-p", "test_*.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

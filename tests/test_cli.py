@@ -1,5 +1,6 @@
 import pytest
 
+from cspdigraph import cli
 from cspdigraph.cli import main
 
 PARITY4 = """\
@@ -301,6 +302,45 @@ def test_lift_witness_with_bad_numbers_is_usage_error(ctx, capsys, table, line):
     )
     assert code == 2 and out == ""
     assert f"line {line}:" in err
+
+
+@pytest.mark.parametrize(
+    "table",
+    ["op m 3 over 1\n0 0 0 0\n", "op m 2 over 2\n0 0 0\n0 1 0\n1 0 1\n1 1 1\n"],
+    ids=["wrong-size", "wrong-arity"],
+)
+def test_lift_witness_of_the_wrong_shape_is_precondition_error(ctx, capsys, table):
+    edge = ctx / "edge.rel"
+    edge.write_text("structure edge\ndomain 0 1\nrelation R 2\ntuple 0 1\nend\n")
+    bad = ctx / "bad.op"
+    bad.write_text(table)
+    code, out, err = run(
+        capsys, "lift", "--template", str(edge),
+        "--sigma", str(ctx / "majority.ids"), "--witness", f"m={bad}",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: table 'm' is ") and "needs 3-ary over 2" in err
+
+
+def test_findops_negative_symbol_arity_is_usage_error(ctx, capsys):
+    sigma = ctx / "neg.ids"
+    sigma.write_text("symbol f -1\n")
+    code, out, err = run(
+        capsys, "findops", "--structure", str(ctx / "2cycle.rel"), "--sigma", str(sigma)
+    )
+    assert code == 2 and out == ""
+    assert "line 1: arity must be >= 0" in err
+
+
+def test_crash_is_internal_error_not_a_decision(ctx, capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_stats", crash)
+    code, out, err = run(capsys, "stats", "--template", str(ctx / "2cycle.rel"))
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: RuntimeError(")
+    assert err.count("\n") == 1
 
 
 def test_solve_deep_search_exits_zero(ctx, capsys):

@@ -45,6 +45,11 @@ def test_declared_arity_enforced():
         parse_identities("symbol f 2\nidentity f(x) = x\n")
 
 
+def test_negative_symbol_arity_is_a_parse_error():
+    with pytest.raises(ParseError, match="line 2: arity must be >= 0"):
+        parse_identities("symbol g 0\nsymbol f -1\n")
+
+
 def test_idempotency_detection():
     assert majority_identities().is_idempotent()
     assert wnu_identities(3).is_idempotent()

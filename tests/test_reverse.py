@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspdigraph.builder import build_digraph, build_path, path_spec
+from cspdigraph.cli import _objects_report
 from cspdigraph.errors import TrivialTemplate, Unbalanced
 from cspdigraph.forward import forward_instance
 from cspdigraph.merge import merge_instance, merge_template
@@ -22,7 +25,7 @@ from cspdigraph.reverse import (
 )
 from cspdigraph.rng import Lcg64
 from cspdigraph.solver import enumerate_homs, find_hom, interpretable_at_levels
-from cspdigraph.structures import make_digraph, make_structure
+from cspdigraph.structures import Digraph, make_digraph, make_structure, serialize_structure
 from cspdigraph.verify import random_digraph_instance, random_single_template
 from worked_example import EXPECTED_GAMMAS, worked_digraph
 
@@ -528,6 +531,63 @@ def test_assembled_instances_receive_their_source():
         as_template = make_structure("b", res.instance.domain, [(rel.name, rel.arity, rel.tuples)])
         assert find_hom(g, build_digraph(as_template).digraph) is not None
         seen += 1
+
+
+def _disjoint_union(name, parts):
+    vertices, edges = [], []
+    for j, g in enumerate(parts):
+        offset = len(vertices)
+        vertices.extend(f"{j}.{v}" for v in g.vertices)
+        edges.extend((u + offset, v + offset) for u, v in g.edges)
+    return make_digraph(name, vertices, edges)
+
+
+# sha256 of the outputs below; a change to any byte of them, the order of an
+# unbalanced witness included, changes it
+REVERSE_CORPUS_DIGEST = "005db60d2e8805ece5848471a472c3b3bf4cb32241131c9fe03553803b24dd53"
+
+
+def test_reverse_outputs_are_pinned_by_digest():
+    """Instance text, mode and objects report of 320 seeded inputs, with
+    one to three random parts each, so unbalanced witnesses, low and
+    full-height components and their order all enter the digest."""
+    rng = Lcg64(59)
+    digest = hashlib.sha256()
+    modes, unbalanced, multi = {}, 0, 0
+    for i in range(320):
+        template = random_single_template(rng, nontrivial=True)
+        k = template.relations[0].arity
+        parts = [random_digraph_instance(rng, n_levels=k + 2) for _ in range(1 + i % 3)]
+        g = _disjoint_union(f"g{i}", parts)
+        res = reverse_instance(g, template)
+        for text in (serialize_structure(res.instance), res.mode, _objects_report(res)):
+            digest.update(text.encode() + b"\0")
+        modes[res.mode] = modes.get(res.mode, 0) + 1
+        unbalanced += any("unbalanced:" in r.detail for r in res.reports)
+        multi += res.mode == "assembled" and len(res.reports) > 1
+    assert set(modes) == {"assembled", "fixed-no", "fixed-yes"}
+    assert unbalanced >= 20 and multi >= 10
+    assert digest.hexdigest() == REVERSE_CORPUS_DIGEST
+
+
+def test_many_low_components_need_no_induced_subgraph(two_cycle, monkeypatch):
+    """Stage 2 builds each low component from its own edges: with 2000 of
+    them, reverse never asks for an induced subgraph of the whole input."""
+    x = make_structure("x", ["u", "v", "w"], [("R", 2, [(0, 1), (1, 2)])], role="instance")
+    full = forward_instance(x, 2)
+    alone = reverse_instance(full, two_cycle)
+    edge = make_digraph("e", ["s", "t"], [(0, 1)])
+    g = _disjoint_union(full.name, [full] + [edge] * 2000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Digraph.induced called")
+
+    monkeypatch.setattr(Digraph, "induced", refuse)
+    res = reverse_instance(g, two_cycle)
+    assert res.mode == "assembled"
+    assert [r.stage for r in res.reports] == ["low-yes"] * 2000 + ["assembled"]
+    assert res.instance.relations == alone.instance.relations
+    assert len(res.instance.domain) == len(alone.instance.domain)
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cspdigraph.errors import NonemptyRelationRequired, ParseError
@@ -121,10 +121,24 @@ def digraphs(draw):
     return make_digraph("g", [f"v{i}" for i in range(n)], edges)
 
 
+def _incident(g, x):
+    """Edges at x in edge order: (v, 1) for x -> v and (u, -1) for u -> x,
+    so a loop at x gives (x, 1) and then (x, -1)."""
+    out = []
+    for u, v in g.edges:
+        if u == x:
+            out.append((v, 1))
+        if v == x:
+            out.append((u, -1))
+    return tuple(out)
+
+
 @given(digraphs())
+@example(make_digraph("loops", ["a", "b"], [(0, 0), (1, 0), (0, 1), (1, 1)]))
 @settings(max_examples=120, deadline=None)
 def test_digraph_round_trip_is_identity(g):
     assert parse_digraph(serialize_digraph(g)) == g
+    assert g.neighbours == tuple(_incident(g, x) for x in range(len(g.vertices)))
 
 
 # ---------------------------------------------------------------------------
