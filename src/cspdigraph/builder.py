@@ -20,6 +20,7 @@ elements (declaration order), all tuples (tuple-lex), then interiors by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import NotInterior, ParseError, PreconditionError
@@ -117,6 +118,8 @@ class TemplateDigraph:
     tuple_vid: dict[tuple[int, ...], int]
     path_specs: dict[tuple[int, tuple[int, ...]], PathSpec]
     path_vids: dict[tuple[int, tuple[int, ...]], tuple[int, ...]]
+    # the vertex ids of segment l of path e, keyed (e, l)
+    segments: dict[tuple[tuple[int, tuple[int, ...]], int], tuple[int, ...]]
     # per-vertex arrays; elements are exactly the vertices at level 0 and
     # tuples exactly those at level k+2
     lvl: tuple[int, ...]
@@ -141,9 +144,16 @@ class TemplateDigraph:
         return self.v_segs[vid]
 
     def segment_vids(self, e: tuple[int, tuple[int, ...]], l: int) -> tuple[int, ...]:
-        rng = self.path_specs[e].segment_positions(l)
-        path = self.path_vids[e]
-        return tuple(path[p] for p in rng)
+        try:
+            return self.segments[e, l]
+        except KeyError:
+            self.path_specs[e].segment_positions(l)  # raises for a bad e or l
+            raise
+
+    @cached_property
+    def digraph_structure(self) -> RelStructure:
+        """The digraph as a template structure, built once per instance."""
+        return self.digraph.as_structure("template")
 
     def stats(self) -> tuple[int, int, int, bool]:
         """(vertices, edges, height, counts-match-the-closed-formulas)."""
@@ -191,6 +201,7 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
     edges: list[tuple[int, int]] = []
     path_specs: dict[tuple[int, tuple[int, ...]], PathSpec] = {}
     path_vids: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+    segments: dict[tuple[tuple[int, tuple[int, ...]], int], tuple[int, ...]] = {}
     v_path: list[tuple[int, tuple[int, ...]] | None] = [None] * len(vertices)
     v_pos: list[int | None] = [None] * len(vertices)
     v_segs: list[frozenset[int]] = [frozenset()] * len(vertices)
@@ -218,6 +229,8 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
                 vids.append(vid)
             vids.append(tuple_vid[r])
             path_vids[e] = tuple(vids)
+            for l in range(1, k + 1):
+                segments[e, l] = tuple(vids[p] for p in spec.segment_positions(l))
             for p, s in enumerate(steps):
                 u, v = vids[p], vids[p + 1]
                 edges.append((u, v) if s == 1 else (v, u))
@@ -232,6 +245,7 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
         tuple_vid=tuple_vid,
         path_specs=path_specs,
         path_vids=path_vids,
+        segments=segments,
         lvl=tuple(levels),
         v_path=tuple(v_path),
         v_pos=tuple(v_pos),

@@ -114,8 +114,11 @@ def _parse_term(text: str, lineno: int | None = None) -> Term:
 
 
 def parse_identities(text: str) -> IdentitySet:
+    """Parse an identity file; a symbol that is undeclared or used at the
+    wrong arity is a ParseError on the line that uses it."""
     symbols: list[tuple[str, int]] = []
     identities: list[Identity] = []
+    at_line: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -137,11 +140,23 @@ def parse_identities(text: str) -> IdentitySet:
                 raise ParseError("expected 'identity <lhs> = <rhs>'", lineno)
             lhs, rhs = toks[1].split("=", 1)
             identities.append(Identity(_parse_term(lhs, lineno), _parse_term(rhs, lineno)))
+            at_line.append(lineno)
         else:
             raise ParseError(f"unknown keyword {toks[0]!r}", lineno)
-    out = IdentitySet(tuple(symbols), tuple(identities))
-    out.ensure_linear()
-    return out
+    declared = dict(symbols)
+    for ident, lineno in zip(identities, at_line):
+        for side in (ident.lhs, ident.rhs):
+            if side.symbol is None:
+                continue
+            if side.symbol not in declared:
+                raise ParseError(f"undeclared symbol {side.symbol!r}", lineno)
+            if len(side.args) != declared[side.symbol]:
+                raise ParseError(
+                    f"{side.symbol!r} is declared with arity {declared[side.symbol]}, "
+                    f"used with arity {len(side.args)}",
+                    lineno,
+                )
+    return IdentitySet(tuple(symbols), tuple(identities))
 
 
 def serialize_identities(sigma: IdentitySet) -> str:
@@ -177,6 +192,10 @@ class OpTable:
         for a in args:
             idx = idx * self.size + a
         return self.values[idx]
+
+    def tabulate(self, values, m: int) -> list[int]:
+        """[self(c) for c in itertools.product(values, repeat=m)]."""
+        return [self(args) for args in itertools.product(values, repeat=m)]
 
     def is_idempotent(self) -> bool:
         return all(self((x,) * self.arity) == x for x in range(self.size))

@@ -214,6 +214,10 @@ _CASE_1B = CaseData("1b")
 _CASE_3B = CaseData("3b")
 _CASE_3C = CaseData("3c")
 
+# what tabulate does for a last place on a given level: take the 'ar'-least
+# or the 'ra'-greatest vertex of the tuple, or evaluate it through __call__
+_LEAST, _GREATEST, _CALL = range(3)
+
 
 def _coordinatewise(f_a: OpTable, tuples):
     return tuple(map(f_a, zip(*tuples)))
@@ -255,12 +259,15 @@ def classify(
 class LiftedOp:
     """Sparse lifted operation over the encoded digraph's vertices.
 
-    Values are computed per call from the case analysis; nothing the
-    size of |D|^m is ever materialized, and no value is remembered
-    between calls.  The case analysis reads per-vertex arrays built once:
-    levels, segment sets and has-out/has-in flags on the TemplateDigraph,
-    and here the rank of every vertex under each of the two orders, so
-    that an order-least or order-greatest choice is a minimum over ints.
+    A call computes one value from the case analysis.  tabulate computes
+    the values over a whole product of vertex sets in bulk and evaluates
+    only the tuples that lie on one level one by one; nothing the size of
+    |D|^m is ever materialized unless asked for, and no value is
+    remembered between calls.  The case analysis reads per-vertex arrays
+    built once: levels, segment sets, segment vertices and has-out/has-in
+    flags on the TemplateDigraph, and here the rank of every vertex under
+    each of the two orders, so that an order-least or order-greatest
+    choice is a minimum over ints.
     """
 
     def __init__(self, meta: TemplateDigraph, f_a: OpTable, f_z: OpTable):
@@ -293,8 +300,8 @@ class LiftedOp:
         return self._by_rank[min(map(self._rank.__getitem__, vids))]
 
     def _segment_offset(self, vid: int, e, l: int) -> int:
-        start = self.meta.path_specs[e].segment_positions(l)[0]
-        return self.meta.v_pos[vid] - start
+        v_pos = self.meta.v_pos
+        return v_pos[vid] - v_pos[self.meta.segment_vids(e, l)[0]]
 
     def __call__(self, c: tuple[int, ...]) -> int:
         meta = self.meta
@@ -343,6 +350,77 @@ class LiftedOp:
         if tag == "2b":
             return seg[self.f_z(tuple(offsets))]
         return self._least([seg[o] for o in offsets if o is not None])
+
+    def tabulate(self, values, m: int) -> list[int]:
+        """[self(c) for c in itertools.product(values, repeat=m)], in bulk.
+
+        The product is walked in order, and each prefix of m-1 places
+        carries the levels it meets (a bitmask), its least 'ar' rank, its
+        greatest 'ra' rank and the places on its lowest level.  A tuple on
+        three or more levels is case 3c, and its value the 'ar'-least
+        vertex.  A tuple on two levels is case 3b, and its value the
+        'ar'-least or the 'ra'-greatest vertex as f_z decides on the 0/2
+        labels of the lowest-level places; f_z is evaluated once per label
+        pattern.  Only tuples on one level go through self(c).
+        """
+        if m != self.arity:
+            raise ArityMismatch(f"{self.name!r} is {self.arity}-ary, not {m}-ary")
+        values = list(values)
+        lvl, rank, rank_star = self.meta.lvl, self._rank, self._rank_star
+        last = 1 << (m - 1)
+        # picks_least[mask]: f_z sends to 0 the labels that are 0 at the
+        # places in mask and 2 elsewhere
+        picks_least = [
+            self.f_z(tuple([0 if mask >> i & 1 else 2 for i in range(m)])) == 0
+            for mask in range(1 << m)
+        ]
+        columns = [(v, rank[v], rank_star[v], lvl[v]) for v in values]
+        levels = sorted({lvl[v] for v in values})
+        kinds = [_CALL] * (max(levels, default=0) + 1)
+        # the state after each place of the current prefix: (levels met as a
+        # bitmask, lowest level, places on it as a bitmask, least 'ar' rank,
+        # greatest 'ra' rank)
+        states = [(0, len(kinds), 0, self.size, -1)]
+        out: list[int] = []
+        for idx in itertools.product(range(len(values)), repeat=m - 1):
+            # in product order the places from the last nonzero index on
+            # changed (all of them the first time round)
+            start = max(m - 2, 0)
+            while start > 0 and idx[start] == 0:
+                start -= 1
+            del states[start + 1 :]
+            for place in range(start, m - 1):
+                met, lo, lows, least, greatest = states[-1]
+                _, r, rs, lv = columns[idx[place]]
+                if lv < lo:
+                    lo, lows = lv, 1 << place
+                elif lv == lo:
+                    lows |= 1 << place
+                states.append((met | 1 << lv, lo, lows, min(least, r), max(greatest, rs)))
+            met, lo, lows, least, greatest = states[-1]
+            for lv in levels:
+                both = met | 1 << lv
+                if both == 1 << lv:
+                    kinds[lv] = _CALL
+                elif both.bit_count() > 2:
+                    kinds[lv] = _LEAST
+                else:
+                    on_low = last if lv < lo else lows | last if lv == lo else lows
+                    kinds[lv] = _LEAST if picks_least[on_low] else _GREATEST
+            least_v = self._by_rank[least] if met else None
+            greatest_v = self._by_rank_star[greatest] if met else None
+            prefix = tuple([values[i] for i in idx])
+            out.extend(
+                [
+                    (v if r < least else least_v)
+                    if (kind := kinds[lv]) == _LEAST
+                    else (v if rs > greatest else greatest_v)
+                    if kind == _GREATEST
+                    else self(prefix + (v,))
+                    for v, r, rs, lv in columns
+                ]
+            )
+        return out
 
 
 def lift_op(meta: TemplateDigraph, f_a: OpTable, f_z: OpTable) -> LiftedOp:
@@ -401,9 +479,8 @@ def lift_all(
     report = LiftReport({})
     for name in arity:
         report.tables[name] = lift_op(meta, witnesses_a[name], witnesses_z[name])
-    target = meta.digraph.as_structure("template")
     for name, op in report.tables.items():
-        good = is_polymorphism(op, target)
+        good = is_polymorphism(op, meta.digraph_structure)
         report.lines.append(
             f"polymorphism {name}: {'ok' if good else 'FAIL'} "
             f"({len(meta.digraph.edges)}^{op.arity} edge tuples)"

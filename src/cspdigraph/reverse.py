@@ -109,7 +109,7 @@ def assign_levels(g: Digraph, comp: list[int]) -> LevelAssignment:
 
 
 def stage2_decide(component: Digraph, meta: TemplateDigraph) -> bool:
-    return find_hom(component, meta.digraph) is not None
+    return find_hom(component, meta.digraph_structure) is not None
 
 
 def _component_digraph(g: Digraph, comp: list[int]) -> Digraph:

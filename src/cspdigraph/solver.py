@@ -26,6 +26,7 @@ modified, so concurrent searches over shared inputs are safe.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .builder import PathSpec, build_path
@@ -554,16 +555,17 @@ def find_operations(
 def _column_images(op, tuples, j: int):
     """Images of column j under op, one chunk per tuple at the first place.
 
-    op is tabulated once over C^m, with C the sorted values occurring in
-    column j; every tuple of C^m occurs in some combination of m tuples,
-    so nothing is evaluated that the check does not need.  Chunk i holds
-    the images, read off the table, of the combinations whose first tuple
-    is tuples[i], in itertools.product order.
+    op.tabulate(C, m) gives op over C^m in itertools.product order, with
+    C the sorted values occurring in column j; every tuple of C^m occurs
+    in some combination of m tuples, so nothing is evaluated that the
+    check does not need.  Chunk i holds the images, read off the table,
+    of the combinations whose first tuple is tuples[i], in
+    itertools.product order.
     """
     m = op.arity
     values = sorted({t[j] for t in tuples})
     place = {v: i for i, v in enumerate(values)}
-    table = [op(args) for args in itertools.product(values, repeat=m)]
+    table = op.tabulate(values, m)
     if m == 0:
         yield table  # the one, empty, combination
         return
@@ -602,7 +604,13 @@ def is_polymorphism(op, structure) -> bool:
 
 def satisfies(tables: Mapping[str, OpTable], sigma: IdentitySet, size: int) -> bool:
     """Check every identity of the set over all evaluations, after checking
-    each table's arity and size once (an OpTable lookup checks neither)."""
+    each table's arity and size once (an OpTable lookup checks neither).
+
+    A side f(v1..vm) whose m arguments are exactly the identity's m
+    distinct variables is read off f.tabulate(range(size), m), which is
+    built at most once per symbol and call; every other side is
+    evaluated per evaluation of the variables.
+    """
     for name, arity in sigma.symbols:
         op = tables.get(name)
         if op is not None and (op.arity, op.size) != (arity, size):
@@ -610,18 +618,34 @@ def satisfies(tables: Mapping[str, OpTable], sigma: IdentitySet, size: int) -> b
                 f"table {name!r} is {op.arity}-ary over {op.size} values, "
                 f"symbol {name!r} needs {arity}-ary over {size}"
             )
+    full: dict[str, list[int]] = {}
 
-    def eval_side(term, env):
+    def side_values(term, variables):
+        """The side's values over range(size)^variables in product order."""
+        at = [variables.index(v) for v in term.args]
+        envs = itertools.product(range(size), repeat=len(variables))
         if term.symbol is None:
-            return env[term.args[0]]
-        return tables[term.symbol](tuple(env[v] for v in term.args))
+            return (env[at[0]] for env in envs)
+        op = tables[term.symbol]
+        if sorted(at) != list(range(len(variables))):
+            return (op(tuple([env[i] for i in at])) for env in envs)
+        if term.symbol not in full:
+            full[term.symbol] = op.tabulate(range(size), len(at))
+        # the table offset of each evaluation, in product order
+        weight = [0] * len(at)
+        for place, i in enumerate(at):
+            weight[i] = size ** (len(at) - 1 - place)
+        offsets = [0]
+        for w in weight:
+            offsets = [o + x * w for o in offsets for x in range(size)]
+        return map(full[term.symbol].__getitem__, offsets)
 
     for ident in sigma.identities:
         variables = sorted(ident.variables())
-        for values in itertools.product(range(size), repeat=len(variables)):
-            env = dict(zip(variables, values))
-            if eval_side(ident.lhs, env) != eval_side(ident.rhs, env):
-                return False
+        lhs = side_values(ident.lhs, variables)
+        rhs = side_values(ident.rhs, variables)
+        if not all(map(operator.eq, lhs, rhs)):
+            return False
     return True
 
 

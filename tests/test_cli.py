@@ -332,6 +332,24 @@ def test_findops_negative_symbol_arity_is_usage_error(ctx, capsys):
     assert "line 1: arity must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("symbol w 3\nidentity w(x,x,x) = q(x)\n", "line 2: undeclared symbol 'q'"),
+        ("symbol w 3\nidentity w(x,x) = x\n", "line 2: 'w' is declared with arity 3"),
+    ],
+    ids=["undeclared", "wrong-arity"],
+)
+def test_identity_file_mislabel_is_usage_error(ctx, capsys, text, message):
+    sigma = ctx / "bad.ids"
+    sigma.write_text(text)
+    code, out, err = run(
+        capsys, "findops", "--structure", str(ctx / "2cycle.rel"), "--sigma", str(sigma)
+    )
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_crash_is_internal_error_not_a_decision(ctx, capsys, monkeypatch):
     def crash(args):
         raise RuntimeError("boom\nsecond line")

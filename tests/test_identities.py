@@ -45,6 +45,26 @@ def test_declared_arity_enforced():
         parse_identities("symbol f 2\nidentity f(x) = x\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("symbol w 3\nidentity w(x,x,x) = q(x)\n", "line 2: undeclared symbol 'q'"),
+        ("symbol w 3\n\nidentity w(x,x) = x\n", "line 3: 'w' is declared with arity 3"),
+        # a symbol may be declared after the identity that uses it
+        ("identity w(x,x) = x\nsymbol w 3\n", "line 1: 'w' is declared with arity 3"),
+    ],
+    ids=["undeclared", "wrong-arity", "declared-later"],
+)
+def test_symbol_mislabels_are_parse_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_identities(text)
+
+
+def test_symbol_declared_after_its_use_is_accepted():
+    sigma = parse_identities("identity f(x,x) = x\nsymbol f 2\n")
+    assert sigma.symbols == (("f", 2),)
+
+
 def test_negative_symbol_arity_is_a_parse_error():
     with pytest.raises(ParseError, match="line 2: arity must be >= 0"):
         parse_identities("symbol g 0\nsymbol f -1\n")

@@ -1,7 +1,10 @@
 import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspdigraph import lifting
 from cspdigraph.builder import build_digraph
@@ -19,6 +22,8 @@ from cspdigraph.identities import (
     Term,
     majority_identities,
     maltsev_identities,
+    parse_identities,
+    perm3_identities,
     wnu_identities,
 )
 from cspdigraph.lifting import (
@@ -40,8 +45,17 @@ from cspdigraph.lifting import (
     zz_p1,
     zz_p2,
 )
-from cspdigraph.solver import endomorphisms, enumerate_homs, is_hom, is_polymorphism
-from cspdigraph.structures import make_structure
+from cspdigraph.solver import (
+    endomorphisms,
+    enumerate_homs,
+    find_operations,
+    is_hom,
+    is_polymorphism,
+    satisfies,
+)
+from cspdigraph.structures import make_structure, parse_structure
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 Z = {"00": 0, "01": 1, "10": 2, "11": 3}
 
@@ -301,6 +315,141 @@ def test_lifted_values_are_pinned(name):
     assert hashlib.sha256(values.encode()).hexdigest() == digest
     tags = {classify(meta, c, op.f_a).tag for c in every}
     assert tags == {"1a", "1b", "2a", "2b", "2c", "3a", "3b", "3c"}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LIFTS))
+def test_tabulated_values_are_pinned(name):
+    tuples, f_a, f_z, digest = PINNED_LIFTS[name]
+    meta = build_digraph(make_structure(name, ["0", "1"], [("R", 2, tuples)]))
+    op = lift_op(meta, f_a(), f_z())
+    table = op.tabulate(range(len(meta.digraph.vertices)), op.arity)
+    values = ",".join(map(str, table))
+    assert hashlib.sha256(values.encode()).hexdigest() == digest
+
+
+# identity sets with zigzag witnesses; the template witnesses come from
+# find_operations
+WITNESSED = (
+    (majority_identities(), {"m": zz_median()}),
+    (wnu_identities(3), {"w": zz_allmin(3)}),
+    (perm3_identities(), {"p1": zz_p1(), "p2": zz_p2()}),
+    (parse_identities("symbol f 2\nidentity f(x,x) = x\nidentity f(x,y) = f(y,x)\n"),
+     {"f": zz_meet()}),
+    (parse_identities((FIXTURES / "siggers4.ids").read_text()), {"s": zz_allmin(4)}),
+)
+# at most this many tuples in one tabulated product
+_PRODUCT_BOUND = 6000
+
+
+@st.composite
+def _lift_and_values(draw):
+    """A lifted witness on a small random template and a sorted vertex subset."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3 if n == 2 else 2))
+    row = st.tuples(*[st.integers(0, n - 1)] * k)
+    rows = sorted(draw(st.sets(row, min_size=1, max_size=3)))
+    template = make_structure("t", [str(i) for i in range(n)], [("R", k, rows)])
+    sigma, on_zigzag = draw(st.sampled_from(WITNESSED))
+    found = find_operations(template, sigma)
+    if found is None:
+        return None
+    name = draw(st.sampled_from(sorted(on_zigzag)))
+    meta = build_digraph(template)
+    op = lift_op(meta, found[name], on_zigzag[name])
+    size = len(meta.digraph.vertices)
+    most = min(size, int(_PRODUCT_BOUND ** (1 / op.arity)))
+    values = sorted(draw(st.sets(st.integers(0, size - 1), max_size=most)))
+    return op, values
+
+
+@given(_lift_and_values())
+@settings(max_examples=60, deadline=None)
+def test_tabulate_equals_the_lifted_values(drawn):
+    if drawn is None:
+        return
+    op, values = drawn
+    expected = [op(c) for c in itertools.product(values, repeat=op.arity)]
+    assert op.tabulate(values, op.arity) == expected
+
+
+def test_tabulate_rejects_another_arity(two_cycle):
+    op = lift_op(build_digraph(two_cycle), _maj_bool(), zz_median())
+    with pytest.raises(ArityMismatch):
+        op.tabulate(range(3), 2)
+
+
+class _TableOnly:
+    """An operation that can only be tabulated, never called."""
+
+    def __init__(self, op):
+        self.op, self.arity, self.size = op, op.arity, op.size
+
+    def __call__(self, args):
+        raise AssertionError("evaluated per call")
+
+    def tabulate(self, values, m):
+        return self.op.tabulate(values, m)
+
+
+def test_full_variable_identities_read_the_table(two_cycle):
+    """c(x,y,z) = c(y,z,x) has all three variables on both sides, so
+    satisfies reads both from one table of the lifted operation."""
+    cyclic = parse_identities("symbol c 3\nidentity c(x,y,z) = c(y,z,x)\n")
+    op = lift_op(build_digraph(two_cycle), _xor3(), zz_allmin(3))
+    assert satisfies({"c": _TableOnly(op)}, cyclic, op.size)
+
+
+@st.composite
+def _table_and_identity(draw):
+    """A random ternary table and an identity between two argument lists
+    over three variables, some of them full-variable, some not."""
+    n = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(0, n - 1), min_size=n**3, max_size=n**3))
+    if draw(st.booleans()):  # a symmetric table satisfies every permutation
+        at = dict(zip(itertools.product(range(n), repeat=3), cells))
+        cells = [at[tuple(sorted(t))] for t in itertools.product(range(n), repeat=3)]
+    args = st.lists(st.sampled_from("xyz"), min_size=3, max_size=3)
+    lhs, rhs = draw(args), draw(st.one_of(args, st.permutations("xyz")))
+    text = f"symbol f 3\nidentity f({','.join(lhs)}) = f({','.join(rhs)})\n"
+    return OpTable("f", 3, n, tuple(cells)), parse_identities(text)
+
+
+@given(_table_and_identity())
+@settings(max_examples=100, deadline=None)
+def test_satisfies_matches_the_definition(drawn):
+    op, sigma = drawn
+    (ident,) = sigma.identities
+    variables = sorted(ident.variables())
+    expected = True
+    for values in itertools.product(range(op.size), repeat=len(variables)):
+        env = dict(zip(variables, values))
+        lhs = op(tuple(env[v] for v in ident.lhs.args))
+        rhs = op(tuple(env[v] for v in ident.rhs.args))
+        expected = expected and lhs == rhs
+    assert satisfies({"f": op}, sigma, op.size) == expected
+
+
+CATALOGUE = ("cyclic3", "nu4", "siggers4", "jonsson2")
+
+
+def _fixture(name: str, suffix: str):
+    text = (FIXTURES / f"{name}.{suffix}").read_text()
+    return parse_structure(text) if suffix == "rel" else parse_identities(text)
+
+
+@pytest.mark.parametrize("template", ["edge", "2cycle"])
+@pytest.mark.parametrize("sigma", CATALOGUE)
+def test_catalogue_lifts(template, sigma):
+    a, s = _fixture(template, "rel"), _fixture(sigma, "ids")
+    found = find_operations(a, s)
+    assert found is not None
+    report = lift_all(build_digraph(a), s, found)
+    assert report.ok, report.text()
+
+
+@pytest.mark.parametrize("sigma", ["nu4", "jonsson2"])
+def test_affine_parity4_has_no_nu4_or_jonsson_witness(sigma):
+    assert find_operations(_fixture("parity4", "rel"), _fixture(sigma, "ids")) is None
 
 
 def test_lift_all_reports_a_broken_lift(monkeypatch, edge_template):

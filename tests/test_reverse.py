@@ -590,6 +590,25 @@ def test_many_low_components_need_no_induced_subgraph(two_cycle, monkeypatch):
     assert len(res.instance.domain) == len(alone.instance.domain)
 
 
+def test_low_components_share_one_template_structure(two_cycle, monkeypatch):
+    """Stage 2 decides every low component against one structure view of
+    the encoded template, built once per reverse, not once per component."""
+    edge = make_digraph("e", ["s", "t"], [(0, 1)])
+    g = _disjoint_union("lows", [edge] * 200)
+    as_structure = Digraph.as_structure
+    roles = []
+
+    def counted(self, role="instance"):
+        roles.append(role)
+        return as_structure(self, role)
+
+    monkeypatch.setattr(Digraph, "as_structure", counted)
+    res = reverse_instance(g, two_cycle)
+    assert sum(r.stage == "low-yes" for r in res.reports) == 200
+    assert roles.count("template") == 1
+    assert roles.count("instance") == 200
+
+
 @st.composite
 def _template_and_instance(draw):
     """A non-trivial single-relation template and an instance with a tuple."""
