@@ -24,7 +24,14 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import NotInterior, ParseError, PreconditionError
-from .structures import Digraph, DVertex, RelStructure, make_digraph, make_structure
+from .structures import (
+    Digraph,
+    DVertex,
+    RelStructure,
+    make_digraph,
+    make_structure,
+    serialize_digraph,
+)
 
 ZIGZAG = (1, -1, 1)
 SINGLE = (1,)
@@ -260,10 +267,12 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
 
 
 def dmeta_to_text(meta: TemplateDigraph) -> str:
+    """The digraph file with the provenance comments after its header line."""
     g = meta.digraph
-    out = [f"digraph {g.name}"]
-    out.append(f"# template {meta.template.name}")
-    out.append("# relation " + meta.template.relations[0].name)
+    notes = [
+        f"# template {meta.template.name}",
+        "# relation " + meta.template.relations[0].name,
+    ]
     for i, v in enumerate(g.vertices):
         tag = g.provenance[i]
         if tag.kind == "element":
@@ -275,13 +284,9 @@ def dmeta_to_text(meta: TemplateDigraph) -> str:
                 f"internal {meta.template.domain[tag.elem]} "
                 f"{_tuple_name(meta.template, tag.tup)} {tag.j}"
             )
-        out.append(f"# provenance {v} level {g.levels[i]} {note}")
-    for v in g.vertices:
-        out.append(f"vertex {v}")
-    for u, v in g.edges:
-        out.append(f"edge {g.vertices[u]} {g.vertices[v]}")
-    out.append("end")
-    return "\n".join(out) + "\n"
+        notes.append(f"# provenance {v} level {g.levels[i]} {note}")
+    head, body = serialize_digraph(g).split("\n", 1)
+    return "\n".join([head, *notes, body])
 
 
 def dmeta_from_text(text: str) -> TemplateDigraph:

@@ -25,9 +25,10 @@ from .solver import core_of, endomorphisms, find_hom, find_operations
 from .structures import (
     Digraph,
     RelStructure,
+    _digraph_from,
+    _lines,
+    _structure_from,
     export_dot,
-    parse_digraph,
-    parse_structure,
     serialize_digraph,
     serialize_structure,
 )
@@ -47,15 +48,12 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load_any(path: str):
-    text = _read(path)
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if body.split()[0] == "digraph":
-            return parse_digraph(text)
-        return parse_structure(text)
-    raise ParseError(f"{path}: empty file")
+    lines = _lines(_read(path))
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    if lines[0][1].split()[0] == "digraph":
+        return _digraph_from(lines)
+    return _structure_from(lines)
 
 
 def _load_structure(path: str) -> RelStructure:
@@ -67,10 +65,7 @@ def _load_structure(path: str) -> RelStructure:
 
 def _load_restriction(path: str) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _lines(_read(path)):
         toks = body.split()
         if toks[0] != "allow" or len(toks) < 3:
             raise ParseError("expected 'allow <x> <a1> <a2> ...'", lineno)
@@ -95,14 +90,17 @@ def cmd_build(args) -> int:
     _write(args.output, dmeta_to_text(meta))
     if args.dot:
         _write(args.dot, export_dot(meta.digraph))
-    nv, ne, h, ok = meta.stats()
-    print(f"{nv} {ne} {h} {'ok' if ok else 'MISMATCH'}")
-    return 0
+    return _print_stats(meta)
 
 
 def cmd_stats(args) -> int:
     _, merged, _ = _single_relation_template(args.template)
-    nv, ne, h, ok = build_digraph(merged).stats()
+    return _print_stats(build_digraph(merged))
+
+
+def _print_stats(meta) -> int:
+    """The line of build and stats: vertices, edges, height, formula check."""
+    nv, ne, h, ok = meta.stats()
     print(f"{nv} {ne} {h} {'ok' if ok else 'MISMATCH'}")
     return 0
 
@@ -129,12 +127,12 @@ def cmd_forward(args) -> int:
     if x.block_arities is None and tuple(r.arity for r in x.relations) == blocks.arities:
         x = merge_instance(x, blocks)
     gadget = forward_instance(x, blocks.total)
-    lines = serialize_digraph(gadget).splitlines()
+    head, body = serialize_digraph(gadget).split("\n", 1)
     notes = [
         f"# tuple {i}: " + " ".join(x.domain[j] for j in t)
         for i, t in enumerate(x.relations[0].tuples)
     ]
-    _write(args.output, "\n".join(lines[:1] + notes + lines[1:]) + "\n")
+    _write(args.output, "\n".join([head, *notes, body]))
     return 0
 
 

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, NonlinearIdentity, ParseError
+from .structures import _lines
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,7 @@ def parse_identities(text: str) -> IdentitySet:
     symbols: list[tuple[str, int]] = []
     identities: list[Identity] = []
     at_line: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _lines(text):
         toks = body.split(None, 1)
         if toks[0] == "symbol":
             parts = body.split()
@@ -205,10 +203,7 @@ def parse_op_table(text: str) -> OpTable:
     name = None
     arity = size = 0
     rows: dict[tuple[int, ...], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _lines(text):
         toks = body.split()
         if toks[0] == "op":
             if len(toks) != 5 or toks[3] != "over":

@@ -147,14 +147,6 @@ def order_key(meta: TemplateDigraph, variant: str = "ar"):
     return key
 
 
-def order_less(meta: TemplateDigraph, x, y, variant: str = "ar") -> bool:
-    """Strict comparison; accepts vertex names or indices."""
-    key = order_key(meta, variant)
-    vx = meta.digraph.vertex_index(x) if isinstance(x, str) else x
-    vy = meta.digraph.vertex_index(y) if isinstance(y, str) else y
-    return key(vx) < key(vy)
-
-
 # ---------------------------------------------------------------------------
 # The diagonal component of a power
 

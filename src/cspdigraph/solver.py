@@ -32,7 +32,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .builder import PathSpec, build_path
 from .errors import (
     ArityMismatch,
-    NonlinearIdentity,
     SignatureMismatch,
     UnbalancedInput,
 )
@@ -119,7 +118,6 @@ class _Search:
         source: RelStructure,
         target: RelStructure,
         restriction: Restriction | None = None,
-        propagate: bool = True,
     ):
         if dict(source.signature()) != dict(target.signature()):
             raise SignatureMismatch(
@@ -127,7 +125,6 @@ class _Search:
             )
         self.source = source
         self.target = target
-        self.propagate = propagate
         self.n_vars = len(source.domain)
         self.n_vals = len(target.domain)
         full = (1 << self.n_vals) - 1
@@ -240,17 +237,6 @@ class _Search:
                     pending.discard(ci)
         return True
 
-    def _check_assigned(self) -> bool:
-        """Plain consistency check used when propagation is disabled."""
-        doms = self.domains
-        for c in self.constraints:
-            if any(doms[v].bit_count() != 1 for v in c.scope):
-                continue
-            vals = tuple(doms[v].bit_length() - 1 for v in c.scope)
-            if vals not in c.tuples:
-                return False
-        return True
-
     # -- search -----------------------------------------------------------
 
     def _pick(self, start: int) -> tuple[int | None, int]:
@@ -279,9 +265,8 @@ class _Search:
     def solutions(self) -> Iterator[Hom]:
         if any(d == 0 for d in self.domains):
             return
-        if self.propagate:
-            if not self._achieve_gac(range(len(self.constraints))):
-                return
+        if not self._achieve_gac(range(len(self.constraints))):
+            return
         yield from self._dfs()
 
     def _dfs(self) -> Iterator[Hom]:
@@ -292,13 +277,11 @@ class _Search:
         """
         var, first = self._pick(0)
         if var is None:
-            if self.propagate or self._check_assigned():
-                yield self._extract()
+            yield self._extract()
             return
         doms = self.domains
         trail = self.trail
         by_var = self.by_var
-        propagate = self.propagate
         stack = [(var, doms[var], len(trail), first)]
         while stack:
             var, untried, mark, first = stack[-1]
@@ -311,10 +294,7 @@ class _Search:
             low = untried & -untried
             stack[-1] = (var, untried ^ low, mark, first)
             self._set(var, low)
-            if propagate:
-                if not self._achieve_gac(by_var[var]):
-                    continue
-            elif not self._check_assigned():
+            if not self._achieve_gac(by_var[var]):
                 continue
             nxt, nxt_first = self._pick(first)
             if nxt is None:
@@ -337,13 +317,17 @@ def _is_empty(source) -> bool:
     return isinstance(source, Digraph) and not source.vertices
 
 
-def find_hom(source, target, restriction=None, propagate=True) -> Hom | None:
-    """One homomorphism respecting the restriction, or None if none exists."""
+def find_hom(source, target, restriction=None) -> Hom | None:
+    """One homomorphism respecting the restriction, or None if none exists.
+
+    The search maintains generalized arc consistency at every node; the
+    homomorphism is the first that ``enumerate_homs`` would give.
+    """
     if _is_empty(source):
         return {}
     s = _as_structure(source, "instance")
     t = _as_structure(target, "template")
-    for hom in _Search(s, t, restriction, propagate).solutions():
+    for hom in _Search(s, t, restriction).solutions():
         return hom
     return None
 
@@ -460,28 +444,22 @@ def _cells(symbols: Sequence[tuple[str, int]], n: int):
     return order
 
 
-def find_operations(
-    structure,
-    sigma: IdentitySet,
-    arities: Mapping[str, int] | None = None,
-) -> dict[str, OpTable] | None:
+def find_operations(structure, sigma: IdentitySet) -> dict[str, OpTable] | None:
     """Search for operation tables witnessing a linear identity set.
 
     Every table cell is a variable of one big instance: identities merge
     cells (or pin them to constants), and preservation of each relation
     contributes one constraint per choice of input tuples.  Solving that
     instance against the structure itself yields the tables, and a None
-    answer is a proof that no witnesses exist.
+    answer is a proof that no witnesses exist.  Each table has the arity
+    its symbol declares in ``sigma``; a symbol that is undeclared or used
+    at another arity raises from ``sigma.ensure_linear()`` first.
     """
     s = _as_structure(structure, "template")
     sigma.ensure_linear()
     n = len(s.domain)
-    symbols = tuple(
-        (name, arities[name] if arities else ar) for name, ar in sigma.symbols
-    )
-    sym_arity = dict(symbols)
 
-    cells = _cells(symbols, n)
+    cells = _cells(sigma.symbols, n)
     cell_id = {c: i for i, c in enumerate(cells)}
 
     uf = UnionFind(len(cells))
@@ -490,10 +468,6 @@ def find_operations(
     def eval_side(term, env):
         if term.symbol is None:
             return ("const", env[term.args[0]])
-        if term.symbol not in sym_arity:
-            raise NonlinearIdentity(f"unknown symbol {term.symbol!r}")
-        if len(term.args) != sym_arity[term.symbol]:
-            raise ArityMismatch(f"{term.symbol!r} used with wrong arity")
         return ("cell", cell_id[(term.symbol, tuple(env[v] for v in term.args))])
 
     pending_consts: list[tuple[int, int]] = []
@@ -521,7 +495,7 @@ def find_operations(
     rel_tuples: dict[str, list[tuple[int, ...]]] = {r.name: [] for r in s.relations}
     rep_pos = {r: i for i, r in enumerate(reps)}
     for rel in s.relations:
-        for name, arity in symbols:
+        for name, arity in sigma.symbols:
             for combo in itertools.product(rel.tuples, repeat=arity):
                 row = tuple(
                     rep_pos[uf.find(cell_id[(name, tuple(t[j] for t in combo))])]
@@ -543,7 +517,7 @@ def find_operations(
         return None
 
     tables: dict[str, OpTable] = {}
-    for name, arity in symbols:
+    for name, arity in sigma.symbols:
         values = []
         for args in itertools.product(range(n), repeat=arity):
             rep = uf.find(cell_id[(name, args)])

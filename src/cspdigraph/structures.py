@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Literal, Sequence
 
 from .errors import NonemptyRelationRequired, ParseError
@@ -114,16 +115,14 @@ def make_structure(
     block_arities: Sequence[int] | None = None,
 ) -> RelStructure:
     """Build a structure from index tuples, deduplicating silently."""
-    rels = []
-    for rname, arity, tuples in relations:
-        seen: dict[tuple[int, ...], None] = {}
-        for t in tuples:
-            seen.setdefault(tuple(t), None)
-        rels.append(Relation(rname, arity, tuple(seen)))
+    rels = tuple(
+        Relation(rname, arity, tuple(dict.fromkeys(map(tuple, tuples))))
+        for rname, arity, tuples in relations
+    )
     return RelStructure(
         name,
         tuple(domain),
-        tuple(rels),
+        rels,
         role,
         tuple(block_arities) if block_arities is not None else None,
     )
@@ -156,13 +155,19 @@ class Digraph:
         if len(set(self.vertices)) != len(self.vertices):
             raise ParseError(f"duplicate vertex name in {self.name!r}")
         n = len(self.vertices)
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"edge ({u},{v}) out of range in {self.name!r}")
-            if (u, v) in seen:
-                raise ParseError(f"duplicate edge ({u},{v}) in {self.name!r}")
-            seen.add((u, v))
+        # one set comparison and one range check; the edges are walked
+        # only to name the first offender
+        ends = list(chain.from_iterable(self.edges))
+        if len(set(self.edges)) != len(self.edges) or (
+            ends and (min(ends) < 0 or max(ends) >= n)
+        ):
+            seen = set()
+            for u, v in self.edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ParseError(f"edge ({u},{v}) out of range in {self.name!r}")
+                if (u, v) in seen:
+                    raise ParseError(f"duplicate edge ({u},{v}) in {self.name!r}")
+                seen.add((u, v))
         if self.levels is not None:
             if len(self.levels) != n:
                 raise ParseError("level map does not cover all vertices")
@@ -225,13 +230,10 @@ def make_digraph(
     provenance: Sequence[DVertex] | None = None,
 ) -> Digraph:
     """Build a digraph from index edges, deduplicating silently."""
-    seen: dict[tuple[int, int], None] = {}
-    for e in edges:
-        seen.setdefault((e[0], e[1]), None)
     return Digraph(
         name,
         tuple(vertices),
-        tuple(seen),
+        tuple(dict.fromkeys(edges)),
         tuple(levels) if levels is not None else None,
         tuple(provenance) if provenance is not None else None,
     )
@@ -241,18 +243,32 @@ def make_digraph(
 # Parsing
 
 
-def _lines(text: str):
+def _lines(text: str) -> list[tuple[int, str]]:
+    """(line number, body) of each line that holds a token, in order.
+
+    The body is the line with its ``#`` comment cut and its ends
+    stripped; lines are those of ``str.splitlines``, numbered from 1.
+    Every file format reads through here.
+    """
+    out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        body = raw.strip()
         if body:
-            yield lineno, body.split()
+            out.append((lineno, body))
+    return out
 
 
 def parse_structure(text: str) -> RelStructure:
-    lines = list(_lines(text))
+    return _structure_from(_lines(text))
+
+
+def _structure_from(lines: list[tuple[int, str]]) -> RelStructure:
     if not lines:
         raise ParseError("empty structure file")
-    lineno, head = lines[0]
+    lineno, body = lines[0]
+    head = body.split()
     if head[0] not in ("structure", "instance") or len(head) != 2:
         raise ParseError("expected 'structure <name>' or 'instance <name>'", lineno)
     role: Role = "template" if head[0] == "structure" else "instance"
@@ -262,9 +278,10 @@ def parse_structure(text: str) -> RelStructure:
     blocks: list[int] | None = None
     relations: list[tuple[str, int, list[tuple[int, ...]]]] = []
     ended = False
-    for lineno, toks in lines[1:]:
+    for lineno, body in lines[1:]:
         if ended:
             raise ParseError("content after 'end'", lineno)
+        toks = body.split()
         kw = toks[0]
         if kw == "domain":
             if domain is not None:
@@ -331,10 +348,14 @@ def serialize_structure(s: RelStructure) -> str:
 
 
 def parse_digraph(text: str) -> Digraph:
-    lines = list(_lines(text))
+    return _digraph_from(_lines(text))
+
+
+def _digraph_from(lines: list[tuple[int, str]]) -> Digraph:
     if not lines:
         raise ParseError("empty digraph file")
-    lineno, head = lines[0]
+    lineno, body = lines[0]
+    head = body.split()
     if head[0] != "digraph" or len(head) != 2:
         raise ParseError("expected 'digraph <name>'", lineno)
     name = head[1]
@@ -342,9 +363,10 @@ def parse_digraph(text: str) -> Digraph:
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     ended = False
-    for lineno, toks in lines[1:]:
+    for lineno, body in lines[1:]:
         if ended:
             raise ParseError("content after 'end'", lineno)
+        toks = body.split()
         kw = toks[0]
         if kw == "vertex":
             if len(toks) != 2:

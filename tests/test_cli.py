@@ -2,6 +2,9 @@ import pytest
 
 from cspdigraph import cli
 from cspdigraph.cli import main
+from cspdigraph.errors import ParseError
+from cspdigraph.identities import parse_identities, parse_op_table
+from cspdigraph.structures import parse_digraph, parse_structure
 
 PARITY4 = """\
 structure parity4
@@ -396,6 +399,114 @@ def test_missing_file_is_usage_error(ctx, capsys):
     code, _, err = run(capsys, "stats", "--template", str(ctx / "nope.rel"))
     assert code == 2
     assert "error" in err
+
+
+PARSERS = {
+    "structure": parse_structure,
+    "digraph": parse_digraph,
+    "identities": parse_identities,
+    "op-table": parse_op_table,
+}
+
+# Every file format shares one line rule: lines are those of
+# str.splitlines (so \r\n, \x0b and \x0c all end a line), numbered from 1
+# whether blank or comment-only, and '#' cuts a comment even when glued
+# to a token.  Each text has one defect on a known line.
+LINE_CASES = [
+    ("structure", "crlf",
+     "structure t\r\ndomain a b\r\nrelation R 2\r\ntuple a c\r\nend\r\n",
+     "line 4: unknown element name 'c'"),
+    ("structure", "comments",
+     "# header\n\nstructure t\ndomain a b\n   # indented\nrelation R 2\n\ntuple a b\ntuple a\nend\n",
+     "line 9: tuple has 1 entries, relation 'R' has arity 2"),
+    ("structure", "glued-hash",
+     "structure t\ndomain a b#c\nrelation R 2\ntuple a c\nend\n",
+     "line 4: unknown element name 'c'"),
+    ("structure", "form-feed",
+     "structure t\ndomain a b\x0crelation R 2\ntuple a b\nbogus\nend\n",
+     "line 5: unknown keyword 'bogus'"),
+    ("digraph", "crlf",
+     "digraph g\r\nvertex a\r\nvertex b\r\nedge a c\r\nend\r\n",
+     "line 4: unknown vertex 'c'"),
+    ("digraph", "comments",
+     "# c\n\ndigraph g\nvertex a # first\n\n# c\nvertex a\nend\n",
+     "line 7: duplicate vertex 'a'"),
+    ("digraph", "glued-hash",
+     "digraph g\nvertex a#b\nedge a b\nend\n",
+     "line 3: unknown vertex 'b'"),
+    ("digraph", "vertical-tab",
+     "digraph g\nvertex a\x0bvertex b\nedge a b\nedge b x\nend\n",
+     "line 5: unknown vertex 'x'"),
+    ("identities", "crlf",
+     "symbol m 3\r\nidentity m(x,x,x) = x\r\nidentity m(x,,y) = x\r\n",
+     "line 3: bad term 'm(x,,y)'"),
+    ("identities", "comments",
+     "# majority\n\nsymbol m 3 # ternary\n\nidentity m(x,x,x) = x\nbogus line\n",
+     "line 6: unknown keyword 'bogus'"),
+    ("identities", "glued-hash",
+     "symbol m 3\nidentity m(x,x,x)#= x\n",
+     "line 2: expected 'identity <lhs> = <rhs>'"),
+    ("identities", "form-feed",
+     "symbol m 3\x0cidentity m  (x,x,x) = x\n",
+     "line 2: bad term 'm  (x,x,x)'"),
+    ("op-table", "crlf",
+     "op m 1 over 2\r\n0 1\r\n1 x\r\n",
+     "line 3: table entries must be integers"),
+    ("op-table", "comments",
+     "# table\n\nop m 1 over 2\n# rows\n0 1\n\n1 0 1\n",
+     "line 7: expected 1 inputs and one output"),
+    ("op-table", "glued-hash",
+     "op m 2 over 2#3\n0 0 0\n0 1 1#\n1 0\n",
+     "line 4: expected 2 inputs and one output"),
+    ("op-table", "vertical-tab",
+     "op m 1 over 2\x0b0 1\x0b1 1 1\n",
+     "line 3: expected 1 inputs and one output"),
+    ("--restrict", "crlf",
+     "allow 0 1\r\nallow 1\r\n",
+     "line 2: expected 'allow <x> <a1> <a2> ...'"),
+    ("--restrict", "comments",
+     "# restriction\n\nallow 0 1 # only 1\n\ndeny 1 0\n",
+     "line 5: expected 'allow <x> <a1> <a2> ...'"),
+    ("--restrict", "glued-hash",
+     "allow 0 1\nallow 1#0\n",
+     "line 2: expected 'allow <x> <a1> <a2> ...'"),
+    ("--restrict", "form-feed",
+     "allow 0 1\x0callow\n",
+     "line 2: expected 'allow <x> <a1> <a2> ...'"),
+    ("--instance", "crlf",
+     "instance x\r\ndomain u v\r\nrelation R 2\r\ntuple u w\r\nend\r\n",
+     "line 4: unknown element name 'w'"),
+    ("--instance", "comments",
+     "# a digraph\n\ndigraph g\nvertex a\n# note\nedge a a\nbogus\nend\n",
+     "line 7: unknown keyword 'bogus'"),
+    ("--instance", "glued-hash",
+     "digraph g\nvertex a#b\nedge a b\nend\n",
+     "line 3: unknown vertex 'b'"),
+    ("--instance", "vertical-tab",
+     "instance x\ndomain u\x0brelation R 2\ntuple u u\ntuple u\nend\n",
+     "line 5: tuple has 1 entries, relation 'R' has arity 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [pytest.param(r, t, m, id=f"{r}-{name}") for r, name, t, m in LINE_CASES],
+)
+def test_every_reader_numbers_lines_alike(ctx, capsys, reader, text, message):
+    if reader in PARSERS:
+        with pytest.raises(ParseError) as info:
+            PARSERS[reader](text)
+        assert str(info.value) == message
+        return
+    path = ctx / "input.txt"
+    path.write_bytes(text.encode())
+    template = str(ctx / "2cycle.rel")
+    argv = ["solve", "--template", template, "--instance", template]
+    if reader == "--instance":
+        argv[-1] = str(path)
+    else:
+        argv += ["--restrict", str(path)]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_parse_error_is_usage_error(ctx, capsys):

@@ -35,7 +35,6 @@ from cspdigraph.lifting import (
     lift_endomorphism,
     lift_op,
     order_key,
-    order_less,
     restrict_endomorphism,
     zigzag,
     zz_allmin,
@@ -124,6 +123,14 @@ def test_permutability_identities_hold_everywhere():
 
 # ---------------------------------------------------------------------------
 # Orders
+
+
+def order_less(meta, x, y, variant="ar"):
+    """Strict comparison under ``order_key``; accepts vertex names or indices."""
+    key = order_key(meta, variant)
+    vx = meta.digraph.vertex_index(x) if isinstance(x, str) else x
+    vy = meta.digraph.vertex_index(y) if isinstance(y, str) else y
+    return key(vx) < key(vy)
 
 
 def test_orders_are_strict_and_total(two_cycle):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cspdigraph.errors import NonemptyRelationRequired, ParseError
 from cspdigraph.structures import (
+    Digraph,
     canonical_compare,
     export_dot,
     make_digraph,
@@ -78,6 +79,32 @@ def test_digraph_round_trip_minimal():
     assert g.vertices == ("v0",)
     assert g.edges == ()
     assert parse_digraph(serialize_digraph(g)) == g
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((0, 1), (0, 1)), "duplicate edge (0,1) in 'g'"),
+        (((0, 1), (0, 2)), "edge (0,2) out of range in 'g'"),
+        (((-1, 0),), "edge (-1,0) out of range in 'g'"),
+        (((1, 0), (1, 0), (0, 5)), "duplicate edge (1,0) in 'g'"),
+        (((0, 5), (1, 0), (1, 0)), "edge (0,5) out of range in 'g'"),
+    ],
+    ids=["duplicate", "out-of-range", "negative", "duplicate-first", "range-first"],
+)
+def test_direct_digraph_construction_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ParseError) as info:
+        Digraph("g", ("a", "b"), edges)
+    assert str(info.value) == message
+
+
+def test_built_and_parsed_digraphs_drop_repeated_edges_in_first_order():
+    g = make_digraph("g", ["a", "b", "c"], [(1, 2), (0, 1), (1, 2), (2, 0), (0, 1)])
+    assert g.edges == ((1, 2), (0, 1), (2, 0))
+    text = "digraph g\nvertex a\nvertex b\nvertex c\n" + "".join(
+        f"edge {'abc'[u]} {'abc'[v]}\n" for u, v in [(1, 2), (0, 1), (1, 2), (2, 0), (0, 1)]
+    )
+    assert parse_digraph(text + "end\n") == g
 
 
 def test_digraph_levels_must_increment():
