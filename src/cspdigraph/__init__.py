@@ -33,7 +33,6 @@ from .solver import (
 from .structures import (
     Digraph,
     RelStructure,
-    canonical_compare,
     export_dot,
     parse_digraph,
     parse_structure,
@@ -54,7 +53,6 @@ __all__ = [
     "TemplateDigraph",
     "build_digraph",
     "build_path",
-    "canonical_compare",
     "core_of",
     "endomorphisms",
     "enumerate_homs",

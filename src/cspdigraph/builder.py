@@ -14,7 +14,8 @@ Vertex naming is exact and stable:
 
 with j counted from the element end starting at 1.  Vertex order is all
 elements (declaration order), all tuples (tuple-lex), then interiors by
-(element, tuple) pair and distance from the element end.
+(element, tuple) pair and distance from the element end: element i is
+vertex i and tuple t of the sorted relation is vertex |A| + t.
 """
 
 from __future__ import annotations
@@ -23,15 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import NotInterior, ParseError, PreconditionError
-from .structures import (
-    Digraph,
-    DVertex,
-    RelStructure,
-    make_digraph,
-    make_structure,
-    serialize_digraph,
-)
+from .errors import PreconditionError
+from .structures import Digraph, RelStructure, make_digraph, serialize_digraph
 
 ZIGZAG = (1, -1, 1)
 SINGLE = (1,)
@@ -113,8 +107,11 @@ def index_set(a: int, r: Sequence[int]) -> frozenset[int]:
 class TemplateDigraph:
     """The built digraph plus everything needed to navigate it.
 
-    All fields are populated by build_digraph and must be treated as
-    read-only; sharing an instance across threads is safe.
+    This is the one record of what each vertex is: an element or a tuple
+    by its place in the vertex order (see the module docstring), an
+    interior by its path and position.  All fields are populated by
+    build_digraph and must be treated as read-only; sharing an instance
+    across threads is safe.
     """
 
     template: RelStructure
@@ -139,16 +136,6 @@ class TemplateDigraph:
     @property
     def height(self) -> int:
         return self.k + 2
-
-    def path_of(self, vid: int) -> tuple[int, tuple[int, ...]]:
-        e = self.v_path[vid]
-        if e is None:
-            raise NotInterior(f"vertex {self.digraph.vertices[vid]} is not interior")
-        return e
-
-    def segment_indices(self, vid: int) -> frozenset[int]:
-        self.path_of(vid)
-        return self.v_segs[vid]
 
     def segment_vids(self, e: tuple[int, tuple[int, ...]], l: int) -> tuple[int, ...]:
         try:
@@ -188,22 +175,14 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
 
     vertices: list[str] = []
     levels: list[int] = []
-    prov: list[DVertex] = []
 
-    def add(name: str, lvl: int, tag: DVertex) -> int:
+    def add(name: str, lvl: int) -> int:
         vertices.append(name)
         levels.append(lvl)
-        prov.append(tag)
         return len(vertices) - 1
 
-    elem_vid = tuple(
-        add(f"a:{name}", 0, DVertex("element", elem=i))
-        for i, name in enumerate(template.domain)
-    )
-    tuple_vid = {
-        r: add(f"r:{_tuple_name(template, r)}", k + 2, DVertex("tuple", tup=r))
-        for r in tuples
-    }
+    elem_vid = tuple(add(f"a:{name}", 0) for name in template.domain)
+    tuple_vid = {r: add(f"r:{_tuple_name(template, r)}", k + 2) for r in tuples}
 
     edges: list[tuple[int, int]] = []
     path_specs: dict[tuple[int, tuple[int, ...]], PathSpec] = {}
@@ -225,11 +204,7 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
             level = 0
             for j, s in enumerate(steps[:-1], start=1):
                 level += s
-                vid = add(
-                    f"p:{aname}|{_tuple_name(template, r)}|{j}",
-                    level,
-                    DVertex("internal", elem=a, tup=r, j=j),
-                )
+                vid = add(f"p:{aname}|{_tuple_name(template, r)}|{j}", level)
                 v_path.append(e)
                 v_pos.append(j)
                 v_segs.append(segs[j])
@@ -242,7 +217,7 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
                 u, v = vids[p], vids[p + 1]
                 edges.append((u, v) if s == 1 else (v, u))
 
-    g = make_digraph(f"dg:{template.name}", vertices, edges, levels, prov)
+    g = make_digraph(f"dg:{template.name}", vertices, edges, levels)
     return TemplateDigraph(
         template=template,
         digraph=g,
@@ -263,59 +238,28 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
 
 
 # ---------------------------------------------------------------------------
-# Digraph file with provenance comments, so tools can reload the metadata.
+# Digraph file with provenance comments: each vertex's level and role.
 
 
 def dmeta_to_text(meta: TemplateDigraph) -> str:
     """The digraph file with the provenance comments after its header line."""
-    g = meta.digraph
+    g, template = meta.digraph, meta.template
+    na = len(template.domain)
     notes = [
-        f"# template {meta.template.name}",
-        "# relation " + meta.template.relations[0].name,
+        f"# template {template.name}",
+        "# relation " + template.relations[0].name,
     ]
     for i, v in enumerate(g.vertices):
-        tag = g.provenance[i]
-        if tag.kind == "element":
-            note = f"element {meta.template.domain[tag.elem]}"
-        elif tag.kind == "tuple":
-            note = "tuple " + _tuple_name(meta.template, tag.tup)
-        else:
+        if meta.v_path[i] is not None:
+            a, r = meta.v_path[i]
             note = (
-                f"internal {meta.template.domain[tag.elem]} "
-                f"{_tuple_name(meta.template, tag.tup)} {tag.j}"
+                f"internal {template.domain[a]} "
+                f"{_tuple_name(template, r)} {meta.v_pos[i]}"
             )
+        elif i < na:
+            note = f"element {template.domain[i]}"
+        else:
+            note = "tuple " + _tuple_name(template, meta.tuples[i - na])
         notes.append(f"# provenance {v} level {g.levels[i]} {note}")
     head, body = serialize_digraph(g).split("\n", 1)
     return "\n".join([head, *notes, body])
-
-
-def dmeta_from_text(text: str) -> TemplateDigraph:
-    """Rebuild the full metadata from a provenance-annotated digraph file."""
-    template_name = None
-    relation_name = None
-    elements: list[str] = []
-    tuples: list[tuple[str, ...]] = []
-    for raw in text.splitlines():
-        body = raw.strip()
-        if body.startswith("# template "):
-            template_name = body.split(maxsplit=2)[2]
-        elif body.startswith("# relation "):
-            relation_name = body.split(maxsplit=2)[2]
-        elif body.startswith("# provenance "):
-            toks = body.split()
-            note = toks[5:]
-            if note[0] == "element" and note[1] not in elements:
-                elements.append(note[1])
-            elif note[0] == "tuple":
-                t = tuple(note[1].split(","))
-                if t not in tuples:
-                    tuples.append(t)
-    if template_name is None or relation_name is None or not tuples:
-        raise ParseError("file carries no provenance metadata")
-    k = len(tuples[0])
-    template = make_structure(
-        template_name,
-        elements,
-        [(relation_name, k, [tuple(elements.index(n) for n in t) for t in tuples])],
-    )
-    return build_digraph(template)

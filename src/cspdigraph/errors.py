@@ -34,10 +34,6 @@ class ArityMismatch(PreconditionError):
     pass
 
 
-class NotInterior(PreconditionError):
-    pass
-
-
 class Unbalanced(PreconditionError):
     """A component admits no level function.
 

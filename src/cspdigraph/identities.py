@@ -132,6 +132,8 @@ def parse_identities(text: str) -> IdentitySet:
                 raise ParseError(f"bad arity {parts[2]!r}", lineno) from None
             if arity < 0:
                 raise ParseError("arity must be >= 0", lineno)
+            if any(name == parts[1] for name, _ in symbols):
+                raise ParseError(f"symbol {parts[1]!r} declared twice", lineno)
             symbols.append((parts[1], arity))
         elif toks[0] == "identity":
             if len(toks) != 2 or "=" not in toks[1]:
@@ -223,7 +225,12 @@ def parse_op_table(text: str) -> OpTable:
                 nums = [int(t) for t in toks]
             except ValueError:
                 raise ParseError("table entries must be integers", lineno) from None
-            rows[tuple(nums[:-1])] = nums[-1]
+            args = tuple(nums[:-1])
+            if any(a < 0 or a >= size for a in args):
+                raise ParseError(f"row {args} out of range for size {size}", lineno)
+            if args in rows:
+                raise ParseError(f"second row for {args}", lineno)
+            rows[args] = nums[-1]
     if name is None:
         raise ParseError("missing 'op' header")
     values = []

@@ -129,15 +129,14 @@ def order_key(meta: TemplateDigraph, variant: str = "ar"):
         raise PreconditionError(f"unknown order variant {variant!r}")
     tuple_rank = {r: i for i, r in enumerate(meta.tuples)}
     nr, na = len(meta.tuples), len(meta.template.domain)
-    prov = meta.digraph.provenance
 
     def key(vid: int):
-        tag = prov[vid]
-        if tag.kind == "element":
-            return (0, tag.elem, 0)
-        if tag.kind == "tuple":
-            return (meta.k + 2, tuple_rank[tag.tup], 0)
-        a, r = meta.v_path[vid]
+        e = meta.v_path[vid]
+        if e is None:
+            # elements (level 0) and tuples (level k+2) are numbered in
+            # declaration and tuple-lex order
+            return (meta.lvl[vid], vid, 0)
+        a, r = e
         if variant == "ar":
             path = a * nr + tuple_rank[r]
         else:
@@ -322,10 +321,12 @@ class LiftedOp:
                 return distinct.pop()
             return low
         if tag == "1a":
-            elems = tuple(meta.digraph.provenance[v].elem for v in c)
-            return meta.elem_vid[self.f_a(elems)]
+            # element i is vertex i
+            return meta.elem_vid[self.f_a(c)]
         if tag == "1b":
-            rows = [meta.digraph.provenance[v].tup for v in c]
+            # tuple t is vertex |A| + t
+            na = len(meta.elem_vid)
+            rows = [meta.tuples[v - na] for v in c]
             return meta.tuple_vid[_coordinatewise(self.f_a, rows)]
         if tag == "3a":
             low_path = case.paths[0]

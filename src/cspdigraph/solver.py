@@ -313,28 +313,18 @@ class _Search:
 # Public operations
 
 
-def _is_empty(source) -> bool:
-    return isinstance(source, Digraph) and not source.vertices
-
-
 def find_hom(source, target, restriction=None) -> Hom | None:
     """One homomorphism respecting the restriction, or None if none exists.
 
     The search maintains generalized arc consistency at every node; the
     homomorphism is the first that ``enumerate_homs`` would give.
     """
-    if _is_empty(source):
-        return {}
-    s = _as_structure(source, "instance")
-    t = _as_structure(target, "template")
-    for hom in _Search(s, t, restriction).solutions():
-        return hom
-    return None
+    return next(enumerate_homs(source, target, restriction), None)
 
 
 def enumerate_homs(source, target, restriction=None) -> Iterator[Hom]:
     """All homomorphisms, duplicate-free, in deterministic order."""
-    if _is_empty(source):
+    if isinstance(source, Digraph) and not source.vertices:
         return iter([{}])
     s = _as_structure(source, "instance")
     t = _as_structure(target, "template")
@@ -361,14 +351,23 @@ def endomorphisms(structure) -> list[Hom]:
     return list(enumerate_homs(s, s))
 
 
-def is_core(structure) -> bool:
-    """True iff every endomorphism is surjective (complete search)."""
-    s = _as_structure(structure, "template")
+def _non_surjective_endo(s: RelStructure) -> Hom | None:
+    """An endomorphism that misses an element, or None if all are onto.
+
+    The elements are tried as the one missed in declaration order; the
+    first that can be missed gives the first such endomorphism found.
+    """
     for avoided in s.domain:
         rest = {x: [y for y in s.domain if y != avoided] for x in s.domain}
-        if find_hom(s, s, rest) is not None:
-            return False
-    return True
+        hom = find_hom(s, s, rest)
+        if hom is not None:
+            return hom
+    return None
+
+
+def is_core(structure) -> bool:
+    """True iff every endomorphism is surjective (complete search)."""
+    return _non_surjective_endo(_as_structure(structure, "template")) is None
 
 
 def _idempotent_power(mapping: Hom) -> Hom:
@@ -400,18 +399,10 @@ def _induced_on(s: RelStructure, keep: list[str]) -> RelStructure:
 def core_of(structure) -> RelStructure:
     """The induced substructure of minimum size that the input retracts onto."""
     s = _as_structure(structure, "template")
-    while True:
-        witness = None
-        for avoided in s.domain:
-            rest = {x: [y for y in s.domain if y != avoided] for x in s.domain}
-            witness = find_hom(s, s, rest)
-            if witness is not None:
-                break
-        if witness is None:
-            return s
+    while (witness := _non_surjective_endo(s)) is not None:
         retraction = _idempotent_power(witness)
-        image = [x for x in s.domain if retraction[x] == x]
-        s = _induced_on(s, image)
+        s = _induced_on(s, [x for x in s.domain if retraction[x] == x])
+    return s
 
 
 # ---------------------------------------------------------------------------

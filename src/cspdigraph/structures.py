@@ -129,27 +129,11 @@ def make_structure(
 
 
 @dataclass(frozen=True)
-class DVertex:
-    """Provenance tag for a vertex of a built digraph.
-
-    kind is "element", "tuple" or "internal"; internal vertices carry
-    the element index, the tuple, and the 1-based distance from the
-    element end of their connecting path.
-    """
-
-    kind: str
-    elem: int | None = None
-    tup: tuple[int, ...] | None = None
-    j: int | None = None
-
-
-@dataclass(frozen=True)
 class Digraph:
     name: str
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     levels: tuple[int, ...] | None = None
-    provenance: tuple[DVertex, ...] | None = None
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
@@ -177,8 +161,6 @@ class Digraph:
                         f"edge {self.vertices[u]}->{self.vertices[v]} does not "
                         "increment the level by one"
                     )
-        if self.provenance is not None and len(self.provenance) != n:
-            raise ParseError("provenance does not cover all vertices")
 
     @cached_property
     def _vertex_at(self) -> dict[str, int]:
@@ -227,7 +209,6 @@ def make_digraph(
     vertices: Sequence[str],
     edges: Iterable[tuple[int, int]],
     levels: Sequence[int] | None = None,
-    provenance: Sequence[DVertex] | None = None,
 ) -> Digraph:
     """Build a digraph from index edges, deduplicating silently."""
     return Digraph(
@@ -235,7 +216,6 @@ def make_digraph(
         tuple(vertices),
         tuple(dict.fromkeys(edges)),
         tuple(levels) if levels is not None else None,
-        tuple(provenance) if provenance is not None else None,
     )
 
 
@@ -399,39 +379,6 @@ def serialize_digraph(g: Digraph) -> str:
         out.append(f"edge {g.vertices[u]} {g.vertices[v]}")
     out.append("end")
     return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Canonical comparisons
-
-def canonical_compare(s: RelStructure, x, y, kind: str) -> int:
-    """Strict total comparison; returns -1, 0 or 1.
-
-    element: element names in declaration order.
-    tuple-lex: tuples of element names, lexicographic by element index.
-    A×R-lex: (element, tuple) pairs, element first.
-    R×A-lex: (tuple, element) pairs, tuple first.
-    """
-
-    def elem_key(name):
-        return s.element_index(name)
-
-    def tup_key(t):
-        return tuple(s.element_index(n) for n in t)
-
-    if kind == "element":
-        kx, ky = elem_key(x), elem_key(y)
-    elif kind == "tuple-lex":
-        kx, ky = tup_key(x), tup_key(y)
-    elif kind == "A×R-lex":
-        kx = (elem_key(x[0]), tup_key(x[1]))
-        ky = (elem_key(y[0]), tup_key(y[1]))
-    elif kind == "R×A-lex":
-        kx = (tup_key(x[0]), elem_key(x[1]))
-        ky = (tup_key(y[0]), elem_key(y[1]))
-    else:
-        raise ParseError(f"unknown comparison kind {kind!r}")
-    return (kx > ky) - (kx < ky)
 
 
 # ---------------------------------------------------------------------------

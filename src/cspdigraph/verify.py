@@ -221,14 +221,14 @@ def suite_orders(seed: int = 7, trials: int = 500) -> SuiteReport:
         c_set = {u for u, _ in chosen}
         d_set = {v for _, v in chosen}
         edge_set = set(edges)
-        if any(meta.digraph.provenance[v].kind != "tuple" for v in d_set):
+        if any(meta.lvl[v] != meta.height for v in d_set):
             c = min(c_set, key=key)
             d = min(d_set, key=key)
             rep.record(f"minimal {done:03d}", (c, d) in edge_set)
             done += 1
             if done >= trials:
                 break
-        if any(meta.digraph.provenance[v].kind != "element" for v in c_set):
+        if any(meta.lvl[v] != 0 for v in c_set):
             c = max(c_set, key=key_star)
             d = max(d_set, key=key_star)
             rep.record(f"maximal {done:03d}", (c, d) in edge_set)

@@ -1,14 +1,15 @@
+import hashlib
+
 import pytest
 
 from cspdigraph.builder import (
     build_digraph,
     build_path,
-    dmeta_from_text,
     dmeta_to_text,
     index_set,
     path_spec,
 )
-from cspdigraph.errors import NotInterior, PreconditionError
+from cspdigraph.errors import PreconditionError
 from cspdigraph.structures import make_structure
 
 
@@ -125,26 +126,28 @@ def test_level_map_is_valid_and_height_exact(parity4):
     assert max(g.levels) == meta.k + 2
 
 
-def test_segment_indices_and_path_of(two_cycle):
+def test_level_one_interiors_lie_on_segment_one(two_cycle):
     meta = build_digraph(two_cycle)
     level_one = [
         v
         for v in range(len(meta.digraph.vertices))
-        if meta.lvl[v] == 1 and meta.digraph.provenance[v].kind == "internal"
+        if meta.lvl[v] == 1 and meta.v_path[v] is not None
     ]
+    assert level_one
     for v in level_one:
-        assert meta.segment_indices(v) >= {1}
-    with pytest.raises(NotInterior):
-        meta.segment_indices(meta.elem_vid[0])
+        assert meta.v_segs[v] >= {1}
+    # elements and tuples lie on no path and in no segment
+    for v in (*meta.elem_vid, *meta.tuple_vid.values()):
+        assert meta.v_path[v] is None and meta.v_segs[v] == frozenset()
 
 
 def test_boundary_vertex_reports_two_segments(parity4):
     meta = build_digraph(parity4)
     found = False
     for v in range(len(meta.digraph.vertices)):
-        if meta.digraph.provenance[v].kind != "internal":
+        if meta.v_path[v] is None:
             continue
-        segs = meta.segment_indices(v)
+        segs = meta.v_segs[v]
         if len(segs) == 2:
             lo, hi = sorted(segs)
             assert hi == lo + 1
@@ -159,9 +162,16 @@ def test_stats_line_for_worked_fixtures(two_cycle, parity4, unit_template):
     assert build_digraph(unit_template).stats() == (4, 3, 3, True)
 
 
-def test_dmeta_text_round_trip(two_cycle):
-    meta = build_digraph(two_cycle)
-    text = dmeta_to_text(meta)
-    again = dmeta_from_text(text)
-    assert again.digraph == meta.digraph
-    assert again.template == meta.template
+# sha256 of the annotated digraph file that `cspdg build -o` writes
+DMETA_SHA256 = {
+    "2cycle": "5e325a6f7c906248f7434cb1b3ff0e235f132b02aa59f278a188dae99b448a9c",
+    "edge": "e07745c4a6749bd16a76484642d20055d437601ba9a48b8c2b265ba202fd67c9",
+    "parity4": "331206283d438023644ba4864124ef4012bdf8a0d152188918f60950ec62bd8d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DMETA_SHA256))
+def test_dmeta_text_is_pinned(name, two_cycle, edge_template, parity4):
+    template = {"2cycle": two_cycle, "edge": edge_template, "parity4": parity4}[name]
+    text = dmeta_to_text(build_digraph(template))
+    assert hashlib.sha256(text.encode()).hexdigest() == DMETA_SHA256[name]

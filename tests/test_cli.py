@@ -291,8 +291,10 @@ def test_lift_verb_with_explicit_witness(ctx, capsys):
         ("op m 3 over 2\n0 0 x 0\n", 2),
         ("op m three over 2\n", 1),
         ("op m -1 over 2\n", 1),
+        ("op m 3 over 2\n0 0 0 0\n0 0 1 0\n0 0 0 1\n", 4),
+        ("op m 3 over 2\n0 0 0 0\n0 0 7 0\n", 3),
     ],
-    ids=["row", "header", "negative-arity"],
+    ids=["row", "header", "negative-arity", "repeated-row", "row-out-of-range"],
 )
 def test_lift_witness_with_bad_numbers_is_usage_error(ctx, capsys, table, line):
     edge = ctx / "edge.rel"
@@ -340,8 +342,9 @@ def test_findops_negative_symbol_arity_is_usage_error(ctx, capsys):
     [
         ("symbol w 3\nidentity w(x,x,x) = q(x)\n", "line 2: undeclared symbol 'q'"),
         ("symbol w 3\nidentity w(x,x) = x\n", "line 2: 'w' is declared with arity 3"),
+        ("symbol m 3\n" + MAJORITY, "line 2: symbol 'm' declared twice"),
     ],
-    ids=["undeclared", "wrong-arity"],
+    ids=["undeclared", "wrong-arity", "declared-twice"],
 )
 def test_identity_file_mislabel_is_usage_error(ctx, capsys, text, message):
     sigma = ctx / "bad.ids"

@@ -100,6 +100,25 @@ def test_op_table_missing_row():
         parse_op_table("op f 1 over 2\n0 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("op m 1 over 2\n0 1\n0 0\n1 1\n", "line 3: second row for \\(0,\\)"),
+        ("op m 1 over 2\n0 1\n1 1\n7 0\n", "line 4: row \\(7,\\) out of range"),
+        ("op m 2 over 2\n0 -1 0\n", "line 2: row \\(0, -1\\) out of range"),
+    ],
+    ids=["repeated", "too-large", "negative"],
+)
+def test_op_table_bad_rows_are_parse_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_op_table(text)
+
+
+def test_second_symbol_declaration_is_a_parse_error():
+    with pytest.raises(ParseError, match="line 3: symbol 'm' declared twice"):
+        parse_identities("symbol m 3\nidentity m(x,x,x) = x\nsymbol m 3\n")
+
+
 def test_op_table_is_idempotent():
     op = OpTable("f", 2, 2, (0, 0, 0, 1))
     assert op.is_idempotent()

@@ -191,11 +191,9 @@ def test_encoding_of_two_cycle_has_four_internal_components(two_cycle):
     for c in parts:
         assert len(c.base) == 1 and len(c.top) == 1
         # each interior pins exactly the positions of its connecting path
+        # element i is vertex i, tuple t vertex |A| + t
         want = meta.path_specs[
-            (
-                meta.digraph.provenance[c.base[0]].elem,
-                meta.digraph.provenance[c.top[0]].tup,
-            )
+            (c.base[0], meta.tuples[c.top[0] - len(meta.elem_vid)])
         ].singles
         assert gamma(meta.digraph, c, assignment.levels, meta.k) == want
 

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cspdigraph.builder import build_digraph
 from cspdigraph.errors import NonemptyRelationRequired, ParseError
+from cspdigraph.lifting import order_key
 from cspdigraph.structures import (
     Digraph,
-    canonical_compare,
     export_dot,
     make_digraph,
     make_structure,
@@ -169,7 +170,37 @@ def test_digraph_round_trip_is_identity(g):
 
 
 # ---------------------------------------------------------------------------
-# Canonical comparisons
+# Canonical comparisons: an oracle for the two orders of lifting.order_key
+
+
+def canonical_compare(s, x, y, kind: str) -> int:
+    """Strict total comparison; returns -1, 0 or 1.
+
+    element: element names in declaration order.
+    tuple-lex: tuples of element names, lexicographic by element index.
+    A×R-lex: (element, tuple) pairs, element first.
+    R×A-lex: (tuple, element) pairs, tuple first.
+    """
+
+    def elem_key(name):
+        return s.element_index(name)
+
+    def tup_key(t):
+        return tuple(s.element_index(n) for n in t)
+
+    if kind == "element":
+        kx, ky = elem_key(x), elem_key(y)
+    elif kind == "tuple-lex":
+        kx, ky = tup_key(x), tup_key(y)
+    elif kind == "A×R-lex":
+        kx = (elem_key(x[0]), tup_key(x[1]))
+        ky = (elem_key(y[0]), tup_key(y[1]))
+    elif kind == "R×A-lex":
+        kx = (tup_key(x[0]), elem_key(x[1]))
+        ky = (tup_key(y[0]), elem_key(y[1]))
+    else:
+        raise ParseError(f"unknown comparison kind {kind!r}")
+    return (kx > ky) - (kx < ky)
 
 
 def test_compare_elements_by_declaration_order():
@@ -220,6 +251,33 @@ def test_tuple_compare_is_strict_total_order_exhaustively():
             and canonical_compare(s, y, z, "tuple-lex") < 0
         ):
             assert canonical_compare(s, x, z, "tuple-lex") < 0
+
+
+def test_order_key_agrees_with_canonical_compare(two_cycle, edge_template, parity4):
+    # same-level interiors on different paths compare by their (element,
+    # tuple) pair: A×R-lex under 'ar', R×A-lex under 'ra'
+    compared = 0
+    for template in (two_cycle, edge_template, parity4):
+        meta = build_digraph(template)
+        names = template.domain
+        interiors = [v for v, e in enumerate(meta.v_path) if e is not None]
+        for variant, kind in (("ar", "A×R-lex"), ("ra", "R×A-lex")):
+            key = order_key(meta, variant)
+
+            def pair(v):
+                a, r = meta.v_path[v]
+                ea, er = names[a], tuple(names[i] for i in r)
+                return (ea, er) if variant == "ar" else (er, ea)
+
+            for u, v in itertools.permutations(interiors, 2):
+                if meta.lvl[u] != meta.lvl[v] or meta.v_path[u] == meta.v_path[v]:
+                    continue
+                ku, kv = key(u), key(v)
+                assert (ku > kv) - (ku < kv) == canonical_compare(
+                    template, pair(u), pair(v), kind
+                )
+                compared += 1
+    assert compared == 2048
 
 
 # ---------------------------------------------------------------------------
