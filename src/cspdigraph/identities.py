@@ -193,12 +193,41 @@ class OpTable:
             idx = idx * self.size + a
         return self.values[idx]
 
-    def tabulate(self, values, m: int) -> list[int]:
-        """[self(c) for c in itertools.product(values, repeat=m)]."""
-        return [self(args) for args in itertools.product(values, repeat=m)]
+    def tabulate(self, values, m: int, at=None) -> list[int]:
+        """[self(tuple(env[p] for p in at)) for env in product(values, repeat=P)]
+
+        for the pattern at, which gives each of the m argument positions
+        its place among 0..P-1 (see argument_pattern).  Each place adds
+        its values times its weight in the flat index, so no argument
+        tuple is built.
+        """
+        at, places = argument_pattern(self, m, at)
+        weight = [0] * places
+        for i, p in enumerate(at):
+            weight[p] += self.size ** (m - 1 - i)
+        values = list(values)
+        offsets = [0]
+        for w in weight:
+            offsets = [o + v * w for o in offsets for v in values]
+        return list(map(self.values.__getitem__, offsets))
 
     def is_idempotent(self) -> bool:
         return all(self((x,) * self.arity) == x for x in range(self.size))
+
+
+def argument_pattern(op, m: int, at=None) -> tuple[tuple[int, ...], int]:
+    """The pattern at (by default range(m)) of an m-ary op, and its number
+    of places P: at lists each argument position's place, and the places
+    are exactly 0..P-1.  f(x,x,y) has the pattern (0,0,1), f(x,y,x) the
+    pattern (0,1,0).
+    """
+    if m != op.arity:
+        raise ArityMismatch(f"{op.name!r} is {op.arity}-ary, not {m}-ary")
+    at = tuple(range(m)) if at is None else tuple(at)
+    places = len(set(at))
+    if len(at) != m or set(at) != set(range(places)):
+        raise ArityMismatch(f"{at} does not give {m} arguments the places 0..P-1")
+    return at, places
 
 
 def parse_op_table(text: str) -> OpTable:
@@ -208,6 +237,8 @@ def parse_op_table(text: str) -> OpTable:
     for lineno, body in _lines(text):
         toks = body.split()
         if toks[0] == "op":
+            if name is not None:
+                raise ParseError("second 'op' header in one table file", lineno)
             if len(toks) != 5 or toks[3] != "over":
                 raise ParseError("expected 'op <name> <arity> over <size>'", lineno)
             try:
@@ -230,6 +261,8 @@ def parse_op_table(text: str) -> OpTable:
                 raise ParseError(f"row {args} out of range for size {size}", lineno)
             if args in rows:
                 raise ParseError(f"second row for {args}", lineno)
+            if not 0 <= nums[-1] < size:
+                raise ParseError(f"output {nums[-1]} out of range for size {size}", lineno)
             rows[args] = nums[-1]
     if name is None:
         raise ParseError("missing 'op' header")

@@ -19,6 +19,7 @@ versus tuple-major.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .builder import TemplateDigraph
@@ -31,7 +32,7 @@ from .errors import (
     ShapeViolation,
     ZigzagWitnessFails,
 )
-from .identities import IdentitySet, OpTable
+from .identities import IdentitySet, OpTable, argument_pattern
 from .solver import find_operations, is_hom, is_polymorphism, satisfies
 from .structures import Digraph, make_digraph
 
@@ -217,6 +218,11 @@ def _coordinatewise(f_a: OpTable, tuples):
 def classify(
     meta: TemplateDigraph, c: tuple[int, ...], f_a: OpTable
 ) -> CaseData:
+    """The case of the lifting proof that a vertex tuple falls in.
+
+    LiftedOp evaluates the diagonal cases 2a-2c from its own integer
+    arrays without calling this; it classifies every other tuple here.
+    """
     levels = set(map(meta.lvl.__getitem__, c))
     if len(levels) == 2:
         return _CASE_3B
@@ -250,15 +256,17 @@ def classify(
 class LiftedOp:
     """Sparse lifted operation over the encoded digraph's vertices.
 
-    A call computes one value from the case analysis.  tabulate computes
-    the values over a whole product of vertex sets in bulk and evaluates
-    only the tuples that lie on one level one by one; nothing the size of
-    |D|^m is ever materialized unless asked for, and no value is
-    remembered between calls.  The case analysis reads per-vertex arrays
-    built once: levels, segment sets, segment vertices and has-out/has-in
-    flags on the TemplateDigraph, and here the rank of every vertex under
-    each of the two orders, so that an order-least or order-greatest
-    choice is a minimum over ints.
+    A call computes one value.  A tuple on one interior level that lies in
+    the diagonal component (cases 2a-2c) is evaluated from ints built once
+    here: each vertex's segments as a bitmask and its offset within each
+    of them, each path's single segments as a bitmask, its segment
+    vertices, and the flat index weights of f_a and f_z.  Every other
+    tuple goes through classify.  tabulate computes the values over a
+    whole product of vertex sets in bulk and evaluates only the tuples
+    that lie on one level one by one; nothing the size of |D|^m is ever
+    materialized unless asked for, and no value is remembered between
+    calls.  Order-least and order-greatest choices are minima over the
+    rank of every vertex under each of the two orders, built here too.
     """
 
     def __init__(self, meta: TemplateDigraph, f_a: OpTable, f_z: OpTable):
@@ -277,32 +285,92 @@ class LiftedOp:
         self.f_a = f_a
         self.f_z = f_z
         self.name = f"lift:{f_a.name}"
-        self.arity = f_a.arity
+        self.arity = m = f_a.arity
         self.size = len(meta.digraph.vertices)
+        k = meta.k
         # vertices listed in each order, and each vertex's place in it; both
         # orders rank by level first
         self._by_rank = sorted(range(self.size), key=order_key(meta, "ar"))
         self._by_rank_star = sorted(range(self.size), key=order_key(meta, "ra"))
         self._rank = {v: i for i, v in enumerate(self._by_rank)}
         self._rank_star = {v: i for i, v in enumerate(self._by_rank_star)}
+        # for the diagonal cases: each path, keyed by its coordinates
+        # (a, r1..rk), with its single segments as a bitmask and its
+        # segments' vertices by index; each vertex's segments as a bitmask,
+        # its offset within each of them and its own path's single segments
+        singles = {e: sum(1 << l for l in s.singles) for e, s in meta.path_specs.items()}
+        self._paths = {
+            (e[0], *e[1]): (bits, [()] + [meta.segments[e, l] for l in range(1, k + 1)])
+            for e, bits in singles.items()
+        }
+        self._segs = [sum(1 << l for l in segs) for segs in meta.v_segs]
+        self._offset = [[0] * (k + 1) for _ in range(self.size)]
+        for (e, l), vids in meta.segments.items():
+            for o, v in enumerate(vids):
+                self._offset[v][l] = o
+        self._own_singles = [0 if e is None else singles[e] for e in meta.v_path]
+        # 1 for an outgoing edge, 2 for an incoming one
+        self._sides = [int(o) | int(i) << 1 for o, i in zip(meta.has_out, meta.has_in)]
+        # per argument position, each vertex's path coordinates times the
+        # position's weight in the flat index of f_a; the weights of f_z
+        coords = [() if e is None else (e[0], *e[1]) for e in meta.v_path]
+        self._weighted = [
+            [tuple(x * f_a.size ** (m - 1 - i) for x in xs) for xs in coords]
+            for i in range(m)
+        ]
+        self._z_weight = [f_z.size ** (m - 1 - i) for i in range(m)]
 
     def _least(self, vids) -> int:
         """The 'ar'-least of the given vertices."""
         return self._by_rank[min(map(self._rank.__getitem__, vids))]
 
-    def _segment_offset(self, vid: int, e, l: int) -> int:
-        v_pos = self.meta.v_pos
-        return v_pos[vid] - v_pos[self.meta.segment_vids(e, l)[0]]
+    def _diagonal(self, c: tuple[int, ...], level: int) -> int:
+        """Cases 2a-2c: f_a picks the target path, the lowest common
+        segment l of c picks its segment, and on that segment the end on
+        c's level is the value (2a, a single edge), f_z decides on the
+        offsets of c (2b, zigzags on every carrier) or the least offset of
+        a zigzag carrier wins (2c, which is the 'ar'-least candidate)."""
+        fa = self.f_a.values
+        weighted = map(list.__getitem__, self._weighted, c)
+        singles, segments = self._paths[tuple([fa[x] for x in map(sum, zip(*weighted))])]
+        common = -1
+        for v in c:
+            common &= self._segs[v]
+        if not common:
+            raise InternalInvariantViolation(
+                f"diagonal-component tuple {c} has no common segment"
+            )
+        bit = common & -common
+        l = bit.bit_length() - 1
+        seg = segments[l]
+        if singles & bit:
+            return seg[0] if self.meta.lvl[seg[0]] == level else seg[1]
+        own, offset = self._own_singles, self._offset
+        offsets = [None if own[v] & bit else offset[v][l] for v in c]
+        if None in offsets:
+            # a segment's vertices on one level are ordered by position
+            return seg[min([o for o in offsets if o is not None])]
+        return seg[self.f_z.values[sum(map(operator.mul, offsets, self._z_weight))]]
 
     def __call__(self, c: tuple[int, ...]) -> int:
         meta = self.meta
+        lvl = meta.lvl
+        level = lvl[c[0]]
+        if 0 < level < meta.k + 2:
+            sides = 3
+            for v in c:
+                if lvl[v] != level:
+                    break
+                sides &= self._sides[v]
+            else:
+                if sides:
+                    return self._diagonal(c, level)
         case = classify(meta, c, self.f_a)
         tag = case.tag
         if tag == "3b":
             # the least vertex overall lies on the lower level, the greatest
             # on the higher one, in either order
             low = self._least(c)
-            lvl = meta.lvl
             lo = lvl[low]
             if self.f_z(tuple([0 if lvl[v] == lo else 2 for v in c])) == 0:
                 return low
@@ -328,41 +396,37 @@ class LiftedOp:
             na = len(meta.elem_vid)
             rows = [meta.tuples[v - na] for v in c]
             return meta.tuple_vid[_coordinatewise(self.f_a, rows)]
-        if tag == "3a":
-            low_path = case.paths[0]
-            labels = tuple(0 if meta.v_path[v] == low_path else 2 for v in c)
-            z = self.f_z(labels)
-            return self._least([v for v, lab in zip(c, labels) if lab == z])
-        seg = meta.segment_vids(case.e, case.l)
-        if tag == "2a":
-            return seg[0] if meta.lvl[seg[0]] == meta.lvl[c[0]] else seg[1]
-        offsets = [
-            self._segment_offset(v, ei, case.l) if zig else None
-            for v, ei, zig in zip(c, case.paths, case.labels)
-        ]
-        if tag == "2b":
-            return seg[self.f_z(tuple(offsets))]
-        return self._least([seg[o] for o in offsets if o is not None])
+        if tag != "3a":
+            raise InternalInvariantViolation(f"diagonal case {tag} for {c} off the fast path")
+        low_path = case.paths[0]
+        labels = tuple(0 if meta.v_path[v] == low_path else 2 for v in c)
+        z = self.f_z(labels)
+        return self._least([v for v, lab in zip(c, labels) if lab == z])
 
-    def tabulate(self, values, m: int) -> list[int]:
-        """[self(c) for c in itertools.product(values, repeat=m)], in bulk.
+    def tabulate(self, values, m: int, at=None) -> list[int]:
+        """[self(tuple(env[p] for p in at)) for env in product(values, repeat=P)],
+        in bulk, for the pattern at of P places (see argument_pattern).
 
-        The product is walked in order, and each prefix of m-1 places
+        The product is walked in order, and each prefix of P-1 places
         carries the levels it meets (a bitmask), its least 'ar' rank, its
-        greatest 'ra' rank and the places on its lowest level.  A tuple on
-        three or more levels is case 3c, and its value the 'ar'-least
-        vertex.  A tuple on two levels is case 3b, and its value the
-        'ar'-least or the 'ra'-greatest vertex as f_z decides on the 0/2
-        labels of the lowest-level places; f_z is evaluated once per label
-        pattern.  Only tuples on one level go through self(c).
+        greatest 'ra' rank and the argument positions on its lowest level
+        (a bitmask; a place adds all of its positions).  A tuple on three
+        or more levels is case 3c, and its value the 'ar'-least vertex.  A
+        tuple on two levels is case 3b, and its value the 'ar'-least or the
+        'ra'-greatest vertex as f_z decides on the 0/2 labels of the
+        lowest-level positions; f_z is evaluated once per label pattern.
+        Only tuples on one level go through self(c).
         """
-        if m != self.arity:
-            raise ArityMismatch(f"{self.name!r} is {self.arity}-ary, not {m}-ary")
+        at, places = argument_pattern(self, m, at)
         values = list(values)
         lvl, rank, rank_star = self.meta.lvl, self._rank, self._rank_star
-        last = 1 << (m - 1)
+        # the argument positions of each place
+        masks = [0] * places
+        for i, p in enumerate(at):
+            masks[p] |= 1 << i
+        last = masks[-1]
         # picks_least[mask]: f_z sends to 0 the labels that are 0 at the
-        # places in mask and 2 elsewhere
+        # positions in mask and 2 elsewhere
         picks_least = [
             self.f_z(tuple([0 if mask >> i & 1 else 2 for i in range(m)])) == 0
             for mask in range(1 << m)
@@ -371,24 +435,24 @@ class LiftedOp:
         levels = sorted({lvl[v] for v in values})
         kinds = [_CALL] * (max(levels, default=0) + 1)
         # the state after each place of the current prefix: (levels met as a
-        # bitmask, lowest level, places on it as a bitmask, least 'ar' rank,
-        # greatest 'ra' rank)
+        # bitmask, lowest level, positions on it as a bitmask, least 'ar'
+        # rank, greatest 'ra' rank)
         states = [(0, len(kinds), 0, self.size, -1)]
         out: list[int] = []
-        for idx in itertools.product(range(len(values)), repeat=m - 1):
+        for idx in itertools.product(range(len(values)), repeat=places - 1):
             # in product order the places from the last nonzero index on
             # changed (all of them the first time round)
-            start = max(m - 2, 0)
+            start = max(places - 2, 0)
             while start > 0 and idx[start] == 0:
                 start -= 1
             del states[start + 1 :]
-            for place in range(start, m - 1):
+            for place in range(start, places - 1):
                 met, lo, lows, least, greatest = states[-1]
                 _, r, rs, lv = columns[idx[place]]
                 if lv < lo:
-                    lo, lows = lv, 1 << place
+                    lo, lows = lv, masks[place]
                 elif lv == lo:
-                    lows |= 1 << place
+                    lows |= masks[place]
                 states.append((met | 1 << lv, lo, lows, min(least, r), max(greatest, rs)))
             met, lo, lows, least, greatest = states[-1]
             for lv in levels:
@@ -409,7 +473,7 @@ class LiftedOp:
                     if (kind := kinds[lv]) == _LEAST
                     else (v if rs > greatest else greatest_v)
                     if kind == _GREATEST
-                    else self(prefix + (v,))
+                    else self(tuple(map((prefix + (v,)).__getitem__, at)))
                     for v, r, rs, lv in columns
                 ]
             )

@@ -571,10 +571,13 @@ def satisfies(tables: Mapping[str, OpTable], sigma: IdentitySet, size: int) -> b
     """Check every identity of the set over all evaluations, after checking
     each table's arity and size once (an OpTable lookup checks neither).
 
-    A side f(v1..vm) whose m arguments are exactly the identity's m
-    distinct variables is read off f.tabulate(range(size), m), which is
-    built at most once per symbol and call; every other side is
-    evaluated per evaluation of the variables.
+    Every side is read by offsets from a table.  A side f(v1..vm) reads
+    f.tabulate(range(size), m, pattern), with the identity's variables
+    numbered by first occurrence in the side: c(x,y,z) and c(y,z,x) share
+    the pattern (0,1,2), w(x,x,y) has (0,0,1).  Each (symbol, pattern)
+    table is built at most once per call.  A bare variable reads
+    range(size).  Memory is size^n per side for an identity in n
+    variables.
     """
     for name, arity in sigma.symbols:
         op = tables.get(name)
@@ -583,27 +586,28 @@ def satisfies(tables: Mapping[str, OpTable], sigma: IdentitySet, size: int) -> b
                 f"table {name!r} is {op.arity}-ary over {op.size} values, "
                 f"symbol {name!r} needs {arity}-ary over {size}"
             )
-    full: dict[str, list[int]] = {}
+    built: dict[tuple[str, tuple[int, ...]], list[int]] = {}
 
     def side_values(term, variables):
         """The side's values over range(size)^variables in product order."""
         at = [variables.index(v) for v in term.args]
-        envs = itertools.product(range(size), repeat=len(variables))
+        # the identity's variables in the order the side first uses them
+        order = list(dict.fromkeys(at))
         if term.symbol is None:
-            return (env[at[0]] for env in envs)
-        op = tables[term.symbol]
-        if sorted(at) != list(range(len(variables))):
-            return (op(tuple([env[i] for i in at])) for env in envs)
-        if term.symbol not in full:
-            full[term.symbol] = op.tabulate(range(size), len(at))
+            table = range(size)
+        else:
+            key = (term.symbol, tuple(map(order.index, at)))
+            if key not in built:
+                built[key] = tables[term.symbol].tabulate(range(size), len(at), key[1])
+            table = built[key]
         # the table offset of each evaluation, in product order
-        weight = [0] * len(at)
-        for place, i in enumerate(at):
-            weight[i] = size ** (len(at) - 1 - place)
+        weight = [0] * len(variables)
+        for place, i in enumerate(order):
+            weight[i] = size ** (len(order) - 1 - place)
         offsets = [0]
         for w in weight:
             offsets = [o + x * w for o in offsets for x in range(size)]
-        return map(full[term.symbol].__getitem__, offsets)
+        return map(table.__getitem__, offsets)
 
     for ident in sigma.identities:
         variables = sorted(ident.variables())

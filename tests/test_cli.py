@@ -293,8 +293,11 @@ def test_lift_verb_with_explicit_witness(ctx, capsys):
         ("op m -1 over 2\n", 1),
         ("op m 3 over 2\n0 0 0 0\n0 0 1 0\n0 0 0 1\n", 4),
         ("op m 3 over 2\n0 0 0 0\n0 0 7 0\n", 3),
+        ("op m 3 over 2\n0 0 0 0\nop m 3 over 3\n", 3),
+        ("op m 3 over 2\n0 0 0 0\n0 0 1 5\n", 3),
     ],
-    ids=["row", "header", "negative-arity", "repeated-row", "row-out-of-range"],
+    ids=["row", "header", "negative-arity", "repeated-row", "row-out-of-range",
+         "second-header", "output-out-of-range"],
 )
 def test_lift_witness_with_bad_numbers_is_usage_error(ctx, capsys, table, line):
     edge = ctx / "edge.rel"

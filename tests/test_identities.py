@@ -106,8 +106,12 @@ def test_op_table_missing_row():
         ("op m 1 over 2\n0 1\n0 0\n1 1\n", "line 3: second row for \\(0,\\)"),
         ("op m 1 over 2\n0 1\n1 1\n7 0\n", "line 4: row \\(7,\\) out of range"),
         ("op m 2 over 2\n0 -1 0\n", "line 2: row \\(0, -1\\) out of range"),
+        ("op m 1 over 2\n0 0\n1 1\nop m 1 over 3\n2 2\n", "line 4: second 'op' header"),
+        ("op m 1 over 2\n0 5\n1 1\n", "line 2: output 5 out of range for size 2"),
+        ("op m 1 over 2\n0 0\n1 -1\n", "line 3: output -1 out of range"),
     ],
-    ids=["repeated", "too-large", "negative"],
+    ids=["repeated", "too-large", "negative", "second-header", "output-too-large",
+         "output-negative"],
 )
 def test_op_table_bad_rows_are_parse_errors(text, message):
     with pytest.raises(ParseError, match=message):

@@ -257,6 +257,29 @@ def test_classify_3a_needs_two_paths_same_level(two_cycle):
     assert classify(meta, tup, maj).tag == "3a"
 
 
+def _segment_offset(meta, v, e, l):
+    """The position of v on its path e, counted from segment l's start."""
+    return meta.v_pos[v] - meta.v_pos[meta.segment_vids(e, l)[0]]
+
+
+def diagonal_oracle(op, c):
+    """Cases 2a-2c computed from classify's CaseData, as the case analysis
+    reads: the carriers, the target path e and the common segment l."""
+    meta = op.meta
+    case = classify(meta, c, op.f_a)
+    assert case.tag in ("2a", "2b", "2c")
+    seg = meta.segment_vids(case.e, case.l)
+    if case.tag == "2a":
+        return seg[0] if meta.lvl[seg[0]] == meta.lvl[c[0]] else seg[1]
+    offsets = [
+        _segment_offset(meta, v, ei, case.l) if zig else None
+        for v, ei, zig in zip(c, case.paths, case.labels)
+    ]
+    if case.tag == "2b":
+        return seg[op.f_z(tuple(offsets))]
+    return op._least([seg[o] for o in offsets if o is not None])
+
+
 def test_case2c_agrees_with_zigzag_minimum(two_cycle):
     """Picking the order-least candidate equals mapping the zigzag minimum back."""
     meta = build_digraph(two_cycle)
@@ -272,7 +295,7 @@ def test_case2c_agrees_with_zigzag_minimum(two_cycle):
         seen += 1
         seg = meta.segment_vids(case.e, case.l)
         offsets = [
-            op._segment_offset(v, ei, case.l) if zig else None
+            _segment_offset(meta, v, ei, case.l) if zig else None
             for v, ei, zig in zip(pair, case.paths, case.labels)
         ]
         z_min = min(o for o in offsets if o is not None)
@@ -349,40 +372,122 @@ _PRODUCT_BOUND = 6000
 
 
 @st.composite
-def _lift_and_values(draw):
-    """A lifted witness on a small random template and a sorted vertex subset."""
+def _random_template(draw):
+    """A small random single-relation template."""
     n = draw(st.integers(1, 3))
     k = draw(st.integers(1, 3 if n == 2 else 2))
     row = st.tuples(*[st.integers(0, n - 1)] * k)
     rows = sorted(draw(st.sets(row, min_size=1, max_size=3)))
-    template = make_structure("t", [str(i) for i in range(n)], [("R", k, rows)])
+    return make_structure("t", [str(i) for i in range(n)], [("R", k, rows)])
+
+
+@st.composite
+def _random_lift(draw):
+    """A lifted witness on a small random template, or None."""
+    template = draw(_random_template())
     sigma, on_zigzag = draw(st.sampled_from(WITNESSED))
     found = find_operations(template, sigma)
     if found is None:
         return None
     name = draw(st.sampled_from(sorted(on_zigzag)))
-    meta = build_digraph(template)
-    op = lift_op(meta, found[name], on_zigzag[name])
-    size = len(meta.digraph.vertices)
-    most = min(size, int(_PRODUCT_BOUND ** (1 / op.arity)))
-    values = sorted(draw(st.sets(st.integers(0, size - 1), max_size=most)))
+    return lift_op(build_digraph(template), found[name], on_zigzag[name])
+
+
+@st.composite
+def _lift_and_values(draw):
+    """A lifted witness on a small random template and a sorted vertex subset."""
+    op = draw(_random_lift())
+    if op is None:
+        return None
+    most = min(op.size, int(_PRODUCT_BOUND ** (1 / op.arity)))
+    values = sorted(draw(st.sets(st.integers(0, op.size - 1), max_size=most)))
     return op, values
 
 
-@given(_lift_and_values())
+@st.composite
+def _pattern(draw, m):
+    """An argument pattern of m positions: some places repeat, and the
+    places are numbered in a random order, not only by first occurrence."""
+    raw = draw(st.lists(st.integers(0, max(m - 1, 0)), min_size=m, max_size=m))
+    used = sorted(set(raw))
+    renumber = dict(zip(used, draw(st.permutations(range(len(used))))))
+    return tuple(renumber[p] for p in raw)
+
+
+def _by_calls(op, values, at):
+    places = len(set(at))
+    return [
+        op(tuple(env[p] for p in at))
+        for env in itertools.product(values, repeat=places)
+    ]
+
+
+@given(_lift_and_values(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_tabulate_equals_the_lifted_values(drawn):
+def test_tabulate_equals_the_lifted_values(drawn, data):
     if drawn is None:
         return
     op, values = drawn
     expected = [op(c) for c in itertools.product(values, repeat=op.arity)]
     assert op.tabulate(values, op.arity) == expected
+    at = data.draw(_pattern(op.arity))
+    assert op.tabulate(values, op.arity, at) == _by_calls(op, values, at)
+
+
+@st.composite
+def _table_and_values(draw):
+    """A random table of arity 0-4 over 1-3 values, and values to read it at."""
+    size, arity = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    cells = st.lists(st.integers(0, size - 1), min_size=size**arity, max_size=size**arity)
+    op = OpTable("f", arity, size, tuple(draw(cells)))
+    values = draw(st.lists(st.integers(0, size - 1), max_size=4))
+    return op, values, draw(_pattern(arity))
+
+
+@given(_table_and_values())
+@settings(max_examples=100, deadline=None)
+def test_table_pattern_tabulate_equals_the_calls(drawn):
+    op, values, at = drawn
+    assert op.tabulate(values, op.arity, at) == _by_calls(op, values, at)
+
+
+@st.composite
+def _lift_and_diagonal_tuple(draw):
+    """A lifted witness and a tuple on one interior level whose vertices
+    all have an outgoing edge, or all an incoming one."""
+    op = draw(_random_lift())
+    if op is None:
+        return None
+    meta = op.meta
+    pools = [
+        pool
+        for level in range(1, meta.k + 2)
+        for side in (meta.has_out, meta.has_in)
+        if (pool := [v for v in range(op.size) if meta.lvl[v] == level and side[v]])
+    ]
+    pool = draw(st.sampled_from(pools))
+    c = draw(st.lists(st.sampled_from(pool), min_size=op.arity, max_size=op.arity))
+    return op, tuple(c)
+
+
+@given(_lift_and_diagonal_tuple())
+@settings(max_examples=100, deadline=None)
+def test_diagonal_fast_path_equals_the_case_analysis(drawn):
+    if drawn is None:
+        return
+    op, c = drawn
+    assert op(c) == diagonal_oracle(op, c)
 
 
 def test_tabulate_rejects_another_arity(two_cycle):
+    """Another arity, or a pattern whose places are not exactly 0..P-1."""
     op = lift_op(build_digraph(two_cycle), _maj_bool(), zz_median())
-    with pytest.raises(ArityMismatch):
-        op.tabulate(range(3), 2)
+    for table in (op, _maj_bool()):
+        with pytest.raises(ArityMismatch):
+            table.tabulate(range(2), 2)
+        for at in ((0, 0), (0, 2, 2), (1, 1, 1)):
+            with pytest.raises(ArityMismatch):
+                table.tabulate(range(2), 3, at)
 
 
 class _TableOnly:
@@ -394,16 +499,22 @@ class _TableOnly:
     def __call__(self, args):
         raise AssertionError("evaluated per call")
 
-    def tabulate(self, values, m):
-        return self.op.tabulate(values, m)
+    def tabulate(self, values, m, at=None):
+        return self.op.tabulate(values, m, at)
 
 
 def test_full_variable_identities_read_the_table(two_cycle):
     """c(x,y,z) = c(y,z,x) has all three variables on both sides, so
-    satisfies reads both from one table of the lifted operation."""
+    satisfies reads both from one table of the lifted operation; the
+    sides of WNU-3 and majority repeat a variable, and are read from a
+    table per pattern."""
     cyclic = parse_identities("symbol c 3\nidentity c(x,y,z) = c(y,z,x)\n")
-    op = lift_op(build_digraph(two_cycle), _xor3(), zz_allmin(3))
+    meta = build_digraph(two_cycle)
+    op = lift_op(meta, _xor3(), zz_allmin(3))
     assert satisfies({"c": _TableOnly(op)}, cyclic, op.size)
+    assert satisfies({"w": _TableOnly(op)}, wnu_identities(3), op.size)
+    maj = lift_op(meta, _maj_bool(), zz_median())
+    assert satisfies({"m": _TableOnly(maj)}, majority_identities(), maj.size)
 
 
 @st.composite
@@ -451,6 +562,28 @@ def test_catalogue_lifts(template, sigma):
     found = find_operations(a, s)
     assert found is not None
     report = lift_all(build_digraph(a), s, found)
+    assert report.ok, report.text()
+
+
+# at most this many edge tuples in one random lift's polymorphism check
+_EDGE_TUPLE_BOUND = 60000
+
+
+@given(_random_template(), st.sampled_from(CATALOGUE))
+@settings(max_examples=60, deadline=None)
+def test_template_witnesses_lift(template, name):
+    """Whenever the template has witnesses for a catalogue identity set,
+    the lift of those witnesses is a polymorphism of the encoding that
+    satisfies the set."""
+    sigma = _fixture(name, "ids")
+    arity = max(a for _, a in sigma.symbols)
+    meta = build_digraph(template)
+    if len(meta.digraph.edges) ** arity > _EDGE_TUPLE_BOUND:
+        return
+    found = find_operations(template, sigma)
+    if found is None:
+        return
+    report = lift_all(meta, sigma, found)
     assert report.ok, report.text()
 
 
