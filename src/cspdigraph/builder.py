@@ -137,13 +137,6 @@ class TemplateDigraph:
     def height(self) -> int:
         return self.k + 2
 
-    def segment_vids(self, e: tuple[int, tuple[int, ...]], l: int) -> tuple[int, ...]:
-        try:
-            return self.segments[e, l]
-        except KeyError:
-            self.path_specs[e].segment_positions(l)  # raises for a bad e or l
-            raise
-
     @cached_property
     def digraph_structure(self) -> RelStructure:
         """The digraph as a template structure, built once per instance."""

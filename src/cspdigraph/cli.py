@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 from . import verify as verify_mod
 from .builder import build_digraph, dmeta_to_text
@@ -49,11 +50,11 @@ def _write(path: str | None, text: str) -> None:
 
 def _load_any(path: str):
     lines = _lines(_read(path))
-    if not lines:
+    first = next(lines, None)
+    if first is None:
         raise ParseError(f"{path}: empty file")
-    if lines[0][1].split()[0] == "digraph":
-        return _digraph_from(lines)
-    return _structure_from(lines)
+    reader = _digraph_from if first[1].split()[0] == "digraph" else _structure_from
+    return reader(chain([first], lines))
 
 
 def _load_structure(path: str) -> RelStructure:

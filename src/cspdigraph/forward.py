@@ -13,15 +13,23 @@ from __future__ import annotations
 
 from .builder import path_spec
 from .errors import ArityMismatch
-from .structures import Digraph, RelStructure, make_digraph
+from .structures import Digraph, RelStructure
 
 
 def forward_instance(x: RelStructure, k: int) -> Digraph:
     """Gadget digraph for a single-relation instance of arity k.
 
-    Fresh vertices are ``y:<tupleindex>`` for apexes and
-    ``q:<tupleindex>:<position>:<j>`` for path interiors, with j counted
-    from the element end starting at 1.
+    Vertices are the instance's elements, then for each tuple t (by
+    index) its apex ``<p>y:<t>`` and the interiors ``<p>q:<t>:<i>:<j>``
+    of its paths i = 1..k, with j = 1..3k-1 counted from the element end.
+    The prefix <p> is the fewest ``_`` such that no element name starts
+    with <p>y: or <p>q:, so fresh names never meet element names; it is
+    empty for any other instance.
+
+    One tuple's pattern is built once from the k path specs: the
+    interior name suffixes, and each edge as a pair of offsets into
+    [the tuple's k entries, apex, interiors].  Every tuple is stamped
+    from it, so the edges are distinct by construction.
     """
     if len(x.relations) != 1:
         raise ArityMismatch("forward translation expects a single-relation instance")
@@ -29,28 +37,39 @@ def forward_instance(x: RelStructure, k: int) -> Digraph:
     if rel.arity != k:
         raise ArityMismatch(f"instance arity {rel.arity}, template arity {k}")
 
+    # leading '_' counts of the element names that would meet a fresh name
+    taken = {
+        len(e) - len(bare)
+        for e in x.domain
+        if (bare := e.lstrip("_")).startswith(("y:", "q:"))
+    }
+    n = 0
+    while n in taken:
+        n += 1
+    prefix = "_" * n
+
+    suffixes: list[str] = []
+    pattern: list[tuple[int, int]] = []
+    for pos in range(1, k + 1):
+        steps = path_spec(k, [pos]).orientations()
+        first = k + 1 + len(suffixes)
+        chain = [pos - 1, *range(first, first + len(steps) - 1), k]
+        suffixes += [f"{pos}:{j}" for j in range(1, len(steps))]
+        pattern += [
+            (chain[p], chain[p + 1]) if s == 1 else (chain[p + 1], chain[p])
+            for p, s in enumerate(steps)
+        ]
+
     vertices = list(x.domain)
-    index = {v: i for i, v in enumerate(vertices)}
     edges: list[tuple[int, int]] = []
-
-    def fresh(name: str) -> int:
-        index[name] = len(vertices)
-        vertices.append(name)
-        return index[name]
-
     for tidx, t in enumerate(rel.tuples):
-        apex = fresh(f"y:{tidx}")
-        for pos in range(1, k + 1):
-            spec = path_spec(k, [pos])
-            steps = spec.orientations()
-            chain = [t[pos - 1]]
-            for j in range(1, len(steps)):
-                chain.append(fresh(f"q:{tidx}:{pos}:{j}"))
-            chain.append(apex)
-            for p, s in enumerate(steps):
-                u, v = chain[p], chain[p + 1]
-                edges.append((u, v) if s == 1 else (v, u))
-    return make_digraph(f"fwd:{x.name}", vertices, edges)
+        base = len(vertices)
+        q = f"{prefix}q:{tidx}:"
+        vertices.append(f"{prefix}y:{tidx}")
+        vertices += [q + s for s in suffixes]
+        look = [*t, *range(base, len(vertices))]
+        edges += [(look[u], look[v]) for u, v in pattern]
+    return Digraph(f"fwd:{x.name}", tuple(vertices), tuple(edges))
 
 
 def gadget_size(n_elements: int, n_tuples: int, k: int) -> tuple[int, int]:

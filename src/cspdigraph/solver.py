@@ -568,16 +568,24 @@ def is_polymorphism(op, structure) -> bool:
 
 
 def satisfies(tables: Mapping[str, OpTable], sigma: IdentitySet, size: int) -> bool:
-    """Check every identity of the set over all evaluations, after checking
+    """Does every identity of the set hold over all evaluations?  Stops at
+    the first that fails."""
+    return all(identity_results(tables, sigma, size))
+
+
+def identity_results(
+    tables: Mapping[str, OpTable], sigma: IdentitySet, size: int
+) -> Iterator[bool]:
+    """Whether each identity of the set holds, in order, after checking
     each table's arity and size once (an OpTable lookup checks neither).
 
     Every side is read by offsets from a table.  A side f(v1..vm) reads
     f.tabulate(range(size), m, pattern), with the identity's variables
     numbered by first occurrence in the side: c(x,y,z) and c(y,z,x) share
     the pattern (0,1,2), w(x,x,y) has (0,0,1).  Each (symbol, pattern)
-    table is built at most once per call.  A bare variable reads
-    range(size).  Memory is size^n per side for an identity in n
-    variables.
+    table is built at most once per call, so identities that share a side
+    pattern share its table.  A bare variable reads range(size).  Memory
+    is size^n per side for an identity in n variables.
     """
     for name, arity in sigma.symbols:
         op = tables.get(name)
@@ -613,9 +621,7 @@ def satisfies(tables: Mapping[str, OpTable], sigma: IdentitySet, size: int) -> b
         variables = sorted(ident.variables())
         lhs = side_values(ident.lhs, variables)
         rhs = side_values(ident.rhs, variables)
-        if not all(map(operator.eq, lhs, rhs)):
-            return False
-    return True
+        yield all(map(operator.eq, lhs, rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import NonemptyRelationRequired, ParseError
 
@@ -222,32 +222,41 @@ def make_digraph(
 # ---------------------------------------------------------------------------
 # Parsing
 
+# characters of text split at a time by the line reader
+_CHUNK = 1 << 16
 
-def _lines(text: str) -> list[tuple[int, str]]:
-    """(line number, body) of each line that holds a token, in order.
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (line number, body) of each line that holds a token, in order.
 
     The body is the line with its ``#`` comment cut and its ends
     stripped; lines are those of ``str.splitlines``, numbered from 1.
-    Every file format reads through here.
+    The reader streams: it splits the text a chunk at a time, each chunk
+    ending just after a ``\\n`` (no line break runs on past one), so it
+    holds no list of all lines.  Every file format reads through here.
     """
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        body = raw.strip()
-        if body:
-            out.append((lineno, body))
-    return out
+    start, first = 0, 1
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:cut].splitlines()
+        for lineno, raw in enumerate(chunk, first):
+            if "#" in raw:
+                raw = raw.split("#", 1)[0]
+            body = raw.strip()
+            if body:
+                yield lineno, body
+        start, first = cut, first + len(chunk)
 
 
 def parse_structure(text: str) -> RelStructure:
     return _structure_from(_lines(text))
 
 
-def _structure_from(lines: list[tuple[int, str]]) -> RelStructure:
-    if not lines:
+def _structure_from(lines: Iterator[tuple[int, str]]) -> RelStructure:
+    head_line = next(lines, None)
+    if head_line is None:
         raise ParseError("empty structure file")
-    lineno, body = lines[0]
+    lineno, body = head_line
     head = body.split()
     if head[0] not in ("structure", "instance") or len(head) != 2:
         raise ParseError("expected 'structure <name>' or 'instance <name>'", lineno)
@@ -257,10 +266,7 @@ def _structure_from(lines: list[tuple[int, str]]) -> RelStructure:
     domain: list[str] | None = None
     blocks: list[int] | None = None
     relations: list[tuple[str, int, list[tuple[int, ...]]]] = []
-    ended = False
-    for lineno, body in lines[1:]:
-        if ended:
-            raise ParseError("content after 'end'", lineno)
+    for lineno, body in lines:
         toks = body.split()
         kw = toks[0]
         if kw == "domain":
@@ -269,7 +275,11 @@ def _structure_from(lines: list[tuple[int, str]]) -> RelStructure:
             if len(toks) < 2:
                 raise ParseError("empty domain", lineno)
             domain = toks[1:]
-            index = {t: i for i, t in enumerate(domain)}
+            index: dict[str, int] = {}
+            for t in domain:
+                if t in index:
+                    raise ParseError(f"duplicate element name {t!r}", lineno)
+                index[t] = len(index)
         elif kw == "blocks":
             try:
                 blocks = [int(t) for t in toks[1:]]
@@ -284,6 +294,8 @@ def _structure_from(lines: list[tuple[int, str]]) -> RelStructure:
                 raise ParseError(f"bad arity {toks[2]!r}", lineno) from None
             if arity < 1:
                 raise ParseError("arity must be positive", lineno)
+            if any(r[0] == toks[1] for r in relations):
+                raise ParseError(f"duplicate relation name {toks[1]!r}", lineno)
             relations.append((toks[1], arity, []))
         elif kw == "tuple":
             if not relations:
@@ -304,11 +316,13 @@ def _structure_from(lines: list[tuple[int, str]]) -> RelStructure:
                 idx.append(index[t])
             tuples.append(tuple(idx))
         elif kw == "end":
-            ended = True
+            break
         else:
             raise ParseError(f"unknown keyword {kw!r}", lineno)
-    if not ended:
+    else:
         raise ParseError("missing 'end'")
+    for lineno, _ in lines:
+        raise ParseError("content after 'end'", lineno)
     if domain is None:
         raise ParseError("missing 'domain'")
     return make_structure(name, domain, relations, role=role, block_arities=blocks)
@@ -331,44 +345,43 @@ def parse_digraph(text: str) -> Digraph:
     return _digraph_from(_lines(text))
 
 
-def _digraph_from(lines: list[tuple[int, str]]) -> Digraph:
-    if not lines:
+def _digraph_from(lines: Iterator[tuple[int, str]]) -> Digraph:
+    head_line = next(lines, None)
+    if head_line is None:
         raise ParseError("empty digraph file")
-    lineno, body = lines[0]
+    lineno, body = head_line
     head = body.split()
     if head[0] != "digraph" or len(head) != 2:
         raise ParseError("expected 'digraph <name>'", lineno)
     name = head[1]
-    vertices: list[str] = []
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}  # vertex name -> index, in file order
     edges: list[tuple[int, int]] = []
-    ended = False
-    for lineno, body in lines[1:]:
-        if ended:
-            raise ParseError("content after 'end'", lineno)
+    for lineno, body in lines:
         toks = body.split()
         kw = toks[0]
-        if kw == "vertex":
+        if kw == "edge":
+            if len(toks) != 3:
+                raise ParseError("expected 'edge <u> <v>'", lineno)
+            try:
+                edges.append((index[toks[1]], index[toks[2]]))
+            except KeyError:
+                unknown = toks[1] if toks[1] not in index else toks[2]
+                raise ParseError(f"unknown vertex {unknown!r}", lineno) from None
+        elif kw == "vertex":
             if len(toks) != 2:
                 raise ParseError("expected 'vertex <v>'", lineno)
             if toks[1] in index:
                 raise ParseError(f"duplicate vertex {toks[1]!r}", lineno)
-            index[toks[1]] = len(vertices)
-            vertices.append(toks[1])
-        elif kw == "edge":
-            if len(toks) != 3:
-                raise ParseError("expected 'edge <u> <v>'", lineno)
-            for t in toks[1:]:
-                if t not in index:
-                    raise ParseError(f"unknown vertex {t!r}", lineno)
-            edges.append((index[toks[1]], index[toks[2]]))
+            index[toks[1]] = len(index)
         elif kw == "end":
-            ended = True
+            break
         else:
             raise ParseError(f"unknown keyword {kw!r}", lineno)
-    if not ended:
+    else:
         raise ParseError("missing 'end'")
-    return make_digraph(name, vertices, edges)
+    for lineno, _ in lines:
+        raise ParseError("content after 'end'", lineno)
+    return make_digraph(name, tuple(index), edges)
 
 
 def serialize_digraph(g: Digraph) -> str:

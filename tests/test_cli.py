@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import pytest
 
 from cspdigraph import cli
 from cspdigraph.cli import main
 from cspdigraph.errors import ParseError
+from cspdigraph.forward import gadget_size
 from cspdigraph.identities import parse_identities, parse_op_table
 from cspdigraph.structures import parse_digraph, parse_structure
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 PARITY4 = """\
 structure parity4
@@ -162,6 +167,26 @@ def test_forward_then_reverse_round_trip(ctx, capsys):
     assert out.startswith("mode assembled\n")
     assert "type-I y:0: {u} {v}" in out
     assert "tuple u v" in back.read_text()
+
+
+@pytest.mark.parametrize("element", ["y:0", "q:0:1:1"])
+def test_forward_of_an_element_named_like_a_gadget_vertex(ctx, capsys, element):
+    """Fresh gadget names take a '_' prefix rather than meet an element's."""
+    inst = ctx / "clash.rel"
+    inst.write_text(
+        f"instance clash\ndomain {element} w\nrelation R 2\n"
+        f"tuple {element} w\ntuple w w\nend\n"
+    )
+    gadget = ctx / "clash.dg"
+    code, out, err = run(
+        capsys, "forward", "--template", str(FIXTURES / "edge.rel"),
+        "--instance", str(inst), "-o", str(gadget),
+    )
+    assert (code, out, err) == (0, "", "")
+    g = parse_digraph(gadget.read_text())
+    assert (len(g.vertices), len(g.edges)) == gadget_size(2, 2, 2)
+    assert g.vertices[:2] == (element, "w")
+    assert {"_y:0", "_q:0:1:1", "_y:1"} <= set(g.vertices)
 
 
 def test_reverse_fixed_no_exit_code(ctx, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cspdigraph.builder import PathSpec, build_digraph, build_path
@@ -7,7 +9,13 @@ from cspdigraph.merge import merge_instance, merge_template
 from cspdigraph.reverse import assign_levels, components
 from cspdigraph.rng import Lcg64
 from cspdigraph.solver import find_hom
-from cspdigraph.structures import Digraph, RelStructure, make_digraph, make_structure
+from cspdigraph.structures import (
+    Digraph,
+    RelStructure,
+    make_digraph,
+    make_structure,
+    serialize_digraph,
+)
 from cspdigraph.verify import random_instance_for, random_multi_template
 
 
@@ -19,6 +27,17 @@ def test_one_binary_tuple_gives_thirteen_vertices():
     assert gadget_size(2, 1, 2) == (13, 12)
     assert "y:0" in g.vertices
     assert "q:0:1:1" in g.vertices
+
+
+def test_fresh_names_take_the_fewest_underscores():
+    """An element named <p>y:... or <p>q:... rules out the prefix <p>."""
+    x = make_structure(
+        "x", ["y:0", "_q:7", "__y", "a"], [("R", 2, [(0, 1), (3, 3)])], role="instance"
+    )
+    g = forward_instance(x, 2)
+    assert g.vertices[:4] == x.domain
+    assert g.vertices[4] == "__y:0" and "__q:1:2:5" in g.vertices
+    assert (len(g.vertices), len(g.edges)) == gadget_size(4, 2, 2)
 
 
 def test_gadget_size_formula_matches():
@@ -109,3 +128,38 @@ def test_forward_equivalence_smoke():
         assert (find_hom(x, a) is not None) == (
             find_hom(gadget, meta.digraph) is not None
         )
+
+
+# sha256 of the serialized gadgets of the corpus below; a change to any
+# vertex name, the vertex order or the edge order changes it
+FORWARD_CORPUS_DIGEST = "a1fef62d33876e11f5ca6840c5fd05a96c925df5abdae8b1ab90b8a4546372b2"
+
+
+def _forward_corpus():
+    """240 seeded single-relation instances of arity 1-4 over up to six
+    elements, some with names that lead with '_' or contain ':', so
+    repeated entries, unused elements and empty relations all occur."""
+    rng = Lcg64(83)
+    pool = ["a", "b7", "_y:0", "y", "q", "_q:1:1:1", "v:0", "x_"]
+    for i in range(240):
+        k = 1 + i % 4
+        n = rng.randint(1, 6)
+        names = [f"{pool[rng.below(len(pool))]}{j}" for j in range(n)]
+        m = 0 if i % 30 == 7 else rng.randint(1, 5)
+        tuples = [tuple(rng.below(n) for _ in range(k)) for _ in range(m)]
+        yield make_structure(f"x{i}", names, [("R", k, tuples)], role="instance"), k
+
+
+def test_forward_outputs_are_pinned_by_digest():
+    digest = hashlib.sha256()
+    repeated = unused = empty = 0
+    for x, k in _forward_corpus():
+        tuples = x.relations[0].tuples
+        repeated += any(len(set(t)) < k for t in tuples)
+        unused += len({i for t in tuples for i in t}) < len(x.domain)
+        empty += not tuples
+        g = forward_instance(x, k)
+        assert (len(g.vertices), len(g.edges)) == gadget_size(len(x.domain), len(tuples), k)
+        digest.update(serialize_digraph(g).encode() + b"\0")
+    assert repeated >= 100 and unused >= 80 and empty >= 5
+    assert digest.hexdigest() == FORWARD_CORPUS_DIGEST

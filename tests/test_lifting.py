@@ -157,7 +157,7 @@ def test_same_path_orders_by_distance_from_the_element(two_cycle):
     vids = meta.path_vids[e]
     spec = meta.path_specs[e]
     assert spec.singles == {2}
-    seg = meta.segment_vids(e, 1)  # zigzag: two level-1 vertices
+    seg = meta.segments[e, 1]  # zigzag: two level-1 vertices
     assert meta.lvl[seg[0]] == 1 and meta.lvl[seg[2]] == 1
     assert order_less(meta, seg[0], seg[2])
 
@@ -205,8 +205,8 @@ def test_peak_and_source_on_one_path_are_isolated(parity4):
     meta = build_digraph(parity4)
     e = (0, (0, 1, 1, 1))  # single edge only at position 1: zigzags at 2,3,4
     assert meta.path_specs[e].singles == {1}
-    seg2 = meta.segment_vids(e, 2)
-    seg3 = meta.segment_vids(e, 3)
+    seg2 = meta.segments[e, 2]
+    seg3 = meta.segments[e, 3]
     peak = seg2[1]   # level 3, no outgoing edge
     mid = seg3[2]    # level 3, no incoming edge
     assert meta.lvl[peak] == meta.lvl[mid] == 3
@@ -238,7 +238,7 @@ def test_classify_case2_on_one_path(two_cycle):
     meta = build_digraph(two_cycle)
     maj = _maj_bool()
     e = (0, (1, 0))
-    seg = meta.segment_vids(e, 1)
+    seg = meta.segments[e, 1]
     case = classify(meta, (seg[0], seg[2], seg[0]), maj)
     assert case.tag in ("2b", "2c")
     assert case.l == 1
@@ -250,8 +250,8 @@ def test_classify_3a_needs_two_paths_same_level(two_cycle):
     e1, e2 = (0, (0, 1)), (0, (1, 0))
     assert meta.path_specs[e1].singles == {1}
     assert meta.path_specs[e2].singles == {2}
-    peak = meta.segment_vids(e2, 1)[1]  # level 2, incoming edges only
-    mid = meta.segment_vids(e1, 2)[2]   # level 2, outgoing edges only
+    peak = meta.segments[e2, 1][1]  # level 2, incoming edges only
+    mid = meta.segments[e1, 2][2]   # level 2, outgoing edges only
     tup = (peak, mid, peak)
     assert not in_delta(meta, tup)
     assert classify(meta, tup, maj).tag == "3a"
@@ -259,7 +259,7 @@ def test_classify_3a_needs_two_paths_same_level(two_cycle):
 
 def _segment_offset(meta, v, e, l):
     """The position of v on its path e, counted from segment l's start."""
-    return meta.v_pos[v] - meta.v_pos[meta.segment_vids(e, l)[0]]
+    return meta.v_pos[v] - meta.v_pos[meta.segments[e, l][0]]
 
 
 def diagonal_oracle(op, c):
@@ -268,7 +268,7 @@ def diagonal_oracle(op, c):
     meta = op.meta
     case = classify(meta, c, op.f_a)
     assert case.tag in ("2a", "2b", "2c")
-    seg = meta.segment_vids(case.e, case.l)
+    seg = meta.segments[case.e, case.l]
     if case.tag == "2a":
         return seg[0] if meta.lvl[seg[0]] == meta.lvl[c[0]] else seg[1]
     offsets = [
@@ -293,7 +293,7 @@ def test_case2c_agrees_with_zigzag_minimum(two_cycle):
         if case.tag != "2c":
             continue
         seen += 1
-        seg = meta.segment_vids(case.e, case.l)
+        seg = meta.segments[case.e, case.l]
         offsets = [
             _segment_offset(meta, v, ei, case.l) if zig else None
             for v, ei, zig in zip(pair, case.paths, case.labels)
@@ -605,7 +605,7 @@ def test_lift_all_reports_a_broken_lift(monkeypatch, edge_template):
         if case.tag != "2a":
             return value
         swapped += 1
-        low, high = self.meta.segment_vids(case.e, case.l)
+        low, high = self.meta.segments[case.e, case.l]
         return high if value == low else low
 
     monkeypatch.setattr(LiftedOp, "__call__", broken)

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from cspdigraph.builder import build_digraph
 from cspdigraph.errors import NonemptyRelationRequired, ParseError
 from cspdigraph.lifting import order_key
+from cspdigraph.rng import Lcg64
 from cspdigraph.structures import (
+    _CHUNK,
     Digraph,
+    _lines,
     export_dot,
     make_digraph,
     make_structure,
@@ -57,6 +60,10 @@ def test_instance_accepts_empty_relation():
         ("structure t\ndomain a a\nrelation R 1\ntuple a\nend\n", "duplicate"),
         ("structure t\ndomain a\nrelation R 1\ntuple a\n", "missing 'end'"),
         ("digraph g\nvertex v\nedge v w\nend\n", "unknown vertex"),
+        ("structure t\ndomain a b a\nrelation R 1\ntuple a\nend\n",
+         "^line 2: duplicate element name 'a'$"),
+        ("structure t\ndomain a\nrelation R 1\ntuple a\nrelation R 2\nend\n",
+         "^line 5: duplicate relation name 'R'$"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -167,6 +174,72 @@ def _incident(g, x):
 def test_digraph_round_trip_is_identity(g):
     assert parse_digraph(serialize_digraph(g)) == g
     assert g.neighbours == tuple(_incident(g, x) for x in range(len(g.vertices)))
+
+
+_pad = st.text(alphabet=" \t", max_size=3)
+_gap = st.text(alphabet=" \t", min_size=1, max_size=3)
+_comment = st.text(alphabet=" \t#ab:_", max_size=6).map(lambda c: "#" + c)
+_break = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x0b"])
+
+
+@st.composite
+def renderings(draw):
+    """A digraph and a non-canonical file of it: runs of blanks and tabs,
+    comments, blank and comment-only lines, mixed line breaks, and edges
+    repeated after their first line."""
+    names = draw(st.lists(_name, min_size=1, max_size=6, unique=True))
+    n = len(names)
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)
+    )
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    rows = [["digraph", "g"], *(["vertex", v] for v in names)]
+    rows += [["edge", names[u], names[v]] for u, v in edges] + [["end"], []]
+    out = []
+    for toks in rows:
+        if draw(st.booleans()):
+            out.append(draw(_pad) + draw(st.one_of(st.just(""), _comment)) + draw(_break))
+        if toks:
+            gaps = [draw(_gap) for _ in toks[1:]]
+            line = toks[0] + "".join(g + t for g, t in zip(gaps, toks[1:]))
+            tail = draw(st.one_of(st.just(""), _comment))
+            out.append(draw(_pad) + line + draw(_pad) + tail + draw(_break))
+    return make_digraph("g", names, edges), "".join(out)
+
+
+@given(renderings())
+@settings(max_examples=100, deadline=None)
+def test_any_rendering_reads_as_the_canonical_file(drawn):
+    g, text = drawn
+    assert parse_digraph(text) == parse_digraph(serialize_digraph(g)) == g
+
+
+def _lines_in_one_list(text):
+    """The line reader's contract, from one str.splitlines of the text."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            out.append((lineno, body))
+    return out
+
+
+def test_line_reader_streams_like_one_split():
+    """Several chunks' worth of text with every kind of line break, pairs
+    of breaks and comments: the streamed lines and their numbers are those
+    of one split."""
+    rng = Lcg64(23)
+    bodies = ["", "a", " ab\t", "#x", "a b # c", "\t", "edge a b", "v#", "x  y"]
+    breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n\r", "\r\r\n"]
+    text = "".join(
+        rng.choice(bodies) + rng.choice(breaks) for _ in range(80000)
+    ) + "tail"
+    assert len(text) > 5 * _CHUNK
+    lines = _lines(text)
+    want = _lines_in_one_list(text)
+    assert next(lines) == want[0]
+    assert [want[0], *lines] == want
 
 
 # ---------------------------------------------------------------------------
