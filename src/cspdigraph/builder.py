@@ -130,8 +130,7 @@ class TemplateDigraph:
     v_path: tuple[tuple[int, tuple[int, ...]] | None, ...]
     v_pos: tuple[int | None, ...]
     v_segs: tuple[frozenset[int], ...]  # segments holding the vertex; empty off paths
-    has_out: tuple[bool, ...]
-    has_in: tuple[bool, ...]
+    sides: tuple[int, ...]  # bit 1: an outgoing edge; bit 2: an incoming one
 
     @property
     def height(self) -> int:
@@ -225,8 +224,7 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
         v_path=tuple(v_path),
         v_pos=tuple(v_pos),
         v_segs=tuple(v_segs),
-        has_out=tuple(any(d == 1 for _, d in nbrs) for nbrs in g.neighbours),
-        has_in=tuple(any(d == -1 for _, d in nbrs) for nbrs in g.neighbours),
+        sides=tuple(sum({1 if d == 1 else 2 for _, d in nbrs}) for nbrs in g.neighbours),
     )
 
 

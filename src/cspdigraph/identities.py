@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ArityMismatch, NonlinearIdentity, ParseError
+from .errors import ArityMismatch, NonlinearIdentity, ParseError, PreconditionError
 from .structures import _lines
 
 
@@ -187,7 +187,8 @@ class OpTable:
             raise ParseError(f"table {self.name!r} has out-of-range values")
 
     def __call__(self, args: tuple[int, ...]) -> int:
-        """The value at args: arity indices in 0..size-1, unchecked here."""
+        """The value at args: arity indices in 0..size-1 (see check_arguments)."""
+        check_arguments(self, args)
         idx = 0
         for a in args:
             idx = idx * self.size + a
@@ -202,10 +203,11 @@ class OpTable:
         tuple is built.
         """
         at, places = argument_pattern(self, m, at)
+        values = list(values)
+        check_values(self, values)
         weight = [0] * places
         for i, p in enumerate(at):
             weight[p] += self.size ** (m - 1 - i)
-        values = list(values)
         offsets = [0]
         for w in weight:
             offsets = [o + v * w for o in offsets for v in values]
@@ -213,6 +215,20 @@ class OpTable:
 
     def is_idempotent(self) -> bool:
         return all(self((x,) * self.arity) == x for x in range(self.size))
+
+
+def check_arguments(op, args) -> None:
+    """Raise unless args are op.arity values in 0..op.size-1."""
+    if len(args) != op.arity:
+        raise ArityMismatch(f"{op.name!r} takes {op.arity} arguments, not {len(args)}")
+    check_values(op, args)
+
+
+def check_values(op, values) -> None:
+    """Raise PreconditionError at the first value outside 0..op.size-1."""
+    for a in values:
+        if not 0 <= a < op.size:
+            raise PreconditionError(f"{op.name!r} has no argument {a}: it is over 0..{op.size - 1}")
 
 
 def argument_pattern(op, m: int, at=None) -> tuple[tuple[int, ...], int]:

@@ -577,7 +577,8 @@ def identity_results(
     tables: Mapping[str, OpTable], sigma: IdentitySet, size: int
 ) -> Iterator[bool]:
     """Whether each identity of the set holds, in order, after checking
-    each table's arity and size once (an OpTable lookup checks neither).
+    each table's arity and size once (a table checks only that its own
+    arguments are in range).
 
     Every side is read by offsets from a table.  A side f(v1..vm) reads
     f.tabulate(range(size), m, pattern), with the identity's variables

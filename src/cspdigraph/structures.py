@@ -83,10 +83,6 @@ class RelStructure:
                     f"relation {rel.name!r} of template {self.name!r} is empty"
                 )
 
-    @property
-    def is_instance(self) -> bool:
-        return self.role == "instance"
-
     @cached_property
     def _element_at(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.domain)}

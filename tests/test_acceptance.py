@@ -13,6 +13,7 @@ from cspdigraph.builder import build_digraph
 from cspdigraph.identities import OpTable, majority_identities, wnu_identities
 from cspdigraph.solver import endomorphisms, enumerate_homs, is_core
 from cspdigraph.verify import (
+    delta_bfs,
     suite_counts,
     suite_forward_eq,
     suite_observation,
@@ -138,7 +139,7 @@ def test_criterion_09_delta_and_orders(two_cycle, edge_template, unit_template):
     for template in (unit_template, edge_template, two_cycle):
         meta = build_digraph(template)
         assert len(meta.digraph.vertices) <= 24
-        oracle = lifting.delta_bfs(meta, 2)
+        oracle = delta_bfs(meta, 2)
         n = len(meta.digraph.vertices)
         for u, v in itertools.product(range(n), repeat=2):
             if meta.lvl[u] == meta.lvl[v]:

@@ -9,6 +9,7 @@ own unit tests, which call package functions too, run in a subprocess.
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +46,18 @@ def test_benchmark_unit_tests_pass():
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_traced_benchmark_pass_runs():
+    """One traced lift-check pass: every function and method the pass
+    wraps must be found, and no item may fail under the wrappers."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "lift-check", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["failed"] == 0

@@ -12,6 +12,7 @@ from cspdigraph.errors import (
     ArityMismatch,
     NotAPolymorphism,
     NotEndomorphism,
+    PreconditionError,
     ShapeViolation,
     ZigzagWitnessFails,
 )
@@ -29,11 +30,9 @@ from cspdigraph.identities import (
 from cspdigraph.lifting import (
     LiftedOp,
     classify,
-    delta_bfs,
     in_delta,
     lift_all,
     lift_endomorphism,
-    lift_op,
     order_key,
     restrict_endomorphism,
     zigzag,
@@ -53,6 +52,7 @@ from cspdigraph.solver import (
     satisfies,
 )
 from cspdigraph.structures import make_structure, parse_structure
+from cspdigraph.verify import delta_bfs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -280,11 +280,48 @@ def diagonal_oracle(op, c):
     return op._least([seg[o] for o in offsets if o is not None])
 
 
+def case_oracle(op, c):
+    """Every case computed from classify's CaseData, dispatched on its tag
+    as the case analysis reads; cases 2a-2c go to diagonal_oracle."""
+    meta = op.meta
+    case = classify(meta, c, op.f_a)
+    tag = case.tag
+    if tag in ("2a", "2b", "2c"):
+        return diagonal_oracle(op, c)
+    if tag == "1a":
+        return meta.elem_vid[op.f_a(c)]
+    if tag == "1b":
+        na = len(meta.elem_vid)
+        rows = [meta.tuples[v - na] for v in c]
+        return meta.tuple_vid[tuple(map(op.f_a, zip(*rows)))]
+    low = op._least(c)
+    if tag == "3b":
+        # the least vertex overall lies on the lower level, the greatest on
+        # the higher one, in either order
+        labels = tuple(0 if meta.lvl[v] == meta.lvl[low] else 2 for v in c)
+        if op.f_z(labels) == 0:
+            return low
+        return max(c, key=op._rank_star.__getitem__)
+    if tag == "3a":
+        labels = tuple(0 if meta.v_path[v] == case.paths[0] else 2 for v in c)
+        z = op.f_z(labels)
+        return op._least([v for v, lab in zip(c, labels) if lab == z])
+    assert tag == "3c"
+    distinct = set(c)
+    if len(distinct) == 2:
+        # two vertices on one carrier and level, labelled like 3a so that
+        # the zigzag witness decides
+        if op.f_z(tuple(0 if v == low else 2 for v in c)) == 0:
+            return low
+        return (distinct - {low}).pop()
+    return low
+
+
 def test_case2c_agrees_with_zigzag_minimum(two_cycle):
     """Picking the order-least candidate equals mapping the zigzag minimum back."""
     meta = build_digraph(two_cycle)
     maj = _maj_bool()
-    op = lift_op(meta, maj, zz_median())
+    op = LiftedOp(meta, maj, zz_median())
     n = len(meta.digraph.vertices)
     seen = 0
     for c in itertools.product(range(n), repeat=2):
@@ -339,7 +376,7 @@ PINNED_LIFTS = {
 def test_lifted_values_are_pinned(name):
     tuples, f_a, f_z, digest = PINNED_LIFTS[name]
     meta = build_digraph(make_structure(name, ["0", "1"], [("R", 2, tuples)]))
-    op = lift_op(meta, f_a(), f_z())
+    op = LiftedOp(meta, f_a(), f_z())
     every = list(itertools.product(range(len(meta.digraph.vertices)), repeat=op.arity))
     values = ",".join(str(op(c)) for c in every)
     assert hashlib.sha256(values.encode()).hexdigest() == digest
@@ -348,10 +385,42 @@ def test_lifted_values_are_pinned(name):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_LIFTS))
+def test_lifted_values_equal_the_case_analysis(name):
+    """The one evaluator against classify's case analysis on every vertex
+    tuple of the pinned lifts."""
+    tuples, f_a, f_z, _ = PINNED_LIFTS[name]
+    meta = build_digraph(make_structure(name, ["0", "1"], [("R", 2, tuples)]))
+    op = LiftedOp(meta, f_a(), f_z())
+    for c in itertools.product(range(op.size), repeat=op.arity):
+        assert op(c) == case_oracle(op, c), c
+
+
+def _no_classify(*args):
+    raise AssertionError("classify called")
+
+
+def test_lifted_op_never_classifies(monkeypatch, edge_template):
+    """The pinned digests, through calls and tabulate, and a whole lift
+    with its checks, all with classify made to fail."""
+    monkeypatch.setattr(lifting, "classify", _no_classify)
+    for tuples, f_a, f_z, digest in PINNED_LIFTS.values():
+        meta = build_digraph(make_structure("t", ["0", "1"], [("R", 2, tuples)]))
+        op = LiftedOp(meta, f_a(), f_z())
+        every = itertools.product(range(op.size), repeat=op.arity)
+        for values in (map(op, every), op.tabulate(range(op.size), op.arity)):
+            text = ",".join(map(str, values))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+    sigma = _fixture("siggers4", "ids")
+    found = find_operations(edge_template, sigma)
+    report = lift_all(build_digraph(edge_template), sigma, found)
+    assert report.ok, report.text()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LIFTS))
 def test_tabulated_values_are_pinned(name):
     tuples, f_a, f_z, digest = PINNED_LIFTS[name]
     meta = build_digraph(make_structure(name, ["0", "1"], [("R", 2, tuples)]))
-    op = lift_op(meta, f_a(), f_z())
+    op = LiftedOp(meta, f_a(), f_z())
     table = op.tabulate(range(len(meta.digraph.vertices)), op.arity)
     values = ",".join(map(str, table))
     assert hashlib.sha256(values.encode()).hexdigest() == digest
@@ -390,7 +459,7 @@ def _random_lift(draw):
     if found is None:
         return None
     name = draw(st.sampled_from(sorted(on_zigzag)))
-    return lift_op(build_digraph(template), found[name], on_zigzag[name])
+    return LiftedOp(build_digraph(template), found[name], on_zigzag[name])
 
 
 @st.composite
@@ -462,8 +531,8 @@ def _lift_and_diagonal_tuple(draw):
     pools = [
         pool
         for level in range(1, meta.k + 2)
-        for side in (meta.has_out, meta.has_in)
-        if (pool := [v for v in range(op.size) if meta.lvl[v] == level and side[v]])
+        for side in (1, 2)
+        if (pool := [v for v in range(op.size) if meta.lvl[v] == level and meta.sides[v] & side])
     ]
     pool = draw(st.sampled_from(pools))
     c = draw(st.lists(st.sampled_from(pool), min_size=op.arity, max_size=op.arity))
@@ -481,13 +550,36 @@ def test_diagonal_fast_path_equals_the_case_analysis(drawn):
 
 def test_tabulate_rejects_another_arity(two_cycle):
     """Another arity, or a pattern whose places are not exactly 0..P-1."""
-    op = lift_op(build_digraph(two_cycle), _maj_bool(), zz_median())
+    op = LiftedOp(build_digraph(two_cycle), _maj_bool(), zz_median())
     for table in (op, _maj_bool()):
         with pytest.raises(ArityMismatch):
             table.tabulate(range(2), 2)
         for at in ((0, 0), (0, 2, 2), (1, 1, 1)):
             with pytest.raises(ArityMismatch):
                 table.tabulate(range(2), 3, at)
+
+
+def test_table_rejects_arguments_out_of_range():
+    f = OpTable("f", 2, 2, (0, 1, 1, 0))
+    for args, bad in (((0, 2), 2), ((0, -1), -1)):
+        with pytest.raises(PreconditionError, match=f"argument {bad}:"):
+            f(args)
+    with pytest.raises(ArityMismatch):
+        f((1,))
+    with pytest.raises(PreconditionError, match="argument -1:"):
+        f.tabulate([0, -1], 2)
+
+
+def test_lifted_op_rejects_arguments_out_of_range(edge_template):
+    op = LiftedOp(build_digraph(edge_template), _maj_bool(), zz_median())
+    assert op.size == 13
+    for args, bad in (((-1, -1, -1), -1), ((0, 13, 0), 13)):
+        with pytest.raises(PreconditionError, match=f"argument {bad}:"):
+            op(args)
+    with pytest.raises(ArityMismatch):
+        op((0, 1))
+    with pytest.raises(PreconditionError, match="argument 13:"):
+        op.tabulate([0, 13], 3)
 
 
 class _TableOnly:
@@ -510,10 +602,10 @@ def test_full_variable_identities_read_the_table(two_cycle):
     table per pattern."""
     cyclic = parse_identities("symbol c 3\nidentity c(x,y,z) = c(y,z,x)\n")
     meta = build_digraph(two_cycle)
-    op = lift_op(meta, _xor3(), zz_allmin(3))
+    op = LiftedOp(meta, _xor3(), zz_allmin(3))
     assert satisfies({"c": _TableOnly(op)}, cyclic, op.size)
     assert satisfies({"w": _TableOnly(op)}, wnu_identities(3), op.size)
-    maj = lift_op(meta, _maj_bool(), zz_median())
+    maj = LiftedOp(meta, _maj_bool(), zz_median())
     assert satisfies({"m": _TableOnly(maj)}, majority_identities(), maj.size)
 
 
@@ -595,7 +687,7 @@ def test_affine_parity4_has_no_nu4_or_jonsson_witness(sigma):
 def test_lift_all_reports_a_broken_lift(monkeypatch, edge_template):
     """Swapping the segment ends that case 2a returns must show as FAIL."""
     meta = build_digraph(edge_template)
-    lifted = LiftedOp.__call__
+    lifted = LiftedOp._value
     swapped = 0
 
     def broken(self, c):
@@ -608,7 +700,7 @@ def test_lift_all_reports_a_broken_lift(monkeypatch, edge_template):
         low, high = self.meta.segments[case.e, case.l]
         return high if value == low else low
 
-    monkeypatch.setattr(LiftedOp, "__call__", broken)
+    monkeypatch.setattr(LiftedOp, "_value", broken)
     report = lift_all(meta, majority_identities(), {"m": _maj_bool()})
     assert swapped > 0
     assert not report.ok
@@ -617,7 +709,7 @@ def test_lift_all_reports_a_broken_lift(monkeypatch, edge_template):
 
 def test_lift_restricted_to_elements_is_the_original(edge_template):
     meta = build_digraph(edge_template)
-    op = lift_op(meta, _maj_bool(), zz_median())
+    op = LiftedOp(meta, _maj_bool(), zz_median())
     for t in itertools.product(range(2), repeat=3):
         got = op(tuple(meta.elem_vid[x] for x in t))
         assert got == meta.elem_vid[_maj_bool()(t)]
@@ -666,7 +758,7 @@ def test_lifted_permutability_on_parity4_satisfies_its_identities(parity4):
     found = find_operations(parity4, sigma)
     on_zigzag = find_operations(zigzag(), sigma)
     tables = {
-        name: lift_op(meta, found[name], on_zigzag[name]) for name, _ in sigma.symbols
+        name: LiftedOp(meta, found[name], on_zigzag[name]) for name, _ in sigma.symbols
     }
     assert satisfies(tables, sigma, len(meta.digraph.vertices))
 
@@ -675,13 +767,13 @@ def test_lift_rejects_non_polymorphism(two_cycle):
     meta = build_digraph(two_cycle)
     const = OpTable("const", 3, 2, (0,) * 8)
     with pytest.raises(NotAPolymorphism):
-        lift_op(meta, const, zz_median())
+        LiftedOp(meta, const, zz_median())
 
 
 def test_lift_rejects_arity_mismatch(two_cycle):
     meta = build_digraph(two_cycle)
     with pytest.raises(ArityMismatch):
-        lift_op(meta, _maj_bool(), zz_meet())
+        LiftedOp(meta, _maj_bool(), zz_meet())
 
 
 def test_lift_all_rejects_unbalanced_three_variable_identity(two_cycle):
