@@ -109,9 +109,10 @@ class TemplateDigraph:
 
     This is the one record of what each vertex is: an element or a tuple
     by its place in the vertex order (see the module docstring), an
-    interior by its path and position.  All fields are populated by
-    build_digraph and must be treated as read-only; sharing an instance
-    across threads is safe.
+    interior by its path and position (v_path, v_pos); a path's interiors
+    are the vertices whose v_path it is, and their ids rise with position.
+    All fields are populated by build_digraph and must be treated as
+    read-only; sharing an instance across threads is safe.
     """
 
     template: RelStructure
@@ -121,7 +122,6 @@ class TemplateDigraph:
     elem_vid: tuple[int, ...]
     tuple_vid: dict[tuple[int, ...], int]
     path_specs: dict[tuple[int, tuple[int, ...]], PathSpec]
-    path_vids: dict[tuple[int, tuple[int, ...]], tuple[int, ...]]
     # the vertex ids of segment l of path e, keyed (e, l)
     segments: dict[tuple[tuple[int, tuple[int, ...]], int], tuple[int, ...]]
     # per-vertex arrays; elements are exactly the vertices at level 0 and
@@ -178,7 +178,6 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
 
     edges: list[tuple[int, int]] = []
     path_specs: dict[tuple[int, tuple[int, ...]], PathSpec] = {}
-    path_vids: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     segments: dict[tuple[tuple[int, tuple[int, ...]], int], tuple[int, ...]] = {}
     v_path: list[tuple[int, tuple[int, ...]] | None] = [None] * len(vertices)
     v_pos: list[int | None] = [None] * len(vertices)
@@ -202,7 +201,6 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
                 v_segs.append(segs[j])
                 vids.append(vid)
             vids.append(tuple_vid[r])
-            path_vids[e] = tuple(vids)
             for l in range(1, k + 1):
                 segments[e, l] = tuple(vids[p] for p in spec.segment_positions(l))
             for p, s in enumerate(steps):
@@ -218,7 +216,6 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
         elem_vid=elem_vid,
         tuple_vid=tuple_vid,
         path_specs=path_specs,
-        path_vids=path_vids,
         segments=segments,
         lvl=tuple(levels),
         v_path=tuple(v_path),

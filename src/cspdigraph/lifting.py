@@ -14,6 +14,9 @@ linear orders on the vertices make a uniform choice.  Both orders put
 elements before interiors before tuples by level; they differ only in
 how same-level interiors on different paths compare, element-major
 versus tuple-major.
+
+Endomorphisms lift as the unary case, with the zigzag's identity as the
+witness; that is why being a core carries over.
 """
 
 from __future__ import annotations
@@ -523,59 +526,34 @@ def lift_all(
 # Endomorphism transfer
 
 
-def _path_position_map(meta: TemplateDigraph, e, e_target) -> dict[int, int]:
-    """Positions of one connecting path onto another with more singles."""
-    spec_s = meta.path_specs[e]
-    spec_t = meta.path_specs[e_target]
-    if not spec_s.singles <= spec_t.singles:
-        raise NotEndomorphism("image path misses a single edge of the source")
-    mapping = {0: 0, 1: 1}
-    ps, pt = 1, 1
-    for l in range(1, meta.k + 1):
-        ws = 1 if l in spec_s.singles else 3
-        wt = 1 if l in spec_t.singles else 3
-        if ws == wt:
-            offsets = {o: o for o in range(ws + 1)}
-        else:  # zigzag folds onto a single edge
-            offsets = {0: 0, 1: 1, 2: 0, 3: 1}
-        for o_s, o_t in offsets.items():
-            mapping[ps + o_s] = pt + o_t
-        ps += ws
-        pt += wt
-    mapping[ps + 1] = pt + 1
-    return mapping
-
-
 def lift_endomorphism(meta: TemplateDigraph, phi: dict[str, str]) -> dict[str, str]:
-    """Extend an endomorphism of the template over the whole digraph."""
+    """Extend an endomorphism of the template over the whole digraph.
+
+    This is the unary case of the lifted operation: phi as a unary
+    polymorphism of the template, with the zigzag's identity as its zigzag
+    witness.  The map sends each connecting path onto the path of its
+    image, folding a zigzag onto a single edge where the image path has
+    one.  Vertex names come out in vertex order.
+    """
     if not is_hom(meta.template, meta.template, phi):
         raise NotEndomorphism("the map does not preserve the relation")
     dom = meta.template.domain
-    fi = {dom.index(a): dom.index(b) for a, b in phi.items()}
+    f_a = OpTable("phi", 1, len(dom), tuple(dom.index(phi[a]) for a in dom))
     names = meta.digraph.vertices
-    out: dict[str, str] = {}
-    for a in range(len(dom)):
-        out[names[meta.elem_vid[a]]] = names[meta.elem_vid[fi[a]]]
-    for r in meta.tuples:
-        image = tuple(fi[x] for x in r)
-        out[names[meta.tuple_vid[r]]] = names[meta.tuple_vid[image]]
-    for (a, r), vids in meta.path_vids.items():
-        target = (fi[a], tuple(fi[x] for x in r))
-        pos_map = _path_position_map(meta, (a, r), target)
-        target_vids = meta.path_vids[target]
-        for pos in range(1, len(vids) - 1):
-            out[names[vids[pos]]] = names[target_vids[pos_map[pos]]]
-    return out
+    images = LiftedOp(meta, f_a, zz_allmin(1)).tabulate(range(len(names)), 1)
+    return {names[v]: names[w] for v, w in enumerate(images)}
 
 
 def restrict_endomorphism(meta: TemplateDigraph, big: dict[str, str]) -> dict[str, str]:
     """Restrict an endomorphism of the digraph to the element vertices."""
     if not is_hom(meta.digraph, meta.digraph, big):
         raise NotEndomorphism("the map does not preserve the edges")
+    g, domain = meta.digraph, meta.template.domain
     out = {}
-    for a, name in enumerate(meta.template.domain):
-        image = big[meta.digraph.vertices[meta.elem_vid[a]]]
-        if not image.startswith("a:"):
+    for a, name in enumerate(domain):
+        # element i is vertex i
+        w = g.vertex_index(big[g.vertices[meta.elem_vid[a]]])
+        if w >= len(domain):
             raise NotEndomorphism("an element vertex leaves the element level")
-        out[name] = image[2:]
+        out[name] = domain[w]
     return out

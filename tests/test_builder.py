@@ -104,8 +104,10 @@ def test_multi_relation_template_rejected():
 
 def test_every_path_matches_its_spec(two_cycle):
     meta = build_digraph(two_cycle)
-    for e, vids in meta.path_vids.items():
-        spec = meta.path_specs[e]
+    for e, spec in meta.path_specs.items():
+        # interior ids rise with position along the path
+        interiors = [v for v, path in enumerate(meta.v_path) if path == e]
+        vids = [meta.elem_vid[e[0]], *interiors, meta.tuple_vid[e[1]]]
         assert spec.singles == index_set(e[0], e[1])
         fresh = build_path(spec)
         assert len(vids) == len(fresh.vertices)

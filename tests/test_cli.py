@@ -426,6 +426,16 @@ def test_verify_verb(ctx, capsys):
     assert out.endswith("suite counts: 20/20 ok\n")
 
 
+def test_verify_rejects_an_unknown_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nosuch"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "nosuch" in err
+    for name in cli.verify_mod.SUITES:
+        assert name in err
+
+
 def test_missing_file_is_usage_error(ctx, capsys):
     code, _, err = run(capsys, "stats", "--template", str(ctx / "nope.rel"))
     assert code == 2

@@ -43,6 +43,7 @@ from cspdigraph.lifting import (
     zz_p1,
     zz_p2,
 )
+from cspdigraph.rng import Lcg64
 from cspdigraph.solver import (
     endomorphisms,
     enumerate_homs,
@@ -52,7 +53,7 @@ from cspdigraph.solver import (
     satisfies,
 )
 from cspdigraph.structures import make_structure, parse_structure
-from cspdigraph.verify import delta_bfs
+from cspdigraph.verify import delta_bfs, random_single_template
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -154,7 +155,6 @@ def test_level_decides_across_categories(two_cycle):
 def test_same_path_orders_by_distance_from_the_element(two_cycle):
     meta = build_digraph(two_cycle)
     e = (0, (1, 0))  # all-zigzag connecting path of the two-cycle
-    vids = meta.path_vids[e]
     spec = meta.path_specs[e]
     assert spec.singles == {2}
     seg = meta.segments[e, 1]  # zigzag: two level-1 vertices
@@ -857,3 +857,51 @@ def test_non_endomorphism_rejected(two_cycle):
     meta = build_digraph(two_cycle)
     with pytest.raises(NotEndomorphism):
         lift_endomorphism(meta, {"0": "0", "1": "0"})
+
+
+def test_restrict_rejects_a_non_endomorphism_of_the_digraph(two_cycle):
+    meta = build_digraph(two_cycle)
+    collapse = {v: "a:0" for v in meta.digraph.vertices}
+    with pytest.raises(NotEndomorphism, match="does not preserve the edges"):
+        restrict_endomorphism(meta, collapse)
+
+
+def test_transfer_is_a_bijection_on_random_templates():
+    """The unary lift sends End(A) onto End(D(A)) on seeded templates."""
+    rng = Lcg64(11)
+    kept = drawn = maps = 0
+    while kept < 40:
+        template = random_single_template(rng, max_elems=3, max_arity=3)
+        drawn += 1
+        meta = build_digraph(template)
+        if len(meta.digraph.vertices) > 60:
+            continue
+        kept += 1
+        lifted = {
+            tuple(sorted(lift_endomorphism(meta, phi).items()))
+            for phi in endomorphisms(template)
+        }
+        big = {tuple(sorted(b.items())) for b in enumerate_homs(meta.digraph, meta.digraph)}
+        assert lifted == big, template
+        maps += len(lifted)
+    assert (drawn, maps) == (44, 155)
+
+
+def test_lifted_endomorphisms_are_pinned(two_cycle, parity4, edge_template, unit_template):
+    """Every endomorphism of the fixtures and of 300 seeded templates lifts
+    to a pinned map, vertex order included; the digest was taken when the
+    endomorphism lift walked the connecting paths on its own."""
+    rng = Lcg64(3)
+    templates = [two_cycle, parity4, edge_template, unit_template]
+    templates += [random_single_template(rng, 3, 3) for _ in range(300)]
+    digest = hashlib.sha256()
+    maps = 0
+    for template in templates:
+        meta = build_digraph(template)
+        for phi in endomorphisms(template):
+            digest.update(repr(list(lift_endomorphism(meta, phi).items())).encode())
+            maps += 1
+    assert maps == 1010
+    assert digest.hexdigest() == (
+        "d4df26dbaff7bae349b0df1371664608097709355a66b79725a524042e8a111f"
+    )

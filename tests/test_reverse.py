@@ -42,16 +42,14 @@ def _levels(g):
 def fan_at_element(meta, a):
     keep = [meta.elem_vid[a]]
     keep.extend(meta.tuple_vid[r] for r in meta.tuples)
-    for r in meta.tuples:
-        keep.extend(meta.path_vids[(a, r)][1:-1])
+    keep.extend(v for v, e in enumerate(meta.v_path) if e is not None and e[0] == a)
     return meta.digraph.induced(keep, name=f"fan:a:{a}")
 
 
 def fan_at_tuple(meta, r):
     keep = [meta.tuple_vid[r]]
     keep.extend(meta.elem_vid)
-    for a in range(len(meta.template.domain)):
-        keep.extend(meta.path_vids[(a, r)][1:-1])
+    keep.extend(v for v, e in enumerate(meta.v_path) if e is not None and e[1] == r)
     return meta.digraph.induced(keep, name="fan:r")
 
 
