@@ -52,6 +52,14 @@ class PathSpec:
         steps.append(1)
         return tuple(steps)
 
+    def edges(self, chain: Sequence[int]) -> list[tuple[int, int]]:
+        """The path's edges over chain, its length()+1 vertices from the
+        element end, each pointing the way orientations() gives."""
+        return [
+            (chain[p], chain[p + 1]) if s == 1 else (chain[p + 1], chain[p])
+            for p, s in enumerate(self.orientations())
+        ]
+
     def segment_positions(self, l: int) -> range:
         """Vertex positions (inclusive) covered by segment l."""
         if not 1 <= l <= self.k:
@@ -87,13 +95,10 @@ def build_path(spec: PathSpec, name: str | None = None) -> Digraph:
     levels = [0]
     for s in steps:
         levels.append(levels[-1] + s)
-    edges = []
-    for i, s in enumerate(steps):
-        edges.append((i, i + 1) if s == 1 else (i + 1, i))
     return make_digraph(
         name or f"path:k{spec.k}:" + ",".join(map(str, sorted(spec.singles))),
         vertices,
-        edges,
+        spec.edges(range(n)),
         levels=levels,
     )
 
@@ -203,9 +208,7 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
             vids.append(tuple_vid[r])
             for l in range(1, k + 1):
                 segments[e, l] = tuple(vids[p] for p in spec.segment_positions(l))
-            for p, s in enumerate(steps):
-                u, v = vids[p], vids[p + 1]
-                edges.append((u, v) if s == 1 else (v, u))
+            edges += spec.edges(vids)
 
     g = make_digraph(f"dg:{template.name}", vertices, edges, levels)
     return TemplateDigraph(

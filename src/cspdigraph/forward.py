@@ -51,14 +51,11 @@ def forward_instance(x: RelStructure, k: int) -> Digraph:
     suffixes: list[str] = []
     pattern: list[tuple[int, int]] = []
     for pos in range(1, k + 1):
-        steps = path_spec(k, [pos]).orientations()
+        spec = path_spec(k, [pos])
         first = k + 1 + len(suffixes)
-        chain = [pos - 1, *range(first, first + len(steps) - 1), k]
-        suffixes += [f"{pos}:{j}" for j in range(1, len(steps))]
-        pattern += [
-            (chain[p], chain[p + 1]) if s == 1 else (chain[p + 1], chain[p])
-            for p, s in enumerate(steps)
-        ]
+        chain = [pos - 1, *range(first, first + spec.length() - 1), k]
+        suffixes += [f"{pos}:{j}" for j in range(1, spec.length())]
+        pattern += spec.edges(chain)
 
     vertices = list(x.domain)
     edges: list[tuple[int, int]] = []

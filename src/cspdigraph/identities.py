@@ -208,13 +208,22 @@ class OpTable:
         weight = [0] * places
         for i, p in enumerate(at):
             weight[p] += self.size ** (m - 1 - i)
-        offsets = [0]
-        for w in weight:
-            offsets = [o + v * w for o in offsets for v in values]
-        return list(map(self.values.__getitem__, offsets))
+        return list(map(self.values.__getitem__, product_offsets(weight, values)))
 
     def is_idempotent(self) -> bool:
         return all(self((x,) * self.arity) == x for x in range(self.size))
+
+
+def product_offsets(weights, values) -> list[int]:
+    """The flat index sum(w * v for w, v in zip(weights, t)) of every t in
+    product(values, repeat=len(weights)), in product order; no tuple is
+    built.  A weight may sum the weights of several table positions, for
+    a variable repeated at them.
+    """
+    offsets = [0]
+    for w in weights:
+        offsets = [o + v * w for o in offsets for v in values]
+    return offsets
 
 
 def check_arguments(op, args) -> None:

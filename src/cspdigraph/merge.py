@@ -97,7 +97,7 @@ def merge_instance(x: RelStructure, blocks: BlockInfo) -> RelStructure:
             row: list[int] = []
             for pos in range(k):
                 if pos in rng:
-                    row.append(t[pos - blocks.offsets[i]])
+                    row.append(t[pos - rng.start])
                 else:
                     domain.append(f"pad:{rel.name}:{tidx}:{pos + 1}")
                     row.append(len(domain) - 1)

@@ -469,17 +469,16 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
     """Full pipeline; the output is hom-equivalent to the input.
 
     Raises TrivialTemplate when the template admits a constant tuple, in
-    which case no fixed NO instance can exist.
+    which case no fixed NO instance can exist; build_digraph raises first
+    when the template has more than one relation.
     """
-    if len(template.relations) != 1:
-        raise TrivialTemplate("reverse translation expects a single-relation template")
+    meta = build_digraph(template)
     if template_is_trivial(template):
         raise TrivialTemplate(
             f"template {template.name!r} has a constant tuple; every instance maps"
         )
     k = template.relations[0].arity
     n = k + 2
-    meta = build_digraph(template)
 
     reports: list[ComponentReport] = []
     stage3: list[tuple[list[int], dict[int, int]]] = []

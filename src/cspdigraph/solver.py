@@ -25,17 +25,17 @@ modified, so concurrent searches over shared inputs are safe.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .builder import PathSpec, build_path
 from .errors import (
     ArityMismatch,
+    PreconditionError,
     SignatureMismatch,
     UnbalancedInput,
 )
-from .identities import IdentitySet, OpTable
+from .identities import IdentitySet, OpTable, product_offsets
 from .structures import Digraph, RelStructure, make_structure
 
 Hom = dict[str, str]
@@ -427,12 +427,10 @@ class UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def _cells(symbols: Sequence[tuple[str, int]], n: int):
-    order = []
-    for name, arity in symbols:
-        for args in itertools.product(range(n), repeat=arity):
-            order.append((name, args))
-    return order
+# the most cells plus indicator rows find_operations takes on: about 2M
+# (jonsson2 on D(parity4), the largest fixture search) take seconds and
+# about 1 GB, about 10M (NU-4 on D(1-in-3)) minutes and 5 GB
+WITNESS_SEARCH_BOUND = 1 << 22
 
 
 def find_operations(structure, sigma: IdentitySet) -> dict[str, OpTable] | None:
@@ -440,81 +438,90 @@ def find_operations(structure, sigma: IdentitySet) -> dict[str, OpTable] | None:
 
     Every table cell is a variable of one big instance: identities merge
     cells (or pin them to constants), and preservation of each relation
-    contributes one constraint per choice of input tuples.  Solving that
+    contributes one row per choice of input tuples.  Solving that
     instance against the structure itself yields the tables, and a None
     answer is a proof that no witnesses exist.  Each table has the arity
     its symbol declares in ``sigma``; a symbol that is undeclared or used
     at another arity raises from ``sigma.ensure_linear()`` first.
+
+    The cell of f(a1..am) is the integer first[f] plus the flat index of
+    (a1..am), so an identity side over every assignment, and a relation
+    column over every choice of tuples, is one product_offsets call.
+    Past WITNESS_SEARCH_BOUND cells (the sum of n**m) plus rows (of
+    |R|**m), PreconditionError names both before anything is built.
     """
     s = _as_structure(structure, "template")
     sigma.ensure_linear()
     n = len(s.domain)
+    first: dict[str, int] = {}
+    n_cells = 0
+    for name, arity in sigma.symbols:
+        first[name], n_cells = n_cells, n_cells + n**arity
+    n_rows = sum(len(r.tuples) ** m for r in s.relations for _, m in sigma.symbols)
+    if n_cells + n_rows > WITNESS_SEARCH_BOUND:
+        raise PreconditionError(
+            f"witness search needs {n_cells} cells and {n_rows} rows, "
+            f"more than the bound of {WITNESS_SEARCH_BOUND} together"
+        )
 
-    cells = _cells(sigma.symbols, n)
-    cell_id = {c: i for i, c in enumerate(cells)}
-
-    uf = UnionFind(len(cells))
-    constant: dict[int, int] = {}
-
-    def eval_side(term, env):
+    def side(term, variables) -> list[int]:
+        """The side's cell, or a bare variable's value, at each assignment."""
+        weight = [0] * len(variables)
+        for i, v in enumerate(term.args):
+            weight[variables.index(v)] += n ** (len(term.args) - 1 - i)
+        offsets = product_offsets(weight, range(n))
         if term.symbol is None:
-            return ("const", env[term.args[0]])
-        return ("cell", cell_id[(term.symbol, tuple(env[v] for v in term.args))])
+            return offsets
+        return [first[term.symbol] + o for o in offsets]
 
-    pending_consts: list[tuple[int, int]] = []
+    uf = UnionFind(n_cells)
+    pinned: list[tuple[int, int]] = []  # (cell, value)
     for ident in sigma.identities:
         variables = sorted(ident.variables())
-        for values in itertools.product(range(n), repeat=len(variables)):
-            env = dict(zip(variables, values))
-            lhs = eval_side(ident.lhs, env)
-            rhs = eval_side(ident.rhs, env)
-            if lhs[0] == "cell" and rhs[0] == "cell":
-                uf.union(lhs[1], rhs[1])
-            elif lhs[0] == "cell":
-                pending_consts.append((lhs[1], rhs[1]))
-            elif rhs[0] == "cell":
-                pending_consts.append((rhs[1], lhs[1]))
-            elif lhs[1] != rhs[1]:
-                return None
-    for cell, value in pending_consts:
-        root = uf.find(cell)
-        if constant.setdefault(root, value) != value:
+        lhs, rhs = sorted((ident.lhs, ident.rhs), key=lambda t: t.symbol is None)
+        a, b = side(lhs, variables), side(rhs, variables)
+        if rhs.symbol is not None:
+            for i, j in zip(a, b):
+                uf.union(i, j)
+        elif lhs.symbol is not None:
+            pinned += zip(a, b)
+        elif a != b:
+            return None
+    root = [uf.find(c) for c in range(n_cells)]
+    constant: dict[int, int] = {}
+    for cell, value in pinned:
+        if constant.setdefault(root[cell], value) != value:
             return None
 
-    reps = sorted({uf.find(i) for i in range(len(cells))})
-    var_name = {r: f"c{r}" for r in reps}
-    rel_tuples: dict[str, list[tuple[int, ...]]] = {r.name: [] for r in s.relations}
+    reps = sorted(set(root))
     rep_pos = {r: i for i, r in enumerate(reps)}
-    for rel in s.relations:
-        for name, arity in sigma.symbols:
-            for combo in itertools.product(rel.tuples, repeat=arity):
-                row = tuple(
-                    rep_pos[uf.find(cell_id[(name, tuple(t[j] for t in combo))])]
-                    for j in range(rel.arity)
-                )
-                rel_tuples[rel.name].append(row)
-
-    indicator = make_structure(
-        "indicator",
-        [var_name[r] for r in reps],
-        [(rn, s.relation(rn).arity, rows) for rn, rows in rel_tuples.items()],
-        role="instance",
-    )
-    restriction = {
-        var_name[root]: [s.domain[value]] for root, value in constant.items()
+    # each symbol's cells as indicator variables, in table order
+    var_of = {
+        name: [rep_pos[r] for r in root[first[name] : first[name] + n**arity]]
+        for name, arity in sigma.symbols
     }
+    relations = []
+    for rel in s.relations:
+        rows: list[tuple[int, ...]] = []
+        for name, arity in sigma.symbols:
+            weights = [n ** (arity - 1 - i) for i in range(arity)]
+            columns = (
+                product_offsets(weights, [t[j] for t in rel.tuples])
+                for j in range(rel.arity)
+            )
+            rows += zip(*(map(var_of[name].__getitem__, col) for col in columns))
+        relations.append((rel.name, rel.arity, rows))
+    names = [f"c{r}" for r in reps]
+    indicator = make_structure("indicator", names, relations, role="instance")
+    restriction = {f"c{r}": [s.domain[value]] for r, value in constant.items()}
     hom = find_hom(indicator, s, restriction)
     if hom is None:
         return None
-
-    tables: dict[str, OpTable] = {}
-    for name, arity in sigma.symbols:
-        values = []
-        for args in itertools.product(range(n), repeat=arity):
-            rep = uf.find(cell_id[(name, args)])
-            values.append(s.element_index(hom[var_name[rep]]))
-        tables[name] = OpTable(name, arity, n, tuple(values))
-    return tables
+    image = [s.element_index(hom[name]) for name in names]
+    return {
+        name: OpTable(name, arity, n, tuple(image[v] for v in var_of[name]))
+        for name, arity in sigma.symbols
+    }
 
 
 def _column_images(op, tuples, j: int):
@@ -536,9 +543,8 @@ def _column_images(op, tuples, j: int):
         return
     col = [place[t[j]] for t in tuples]
     n = len(values)
-    rest = [0]  # table offsets of the last m-1 places, over all combinations
-    for _ in range(m - 1):
-        rest = [r * n + p for r in rest for p in col]
+    # table offsets of the last m-1 places, over all combinations
+    rest = product_offsets([n ** (m - 2 - i) for i in range(m - 1)], col)
     stride = n ** (m - 1)
     for p in col:
         yield map(table.__getitem__, map((p * stride).__add__, rest))
@@ -613,10 +619,7 @@ def identity_results(
         weight = [0] * len(variables)
         for place, i in enumerate(order):
             weight[i] = size ** (len(order) - 1 - place)
-        offsets = [0]
-        for w in weight:
-            offsets = [o + x * w for o in offsets for x in range(size)]
-        return map(table.__getitem__, offsets)
+        return map(table.__getitem__, product_offsets(weight, range(size)))
 
     for ident in sigma.identities:
         variables = sorted(ident.variables())

@@ -280,6 +280,26 @@ def test_findops_found_and_none(ctx, capsys):
     assert code == 1 and out == "none\n"
 
 
+def test_findops_past_the_size_bound_exits_3(ctx, capsys):
+    """NU-4 on the encoding of 1-in-3 is refused with exit 3, the sizes on
+    stderr and nothing on stdout."""
+    one_in_three = ctx / "1in3.rel"
+    one_in_three.write_text(
+        "structure 1in3\ndomain 0 1\nrelation R 3\n"
+        "tuple 1 0 0\ntuple 0 1 0\ntuple 0 0 1\nend\n"
+    )
+    encoding = ctx / "1in3.dg"
+    code, out, _ = run(capsys, "build", "--template", str(one_in_three), "-o", str(encoding))
+    assert (code, out) == (0, "47 48 5 ok\n")
+    code, out, err = run(
+        capsys, "findops", "--structure", str(encoding),
+        "--sigma", str(FIXTURES / "nu4.ids"), "-o", str(ctx / "nu4.op"),
+    )
+    assert (code, out) == (3, "")
+    assert "4879681 cells" in err and "5308416 rows" in err
+    assert not (ctx / "nu4.op").exists()
+
+
 def test_lift_verb(ctx, capsys):
     edge = ctx / "edge.rel"
     edge.write_text("structure edge\ndomain 0 1\nrelation R 2\ntuple 0 1\nend\n")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cspdigraph.builder import build_digraph, build_path, path_spec
 from cspdigraph.cli import _objects_report
-from cspdigraph.errors import TrivialTemplate, Unbalanced
+from cspdigraph.errors import PreconditionError, TrivialTemplate, Unbalanced
 from cspdigraph.forward import forward_instance
 from cspdigraph.merge import merge_instance, merge_template
 from cspdigraph.reverse import (
@@ -438,6 +438,16 @@ def test_trivial_template_raises():
     t = make_structure("t", ["0", "1"], [("R", 2, [(0, 0), (0, 1)])])
     with pytest.raises(TrivialTemplate):
         reverse_instance(make_digraph("dot", ["v"], []), t)
+
+
+def test_multi_relation_template_is_a_precondition_error_not_trivial():
+    """Only a constant tuple makes a template trivial; a second relation
+    is refused as build_digraph refuses it, so it is never decided as
+    trivial."""
+    t = make_structure("ab", ["0", "1"], [("R1", 2, [(0, 1)]), ("R2", 1, [(1,)])])
+    with pytest.raises(PreconditionError, match="single relation") as err:
+        reverse_instance(make_digraph("dot", ["v"], []), t)
+    assert not isinstance(err.value, TrivialTemplate)
 
 
 def test_fixed_instances(two_cycle):

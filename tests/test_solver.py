@@ -1,22 +1,30 @@
+import hashlib
 import itertools
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cspdigraph import solver
 from cspdigraph.builder import build_digraph, build_path, path_spec
-from cspdigraph.errors import SignatureMismatch
+from cspdigraph.errors import PreconditionError, SignatureMismatch
 from cspdigraph.identities import (
     OpTable,
     majority_identities,
     maltsev_identities,
     parse_identities,
+    perm3_identities,
+    serialize_op_table,
+    tsi_identities,
     wnu_identities,
 )
 from cspdigraph.lifting import zigzag, zz_median, zz_p1, zz_p2
 from cspdigraph.rng import Lcg64
 from cspdigraph.solver import (
+    WITNESS_SEARCH_BOUND,
     _Search,
     core_of,
     endomorphisms,
@@ -29,8 +37,21 @@ from cspdigraph.solver import (
     is_polymorphism,
     satisfies,
 )
-from cspdigraph.structures import Relation, RelStructure, make_digraph, make_structure
-from cspdigraph.verify import random_instance_for, random_single_template
+from cspdigraph.structures import (
+    Relation,
+    RelStructure,
+    make_digraph,
+    make_structure,
+    parse_digraph,
+    parse_structure,
+)
+from cspdigraph.verify import (
+    random_instance_for,
+    random_multi_template,
+    random_single_template,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def brute_force_exists(x, a):
@@ -348,6 +369,118 @@ def test_findops_results_always_verify():
                 for op in tables.values():
                     assert is_polymorphism(op, a)
                 assert satisfies(tables, sigma, len(a.domain))
+
+
+def _found_digest(cases) -> str:
+    """sha256 over the tables find_operations gives for each (structure,
+    sigma) case, in symbol order, or 'none' where it finds none."""
+    h = hashlib.sha256()
+    for structure, sigma in cases:
+        tables = find_operations(structure, sigma)
+        if tables is None:
+            h.update(b"none\n")
+        else:
+            for name, _ in sigma.symbols:
+                h.update(serialize_op_table(tables[name]).encode())
+    return h.hexdigest()
+
+
+def test_found_tables_on_the_fixtures_are_pinned():
+    """Every fixture structure and D(edge) against every fixture identity
+    set, except NU-4 and Siggers-4 on D(edge), which take 10-20 s each."""
+    edge = parse_structure((FIXTURES / "edge.rel").read_text())
+    structures = [
+        ("edge", edge),
+        ("2cycle", parse_structure((FIXTURES / "2cycle.rel").read_text())),
+        ("parity4", parse_structure((FIXTURES / "parity4.rel").read_text())),
+        ("zigzag", parse_digraph((FIXTURES / "zigzag.dg").read_text())),
+        ("D(edge)", build_digraph(edge).digraph),
+    ]
+    cases = [
+        (s, parse_identities(ids.read_text()))
+        for name, s in structures
+        for ids in sorted(FIXTURES.glob("*.ids"))
+        if not (name == "D(edge)" and ids.stem in ("nu4", "siggers4"))
+    ]
+    assert len(cases) == 38
+    assert _found_digest(cases) == (
+        "9732dd0db4c6e6c84879a5704b1abca7d1c0aa7314f8ec46fc03f45213adca2e"
+    )
+
+
+STOCK = (
+    majority_identities(),
+    maltsev_identities(),
+    wnu_identities(3),
+    perm3_identities(),
+    tsi_identities(3),
+)
+
+
+def test_found_tables_on_random_templates_are_pinned():
+    """100 seeded templates, single- and two-relation in turn, against
+    the five stock identity sets."""
+    rng = Lcg64(5)
+    templates = [
+        (random_single_template if i % 2 == 0 else random_multi_template)(rng)
+        for i in range(100)
+    ]
+    cases = [(t, sigma) for t in templates for sigma in STOCK]
+    assert _found_digest(cases) == (
+        "a7b6e5eb529dc6805e567e3985c382be572a9158c14c2a964612177cdf9a2919"
+    )
+
+
+ONE_IN_THREE = make_structure(
+    "1in3", ["0", "1"], [("R", 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])]
+)
+
+
+def test_witness_search_past_the_bound_is_refused_up_front():
+    """NU-4 on D(1-in-3), 47 vertices and 48 edges, is refused before
+    anything is built, naming both sizes and the bound."""
+    d = build_digraph(ONE_IN_THREE).digraph
+    nu4 = parse_identities((FIXTURES / "nu4.ids").read_text())
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError) as err:
+        find_operations(d, nu4)
+    assert time.perf_counter() - start < 1
+    message = str(err.value)
+    assert "4879681 cells" in message and "5308416 rows" in message
+    assert str(WITNESS_SEARCH_BOUND) in message
+
+
+class _Admitted(Exception):
+    pass
+
+
+def _admitted(*args):
+    raise _Admitted
+
+
+def test_the_bound_admits_the_largest_fixture_search(monkeypatch, parity4):
+    """jonsson2 on D(parity4), 949104 cells and 1024000 rows, passes the
+    guard: the union-find built right after it is stubbed to stop there."""
+    monkeypatch.setattr(solver, "UnionFind", _admitted)
+    jonsson2 = parse_identities((FIXTURES / "jonsson2.ids").read_text())
+    with pytest.raises(_Admitted):
+        find_operations(build_digraph(parity4).digraph, jonsson2)
+
+
+def test_the_bound_counts_cells_plus_rows(monkeypatch, edge_template):
+    """Majority on edge: 8 cells and 1 row, so 9 is admitted and 8 is not."""
+    monkeypatch.setattr(solver, "WITNESS_SEARCH_BOUND", 9)
+    assert find_operations(edge_template, majority_identities()) is not None
+    monkeypatch.setattr(solver, "WITNESS_SEARCH_BOUND", 8)
+    with pytest.raises(PreconditionError, match="8 cells and 1 rows"):
+        find_operations(edge_template, majority_identities())
+
+
+def test_a_nullary_symbol_is_a_constant_tuple(edge_template):
+    sigma = parse_identities("symbol c 0\n")
+    assert find_operations(edge_template, sigma) is None
+    loop = make_structure("loop", ["0", "1"], [("R", 2, [(0, 1), (0, 0)])])
+    assert find_operations(loop, sigma)["c"].values == (0,)
 
 
 # ---------------------------------------------------------------------------
