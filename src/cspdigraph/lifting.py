@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .builder import TemplateDigraph
 from .errors import (
@@ -233,8 +234,25 @@ def classify(meta: TemplateDigraph, c: tuple[int, ...], f_a: OpTable) -> CaseDat
 # The lifted operation
 
 # what tabulate does for a last place on a given level: take the 'ar'-least
-# or the 'ra'-greatest vertex of the tuple, or evaluate it one by one
-_LEAST, _GREATEST, _CALL = range(3)
+# or the 'ra'-greatest vertex of the tuple, finish cases 2a-2c from the
+# prefix's diagonal state when the tuple is in the diagonal component, or
+# evaluate it one by one
+_LEAST, _GREATEST, _DIAGONAL, _CALL = range(4)
+
+
+class _Prefix(NamedTuple):
+    """What cases 2a-2c need of every place of a tuple but the last."""
+
+    values: tuple[int, ...]  # the vertex at each place
+    at: tuple[int, ...] | range  # the argument pattern
+    sides: int  # AND of the vertices' sides, as in_delta takes it
+    segs: int  # AND of the vertices' segment bitmasks
+    singles: int  # OR of the vertices' own single segments
+    coords: list[int]  # partial flat index into f_a of each path coordinate
+    z_sums: list[int]  # per segment: partial flat index into f_z
+    least: list[int]  # per segment: least offset of a zigzag carrier, or 4
+    a_last: int  # the last place's weight in the flat index of f_a
+    z_last: int  # and in that of f_z
 
 
 class LiftedOp:
@@ -245,12 +263,17 @@ class LiftedOp:
     tuple in the diagonal component (see in_delta) is case 1a on the
     elements, 1b on the tuples and 2a-2c on an interior level; off it,
     f_z chooses between two classes of argument positions, read from one
-    table of f_z over 0/2 labels.  tabulate computes the values over a
-    whole product of vertex sets in bulk and evaluates only the tuples
-    that lie on one level one by one; nothing the size of |D|^m is ever
-    materialized unless asked for, and no value is remembered between
-    calls.  Order-least and order-greatest choices are minima over the
-    rank of every vertex under each of the two orders, built here too.
+    table of f_z over 0/2 labels.  Cases 2a-2c take two steps, a state
+    built from every argument but the last and a finish at the last one,
+    and tabulate, which computes the values over a whole product of
+    vertex sets in bulk, builds that state once for each prefix of the
+    product on one interior level and finishes each tuple from it.  It
+    evaluates one by one only the tuples on the element or the tuple
+    level and those on one level outside the diagonal component; nothing
+    the size of |D|^m is ever materialized unless asked for, and no value
+    is remembered between calls.  Order-least and order-greatest choices
+    are minima over the rank of every vertex under each of the two
+    orders, built here too.
     """
 
     def __init__(self, meta: TemplateDigraph, f_a: OpTable, f_z: OpTable):
@@ -280,26 +303,24 @@ class LiftedOp:
         self._rank_star = {v: i for i, v in enumerate(self._by_rank_star)}
         # for the diagonal cases: each path, keyed by its coordinates
         # (a, r1..rk), with its single segments as a bitmask and its
-        # segments' vertices by index; each vertex's segments as a bitmask,
-        # its offset within each of them and its own path's single segments
+        # segments' vertices by index; each vertex's path coordinates, its
+        # segments as a bitmask, its own path's single segments and its
+        # offset within each of its segments, or 4 (past any segment) where
+        # its own path is a single edge
         singles = {e: sum(1 << l for l in s.singles) for e, s in meta.path_specs.items()}
         self._paths = {
             (e[0], *e[1]): (bits, [()] + [meta.segments[e, l] for l in range(1, k + 1)])
             for e, bits in singles.items()
         }
+        self._coords = [() if e is None else (e[0], *e[1]) for e in meta.v_path]
         self._segs = [sum(1 << l for l in segs) for segs in meta.v_segs]
+        self._own_singles = [0 if e is None else singles[e] for e in meta.v_path]
         self._offset = [[0] * (k + 1) for _ in range(self.size)]
         for (e, l), vids in meta.segments.items():
             for o, v in enumerate(vids):
-                self._offset[v][l] = o
-        self._own_singles = [0 if e is None else singles[e] for e in meta.v_path]
-        # per argument position, each vertex's path coordinates times the
-        # position's weight in the flat index of f_a; the weights of f_z
-        coords = [() if e is None else (e[0], *e[1]) for e in meta.v_path]
-        self._weighted = [
-            [tuple(x * f_a.size ** (m - 1 - i) for x in xs) for xs in coords]
-            for i in range(m)
-        ]
+                self._offset[v][l] = 4 if singles[e] >> l & 1 else o
+        # each argument position's weight in the flat index of f_a and of f_z
+        self._a_weight = [f_a.size ** (m - 1 - i) for i in range(m)]
         self._z_weight = [f_z.size ** (m - 1 - i) for i in range(m)]
         # _picks_least[mask]: f_z sends to 0 the labels that are 0 at the
         # argument positions in mask and 2 elsewhere
@@ -312,33 +333,61 @@ class LiftedOp:
         """The 'ar'-least of the given vertices."""
         return self._by_rank[min(map(self._rank.__getitem__, vids))]
 
-    def _diagonal(self, c: tuple[int, ...], level: int) -> int:
-        """Cases 2a-2c: f_a picks the target path, the lowest common
-        segment l of c picks its segment, and on that segment the end on
-        c's level is the value (2a, a single edge), f_z decides on the
-        offsets of c (2b, zigzags on every carrier) or the least offset of
-        a zigzag carrier wins (2c, which is the 'ar'-least candidate)."""
-        fa = self.f_a.values
-        weighted = map(list.__getitem__, self._weighted, c)
-        singles, segments = self._paths[tuple([fa[x] for x in map(sum, zip(*weighted))])]
-        common = -1
-        for v in c:
-            common &= self._segs[v]
+    def _diagonal_prefix(self, values, at, a_weight, z_weight) -> _Prefix:
+        """The state of cases 2a-2c after every place but the last.
+
+        values holds the vertex at each of those places, all on one
+        interior level; at is the argument pattern, and a_weight and
+        z_weight give each place's weight in the flat index of f_a and of
+        f_z, the sum of the weights of its argument positions.  Per segment
+        entries are filled only for the segments every vertex is on, and
+        z_sums[l] is read only if no vertex's own path is a single edge at l.
+        """
+        k = self.meta.k
+        sides, segs, singles, coords = 3, -1, 0, [0] * (k + 1)
+        for v, a in zip(values, a_weight):
+            sides &= self.meta.sides[v]
+            segs &= self._segs[v]
+            singles |= self._own_singles[v]
+            coords = [x + y * a for x, y in zip(coords, self._coords[v])]
+        z_sums, least = [0] * (k + 1), [4] * (k + 1)
+        for l in range(1, k + 1):
+            if segs >> l & 1:
+                offsets = [self._offset[v][l] for v in values]
+                z_sums[l] = sum(map(operator.mul, offsets, z_weight))
+                least[l] = min(offsets, default=4)
+        return _Prefix(
+            values, at, sides, segs, singles, coords, z_sums, least, a_weight[-1], z_weight[-1]
+        )
+
+    def _diagonal_value(self, prefix: _Prefix, v: int) -> int:
+        """Cases 2a-2c at the prefix's arguments and v at the last place,
+        a tuple in the diagonal component on an interior level: f_a picks
+        the target path, the lowest common segment l picks its segment, and
+        on that segment the end on the tuple's level is the value (2a, a
+        single edge), f_z decides on the offsets (2b, zigzags on every
+        carrier) or the least offset of a zigzag carrier wins (2c, which
+        is the 'ar'-least candidate)."""
+        _, _, _, segs, singles, coords, z_sums, least, a, z = prefix
+        common = segs & self._segs[v]
         if not common:
+            c = tuple(map((*prefix.values, v).__getitem__, prefix.at))
             raise InternalInvariantViolation(
                 f"diagonal-component tuple {c} has no common segment"
             )
+        fa = self.f_a.values
+        key = tuple([fa[x + y * a] for x, y in zip(coords, self._coords[v])])
+        target_singles, segments = self._paths[key]
         bit = common & -common
         l = bit.bit_length() - 1
         seg = segments[l]
-        if singles & bit:
-            return seg[0] if self.meta.lvl[seg[0]] == level else seg[1]
-        own, offset = self._own_singles, self._offset
-        offsets = [None if own[v] & bit else offset[v][l] for v in c]
-        if None in offsets:
-            # a segment's vertices on one level are ordered by position
-            return seg[min([o for o in offsets if o is not None])]
-        return seg[self.f_z.values[sum(map(operator.mul, offsets, self._z_weight))]]
+        if target_singles & bit:
+            return seg[0] if self.meta.lvl[seg[0]] == self.meta.lvl[v] else seg[1]
+        if (singles | self._own_singles[v]) & bit:
+            # a segment's vertices on one level are ordered by position; a
+            # carrier that is a single edge at l has offset 4 and never wins
+            return seg[min(least[l], self._offset[v][l])]
+        return seg[self.f_z.values[z_sums[l] + self._offset[v][l] * z]]
 
     def _off_diagonal(self, c: tuple[int, ...]) -> int:
         """Cases 3a-3c: f_z chooses between two classes of c's positions,
@@ -375,7 +424,12 @@ class LiftedOp:
                 # case 1b; tuple t is vertex |A| + t
                 rows = [meta.tuples[v - len(meta.elem_vid)] for v in c]
                 return meta.tuple_vid[tuple(map(self.f_a, zip(*rows)))]
-            return self._diagonal(c, level)
+            # cases 2a-2c, the two steps tabulate takes, with each place
+            # at one argument position
+            prefix = self._diagonal_prefix(
+                c[:-1], range(self.arity), self._a_weight, self._z_weight
+            )
+            return self._diagonal_value(prefix, c[-1])
         return self._off_diagonal(c)
 
     def __call__(self, c: tuple[int, ...]) -> int:
@@ -394,23 +448,33 @@ class LiftedOp:
         or more levels is case 3c, and its value the 'ar'-least vertex.  A
         tuple on two levels is case 3b, and its value the 'ar'-least or the
         'ra'-greatest vertex as f_z decides on the 0/2 labels of the
-        lowest-level positions (read from _picks_least, as calls do).
-        Only tuples on one level are evaluated one by one.  The values are
+        lowest-level positions (read from _picks_least, as calls do).  A
+        prefix on one interior level builds the state of cases 2a-2c once
+        (_diagonal_prefix, with per-place weights), and every tuple it
+        makes in the diagonal component on that level is finished from it
+        (_diagonal_value), the two steps every call takes.  Only tuples on
+        the element or the tuple level, and tuples on one level outside
+        the diagonal component, are evaluated one by one.  The values are
         checked once, not per tuple.
         """
         at, places = argument_pattern(self, m, at)
         values = list(values)
         check_values(self, values)
-        lvl, rank, rank_star = self.meta.lvl, self._rank, self._rank_star
-        picks_least = self._picks_least
-        # the argument positions of each place
-        masks = [0] * places
+        lvl, sides, rank, rank_star = self.meta.lvl, self.meta.sides, self._rank, self._rank_star
+        picks_least, finish, value = self._picks_least, self._diagonal_value, self._value
+        # the argument positions of each place, and its weights in the flat
+        # indices of f_a and f_z
+        masks, a_weight, z_weight = [0] * places, [0] * places, [0] * places
         for i, p in enumerate(at):
             masks[p] |= 1 << i
+            a_weight[p] += self._a_weight[i]
+            z_weight[p] += self._z_weight[i]
         last = masks[-1]
         columns = [(v, rank[v], rank_star[v], lvl[v]) for v in values]
         levels = sorted({lvl[v] for v in values})
         kinds = [_CALL] * (max(levels, default=0) + 1)
+        # the levels of elements and of tuples
+        outer = 1 | 1 << (self.meta.k + 2)
         # the state after each place of the current prefix: (levels met as a
         # bitmask, lowest level, positions on it as a bitmask, least 'ar'
         # rank, greatest 'ra' rank)
@@ -435,7 +499,7 @@ class LiftedOp:
             for lv in levels:
                 both = met | 1 << lv
                 if both == 1 << lv:
-                    kinds[lv] = _CALL
+                    kinds[lv] = _CALL if both & outer else _DIAGONAL
                 elif both.bit_count() > 2:
                     kinds[lv] = _LEAST
                 else:
@@ -444,13 +508,18 @@ class LiftedOp:
             least_v = self._by_rank[least] if met else None
             greatest_v = self._by_rank_star[greatest] if met else None
             prefix = tuple([values[i] for i in idx])
+            # on one interior level (or none yet, with one place)
+            if not (met & (met - 1) or met & outer):
+                diagonal = self._diagonal_prefix(prefix, at, a_weight, z_weight)
             out.extend(
                 [
                     (v if r < least else least_v)
                     if (kind := kinds[lv]) == _LEAST
                     else (v if rs > greatest else greatest_v)
                     if kind == _GREATEST
-                    else self._value(tuple(map((prefix + (v,)).__getitem__, at)))
+                    else finish(diagonal, v)
+                    if kind == _DIAGONAL and diagonal.sides & sides[v]
+                    else value(tuple(map((prefix + (v,)).__getitem__, at)))
                     for v, r, rs, lv in columns
                 ]
             )

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from cspdigraph import lifting
 from cspdigraph.builder import build_digraph
 from cspdigraph.errors import (
     ArityMismatch,
+    InternalInvariantViolation,
     NotAPolymorphism,
     NotEndomorphism,
     PreconditionError,
@@ -399,17 +401,33 @@ def _no_classify(*args):
     raise AssertionError("classify called")
 
 
+_LIFTED_VALUE = LiftedOp._value
+
+
+def _no_one_by_one_diagonal(self, c):
+    """LiftedOp._value, failing on the tuples that tabulate finishes in bulk:
+    those on one interior level in the diagonal component."""
+    if 0 < self.meta.lvl[c[0]] < self.meta.k + 2 and in_delta(self.meta, c):
+        raise AssertionError(f"{c} evaluated one by one")
+    return _LIFTED_VALUE(self, c)
+
+
 def test_lifted_op_never_classifies(monkeypatch, edge_template):
     """The pinned digests, through calls and tabulate, and a whole lift
-    with its checks, all with classify made to fail."""
+    with its checks, all with classify made to fail; tabulate and the lift
+    also with _value made to fail on the tuples tabulate finishes in bulk."""
     monkeypatch.setattr(lifting, "classify", _no_classify)
+    lifts = []
     for tuples, f_a, f_z, digest in PINNED_LIFTS.values():
         meta = build_digraph(make_structure("t", ["0", "1"], [("R", 2, tuples)]))
         op = LiftedOp(meta, f_a(), f_z())
-        every = itertools.product(range(op.size), repeat=op.arity)
-        for values in (map(op, every), op.tabulate(range(op.size), op.arity)):
-            text = ",".join(map(str, values))
-            assert hashlib.sha256(text.encode()).hexdigest() == digest
+        text = ",".join(map(str, map(op, itertools.product(range(op.size), repeat=op.arity))))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        lifts.append((op, digest))
+    monkeypatch.setattr(LiftedOp, "_value", _no_one_by_one_diagonal)
+    for op, digest in lifts:
+        text = ",".join(map(str, op.tabulate(range(op.size), op.arity)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
     sigma = _fixture("siggers4", "ids")
     found = find_operations(edge_template, sigma)
     report = lift_all(build_digraph(edge_template), sigma, found)
@@ -424,6 +442,40 @@ def test_tabulated_values_are_pinned(name):
     table = op.tabulate(range(len(meta.digraph.vertices)), op.arity)
     values = ",".join(map(str, table))
     assert hashlib.sha256(values.encode()).hexdigest() == digest
+
+
+def _first_occurrence_patterns(m):
+    """Every pattern of m argument positions whose places are numbered by
+    first occurrence: (0,0,0), (0,0,1), (0,1,0), (0,1,1), (0,1,2) for m = 3."""
+    patterns = [()]
+    for _ in range(m):
+        patterns = [p + (q,) for p in patterns for q in range(max(p, default=-1) + 2)]
+    return patterns
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LIFTS))
+def test_tabulate_equals_the_calls_on_every_pattern(name):
+    """Each place weighs the sum of its positions' weights in the flat
+    indices of f_a and f_z, which a repeated place shows."""
+    tuples, f_a, f_z, _ = PINNED_LIFTS[name]
+    meta = build_digraph(make_structure(name, ["0", "1"], [("R", 2, tuples)]))
+    op = LiftedOp(meta, f_a(), f_z())
+    values = range(op.size)
+    for at in _first_occurrence_patterns(op.arity):
+        assert op.tabulate(values, op.arity, at) == _by_calls(op, values, at), at
+
+
+def test_no_common_segment_is_an_invariant_violation(edge_template):
+    """A tuple in the diagonal component whose vertices share no segment:
+    both a call and tabulate raise, from the finisher they share."""
+    op = LiftedOp(build_digraph(edge_template), _maj_bool(), zz_median())
+    meta = op.meta
+    u, v = [w for w in range(op.size) if meta.lvl[w] == 1 and meta.sides[w] & 1][:2]
+    op._segs[v] = 0
+    with pytest.raises(InternalInvariantViolation, match=re.escape(f"{(u, v, u)} has no common")):
+        op((u, v, u))
+    with pytest.raises(InternalInvariantViolation, match=re.escape(f"{(u, u, v)} has no common")):
+        op.tabulate([u, v], op.arity)
 
 
 # identity sets with zigzag witnesses; the template witnesses come from
@@ -685,14 +737,16 @@ def test_affine_parity4_has_no_nu4_or_jonsson_witness(sigma):
 
 
 def test_lift_all_reports_a_broken_lift(monkeypatch, edge_template):
-    """Swapping the segment ends that case 2a returns must show as FAIL."""
+    """Swapping the segment ends that case 2a returns, in the finisher that
+    calls and tabulate share, must show as FAIL."""
     meta = build_digraph(edge_template)
-    lifted = LiftedOp._value
+    finish = LiftedOp._diagonal_value
     swapped = 0
 
-    def broken(self, c):
+    def broken(self, prefix, v):
         nonlocal swapped
-        value = lifted(self, c)
+        value = finish(self, prefix, v)
+        c = tuple(map((*prefix.values, v).__getitem__, prefix.at))
         case = classify(self.meta, c, self.f_a)
         if case.tag != "2a":
             return value
@@ -700,7 +754,7 @@ def test_lift_all_reports_a_broken_lift(monkeypatch, edge_template):
         low, high = self.meta.segments[case.e, case.l]
         return high if value == low else low
 
-    monkeypatch.setattr(LiftedOp, "_value", broken)
+    monkeypatch.setattr(LiftedOp, "_diagonal_value", broken)
     report = lift_all(meta, majority_identities(), {"m": _maj_bool()})
     assert swapped > 0
     assert not report.ok
