@@ -12,10 +12,11 @@ Vertex naming is exact and stable:
     tuples     r:<name1>,...,<namek>
     interiors  p:<aname>|<name1>,...,<namek>|<j>
 
-with j counted from the element end starting at 1.  Vertex order is all
-elements (declaration order), all tuples (tuple-lex), then interiors by
-(element, tuple) pair and distance from the element end: element i is
-vertex i and tuple t of the sorted relation is vertex |A| + t.
+with j counted from the element end starting at 1; an element name may
+hold neither ',' nor '|', the separators.  Vertex order is all elements
+(declaration order), all tuples (tuple-lex), then interiors by (element,
+tuple) pair and distance from the element end: element i is vertex i and
+tuple t of the sorted relation is vertex |A| + t.
 """
 
 from __future__ import annotations
@@ -74,32 +75,18 @@ class PathSpec:
         """Number of edges; the path has length()+1 vertices."""
         return 2 + self.k + 2 * (self.k - len(self.singles))
 
-    def segment_sets(self) -> tuple[frozenset[int], ...]:
-        """For each vertex position, the segments containing it."""
-        sets: list[set[int]] = [set() for _ in range(self.length() + 1)]
-        for l in range(1, self.k + 1):
-            for p in self.segment_positions(l):
-                sets[p].add(l)
-        return tuple(map(frozenset, sets))
-
 
 def path_spec(k: int, singles: Iterable[int] = ()) -> PathSpec:
     return PathSpec(k, frozenset(singles))
 
 
 def build_path(spec: PathSpec, name: str | None = None) -> Digraph:
-    """The oriented path of a spec, with levels; q0 is the initial vertex."""
-    steps = spec.orientations()
-    n = len(steps) + 1
-    vertices = [f"q{i}" for i in range(n)]
-    levels = [0]
-    for s in steps:
-        levels.append(levels[-1] + s)
+    """The oriented path of a spec; q0 is the initial vertex."""
+    n = spec.length() + 1
     return make_digraph(
         name or f"path:k{spec.k}:" + ",".join(map(str, sorted(spec.singles))),
-        vertices,
+        [f"q{i}" for i in range(n)],
         spec.edges(range(n)),
-        levels=levels,
     )
 
 
@@ -114,27 +101,27 @@ class TemplateDigraph:
 
     This is the one record of what each vertex is: an element or a tuple
     by its place in the vertex order (see the module docstring), an
-    interior by its path and position (v_path, v_pos); a path's interiors
-    are the vertices whose v_path it is, and their ids rise with position.
-    All fields are populated by build_digraph and must be treated as
-    read-only; sharing an instance across threads is safe.
+    interior by its path's coordinates (a, r1..rk) and its position; the
+    path's own record holds its segments, and bit l of a segment bitmask
+    stands for segment l.  All fields are populated by build_digraph and
+    must be treated as read-only; sharing an instance across threads is
+    safe.
     """
 
     template: RelStructure
     digraph: Digraph
     k: int
     tuples: tuple[tuple[int, ...], ...]  # tuple-lex order
-    elem_vid: tuple[int, ...]
     tuple_vid: dict[tuple[int, ...], int]
-    path_specs: dict[tuple[int, tuple[int, ...]], PathSpec]
-    # the vertex ids of segment l of path e, keyed (e, l)
-    segments: dict[tuple[tuple[int, tuple[int, ...]], int], tuple[int, ...]]
+    # per path (a, r1..rk): (its single segments as a bitmask, the vertex
+    # ids of segment l at index l, index 0 empty)
+    paths: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...]]]
     # per-vertex arrays; elements are exactly the vertices at level 0 and
     # tuples exactly those at level k+2
     lvl: tuple[int, ...]
-    v_path: tuple[tuple[int, tuple[int, ...]] | None, ...]
-    v_pos: tuple[int | None, ...]
-    v_segs: tuple[frozenset[int], ...]  # segments holding the vertex; empty off paths
+    coords: tuple[tuple[int, ...], ...]  # the path (a, r1..rk) of an interior; () off paths
+    v_pos: tuple[int | None, ...]  # an interior's distance from the element end
+    segs: tuple[int, ...]  # the segments holding the vertex, a bitmask; 0 off paths
     sides: tuple[int, ...]  # bit 1: an outgoing edge; bit 2: an incoming one
 
     @property
@@ -156,7 +143,7 @@ class TemplateDigraph:
         return nv, ne, height, (nv, ne, height) == (want_v, want_e, k + 2)
 
 
-def _tuple_name(template: RelStructure, r: tuple[int, ...]) -> str:
+def _tuple_name(template: RelStructure, r: Sequence[int]) -> str:
     return ",".join(template.domain[i] for i in r)
 
 
@@ -166,64 +153,64 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
         raise PreconditionError(
             f"template {template.name!r} must have a single relation; merge first"
         )
+    for name in template.domain:
+        if "," in name or "|" in name:
+            raise PreconditionError(f"element name {name!r} holds ',' or '|', a separator")
     rel = template.relations[0]
     k = rel.arity
     tuples = tuple(sorted(rel.tuples))
 
     vertices: list[str] = []
     levels: list[int] = []
+    coords: list[tuple[int, ...]] = []
+    v_pos: list[int | None] = []
+    segs: list[int] = []
 
-    def add(name: str, lvl: int) -> int:
+    def add(name: str, lvl: int, e: tuple[int, ...] = (), j: int | None = None) -> int:
         vertices.append(name)
         levels.append(lvl)
+        coords.append(e)
+        v_pos.append(j)
+        segs.append(0)
         return len(vertices) - 1
 
-    elem_vid = tuple(add(f"a:{name}", 0) for name in template.domain)
+    for name in template.domain:
+        add(f"a:{name}", 0)
     tuple_vid = {r: add(f"r:{_tuple_name(template, r)}", k + 2) for r in tuples}
 
     edges: list[tuple[int, int]] = []
-    path_specs: dict[tuple[int, tuple[int, ...]], PathSpec] = {}
-    segments: dict[tuple[tuple[int, tuple[int, ...]], int], tuple[int, ...]] = {}
-    v_path: list[tuple[int, tuple[int, ...]] | None] = [None] * len(vertices)
-    v_pos: list[int | None] = [None] * len(vertices)
-    v_segs: list[frozenset[int]] = [frozenset()] * len(vertices)
-
-    for a in range(len(template.domain)):
-        aname = template.domain[a]
+    paths: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...]]] = {}
+    for a, aname in enumerate(template.domain):
         for r in tuples:
-            e = (a, r)
+            e = (a, *r)
             spec = PathSpec(k, index_set(a, r))
-            path_specs[e] = spec
-            steps = spec.orientations()
-            segs = spec.segment_sets()
-            vids = [elem_vid[a]]
+            # element a is vertex a
+            vids = [a]
             level = 0
-            for j, s in enumerate(steps[:-1], start=1):
+            for j, s in enumerate(spec.orientations()[:-1], start=1):
                 level += s
-                vid = add(f"p:{aname}|{_tuple_name(template, r)}|{j}", level)
-                v_path.append(e)
-                v_pos.append(j)
-                v_segs.append(segs[j])
-                vids.append(vid)
+                vids.append(add(f"p:{aname}|{_tuple_name(template, r)}|{j}", level, e, j))
             vids.append(tuple_vid[r])
+            segments: list[tuple[int, ...]] = [()]
             for l in range(1, k + 1):
-                segments[e, l] = tuple(vids[p] for p in spec.segment_positions(l))
+                segments.append(tuple(vids[p] for p in spec.segment_positions(l)))
+                for v in segments[l]:
+                    segs[v] |= 1 << l
+            paths[e] = (sum(1 << l for l in spec.singles), tuple(segments))
             edges += spec.edges(vids)
 
-    g = make_digraph(f"dg:{template.name}", vertices, edges, levels)
+    g = make_digraph(f"dg:{template.name}", vertices, edges)
     return TemplateDigraph(
         template=template,
         digraph=g,
         k=k,
         tuples=tuples,
-        elem_vid=elem_vid,
         tuple_vid=tuple_vid,
-        path_specs=path_specs,
-        segments=segments,
+        paths=paths,
         lvl=tuple(levels),
-        v_path=tuple(v_path),
+        coords=tuple(coords),
         v_pos=tuple(v_pos),
-        v_segs=tuple(v_segs),
+        segs=tuple(segs),
         sides=tuple(sum({1 if d == 1 else 2 for _, d in nbrs}) for nbrs in g.neighbours),
     )
 
@@ -241,8 +228,8 @@ def dmeta_to_text(meta: TemplateDigraph) -> str:
         "# relation " + template.relations[0].name,
     ]
     for i, v in enumerate(g.vertices):
-        if meta.v_path[i] is not None:
-            a, r = meta.v_path[i]
+        if meta.coords[i]:
+            a, *r = meta.coords[i]
             note = (
                 f"internal {template.domain[a]} "
                 f"{_tuple_name(template, r)} {meta.v_pos[i]}"
@@ -251,6 +238,6 @@ def dmeta_to_text(meta: TemplateDigraph) -> str:
             note = f"element {template.domain[i]}"
         else:
             note = "tuple " + _tuple_name(template, meta.tuples[i - na])
-        notes.append(f"# provenance {v} level {g.levels[i]} {note}")
+        notes.append(f"# provenance {v} level {meta.lvl[i]} {note}")
     head, body = serialize_digraph(g).split("\n", 1)
     return "\n".join([head, *notes, body])

@@ -90,7 +90,7 @@ def cmd_build(args) -> int:
     meta = build_digraph(merged)
     _write(args.output, dmeta_to_text(meta))
     if args.dot:
-        _write(args.dot, export_dot(meta.digraph))
+        _write(args.dot, export_dot(meta.digraph, meta.lvl))
     return _print_stats(meta)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .builder import path_spec
 from .errors import ArityMismatch
-from .structures import Digraph, RelStructure
+from .structures import Digraph, RelStructure, fresh_prefix
 
 
 def forward_instance(x: RelStructure, k: int) -> Digraph:
@@ -23,8 +23,8 @@ def forward_instance(x: RelStructure, k: int) -> Digraph:
     index) its apex ``<p>y:<t>`` and the interiors ``<p>q:<t>:<i>:<j>``
     of its paths i = 1..k, with j = 1..3k-1 counted from the element end.
     The prefix <p> is the fewest ``_`` such that no element name starts
-    with <p>y: or <p>q:, so fresh names never meet element names; it is
-    empty for any other instance.
+    with <p>y: or <p>q: (see fresh_prefix), so fresh names never meet
+    element names; it is empty for any other instance.
 
     One tuple's pattern is built once from the k path specs: the
     interior name suffixes, and each edge as a pair of offsets into
@@ -37,16 +37,7 @@ def forward_instance(x: RelStructure, k: int) -> Digraph:
     if rel.arity != k:
         raise ArityMismatch(f"instance arity {rel.arity}, template arity {k}")
 
-    # leading '_' counts of the element names that would meet a fresh name
-    taken = {
-        len(e) - len(bare)
-        for e in x.domain
-        if (bare := e.lstrip("_")).startswith(("y:", "q:"))
-    }
-    n = 0
-    while n in taken:
-        n += 1
-    prefix = "_" * n
+    prefix = fresh_prefix(x.domain, ("y:", "q:"))
 
     suffixes: list[str] = []
     pattern: list[tuple[int, int]] = []

@@ -21,6 +21,7 @@ witness; that is why being a core carries over.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -70,7 +71,7 @@ def zigzag_witness_problem(op) -> str | None:
     """
     if not is_polymorphism(op, zigzag()):
         return "not a polymorphism of the zigzag"
-    if any(op((x,) * op.arity) != x for x in range(4)):
+    if not op.is_idempotent():
         return "not idempotent"
     for block in (_LOW, _HIGH):
         for args in itertools.product(block, repeat=op.arity):
@@ -132,21 +133,18 @@ def order_key(meta: TemplateDigraph, variant: str = "ar"):
     interior paths, 'ra' is tuple-major (the starred order)."""
     if variant not in ("ar", "ra"):
         raise PreconditionError(f"unknown order variant {variant!r}")
-    tuple_rank = {r: i for i, r in enumerate(meta.tuples)}
-    nr, na = len(meta.tuples), len(meta.template.domain)
+    lvl, coords = meta.lvl, meta.coords
+    if variant == "ar":
+        # the vertex order is already element-major: elements, tuples, then
+        # the interiors path by path and up each path
+        return lambda vid: (lvl[vid], vid)
+    na, tuple_vid = len(meta.template.domain), meta.tuple_vid
 
     def key(vid: int):
-        e = meta.v_path[vid]
-        if e is None:
-            # elements (level 0) and tuples (level k+2) are numbered in
-            # declaration and tuple-lex order
-            return (meta.lvl[vid], vid, 0)
-        a, r = e
-        if variant == "ar":
-            path = a * nr + tuple_rank[r]
-        else:
-            path = tuple_rank[r] * na + a
-        return (meta.lvl[vid], path, meta.v_pos[vid])
+        # an interior's path ranked tuple-major (tuple t is vertex |A| + t);
+        # elements and tuples are alone on their levels
+        e = coords[vid]
+        return (lvl[vid], tuple_vid[e[1:]] * na + e[0] if e else 0, vid)
 
     return key
 
@@ -180,9 +178,10 @@ def in_delta(meta: TemplateDigraph, c: tuple[int, ...]) -> bool:
 class CaseData:
     """The case of a vertex tuple, with what its value is computed from.
 
-    Cases 2a-2c carry the carriers, the target path e, the common segment
-    l and, for 2b/2c, which carriers zigzag at l; case 3a carries its two
-    carriers.  The other cases carry only their tag.
+    Cases 2a-2c carry the carriers' coordinates, the target path's e, the
+    common segment l and, for 2b/2c, which carriers zigzag at l; case 3a
+    carries its two carriers' coordinates.  The other cases carry only
+    their tag.
     """
 
     tag: str
@@ -211,20 +210,19 @@ def classify(meta: TemplateDigraph, c: tuple[int, ...], f_a: OpTable) -> CaseDat
     if level == meta.k + 2:
         return CaseData("1b")
     if in_delta(meta, c):
-        es = tuple(meta.v_path[v] for v in c)
-        elems, rows = zip(*es)
-        e = (f_a(elems), tuple(map(f_a, zip(*rows))))
-        common = frozenset.intersection(*(meta.v_segs[v] for v in c))
+        es = tuple(meta.coords[v] for v in c)
+        e = tuple(map(f_a, zip(*es)))
+        common = functools.reduce(operator.and_, map(meta.segs.__getitem__, c))
         if not common:
             raise InternalInvariantViolation(
                 f"diagonal-component tuple {c} has no common segment"
             )
-        l = min(common)
-        if l in meta.path_specs[e].singles:
+        l = (common & -common).bit_length() - 1
+        if meta.paths[e][0] >> l & 1:
             return CaseData("2a", paths=es, e=e, l=l)
-        zig = tuple(l not in meta.path_specs[ei].singles for ei in es)
+        zig = tuple(not meta.paths[ei][0] >> l & 1 for ei in es)
         return CaseData("2b" if all(zig) else "2c", paths=es, e=e, l=l, labels=zig)
-    carriers = {meta.v_path[v] for v in c}
+    carriers = {meta.coords[v] for v in c}
     if len(carriers) == 2:
         return CaseData("3a", paths=tuple(sorted(carriers)))
     return CaseData("3c")
@@ -259,7 +257,8 @@ class LiftedOp:
     """Sparse lifted operation over the encoded digraph's vertices.
 
     One evaluator computes every case of the lifting proof (classify is
-    the reference it is tested against) from ints built once here.  A
+    the reference it is tested against) from the encoding's record and
+    ints built once here.  A
     tuple in the diagonal component (see in_delta) is case 1a on the
     elements, 1b on the tuples and 2a-2c on an interior level; off it,
     f_z chooses between two classes of argument positions, read from one
@@ -301,24 +300,16 @@ class LiftedOp:
         self._by_rank_star = sorted(range(self.size), key=order_key(meta, "ra"))
         self._rank = {v: i for i, v in enumerate(self._by_rank)}
         self._rank_star = {v: i for i, v in enumerate(self._by_rank_star)}
-        # for the diagonal cases: each path, keyed by its coordinates
-        # (a, r1..rk), with its single segments as a bitmask and its
-        # segments' vertices by index; each vertex's path coordinates, its
-        # segments as a bitmask, its own path's single segments and its
-        # offset within each of its segments, or 4 (past any segment) where
-        # its own path is a single edge
-        singles = {e: sum(1 << l for l in s.singles) for e, s in meta.path_specs.items()}
-        self._paths = {
-            (e[0], *e[1]): (bits, [()] + [meta.segments[e, l] for l in range(1, k + 1)])
-            for e, bits in singles.items()
-        }
-        self._coords = [() if e is None else (e[0], *e[1]) for e in meta.v_path]
-        self._segs = [sum(1 << l for l in segs) for segs in meta.v_segs]
-        self._own_singles = [0 if e is None else singles[e] for e in meta.v_path]
+        # for the diagonal cases, besides the paths, coordinates and segments
+        # of meta: each vertex's own path's single segments and its offset
+        # within each of its segments, or 4 (past any segment) where its own
+        # path is a single edge
+        self._own_singles = [meta.paths[e][0] if e else 0 for e in meta.coords]
         self._offset = [[0] * (k + 1) for _ in range(self.size)]
-        for (e, l), vids in meta.segments.items():
-            for o, v in enumerate(vids):
-                self._offset[v][l] = 4 if singles[e] >> l & 1 else o
+        for singles, segments in meta.paths.values():
+            for l in range(1, k + 1):
+                for o, v in enumerate(segments[l]):
+                    self._offset[v][l] = 4 if singles >> l & 1 else o
         # each argument position's weight in the flat index of f_a and of f_z
         self._a_weight = [f_a.size ** (m - 1 - i) for i in range(m)]
         self._z_weight = [f_z.size ** (m - 1 - i) for i in range(m)]
@@ -347,9 +338,9 @@ class LiftedOp:
         sides, segs, singles, coords = 3, -1, 0, [0] * (k + 1)
         for v, a in zip(values, a_weight):
             sides &= self.meta.sides[v]
-            segs &= self._segs[v]
+            segs &= self.meta.segs[v]
             singles |= self._own_singles[v]
-            coords = [x + y * a for x, y in zip(coords, self._coords[v])]
+            coords = [x + y * a for x, y in zip(coords, self.meta.coords[v])]
         z_sums, least = [0] * (k + 1), [4] * (k + 1)
         for l in range(1, k + 1):
             if segs >> l & 1:
@@ -369,20 +360,21 @@ class LiftedOp:
         carrier) or the least offset of a zigzag carrier wins (2c, which
         is the 'ar'-least candidate)."""
         _, _, _, segs, singles, coords, z_sums, least, a, z = prefix
-        common = segs & self._segs[v]
+        meta = self.meta
+        common = segs & meta.segs[v]
         if not common:
             c = tuple(map((*prefix.values, v).__getitem__, prefix.at))
             raise InternalInvariantViolation(
                 f"diagonal-component tuple {c} has no common segment"
             )
         fa = self.f_a.values
-        key = tuple([fa[x + y * a] for x, y in zip(coords, self._coords[v])])
-        target_singles, segments = self._paths[key]
+        key = tuple([fa[x + y * a] for x, y in zip(coords, meta.coords[v])])
+        target_singles, segments = meta.paths[key]
         bit = common & -common
         l = bit.bit_length() - 1
         seg = segments[l]
         if target_singles & bit:
-            return seg[0] if self.meta.lvl[seg[0]] == self.meta.lvl[v] else seg[1]
+            return seg[0] if meta.lvl[seg[0]] == meta.lvl[v] else seg[1]
         if (singles | self._own_singles[v]) & bit:
             # a segment's vertices on one level are ordered by position; a
             # carrier that is a single edge at l has offset 4 and never wins
@@ -400,7 +392,7 @@ class LiftedOp:
         meta = self.meta
         low = self._least(c)
         several = any(meta.lvl[v] != meta.lvl[low] for v in c)
-        classes = list(map((meta.lvl if several else meta.v_path).__getitem__, c))
+        classes = list(map((meta.lvl if several else meta.coords).__getitem__, c))
         if len(set(classes)) == 1:
             classes = c
         if len(set(classes)) != 2:
@@ -419,10 +411,10 @@ class LiftedOp:
             level = meta.lvl[c[0]]
             if level == 0:
                 # case 1a; element i is vertex i
-                return meta.elem_vid[self.f_a(c)]
+                return self.f_a(c)
             if level == meta.k + 2:
                 # case 1b; tuple t is vertex |A| + t
-                rows = [meta.tuples[v - len(meta.elem_vid)] for v in c]
+                rows = [meta.tuples[v - len(meta.template.domain)] for v in c]
                 return meta.tuple_vid[tuple(map(self.f_a, zip(*rows)))]
             # cases 2a-2c, the two steps tabulate takes, with each place
             # at one argument position
@@ -621,7 +613,7 @@ def restrict_endomorphism(meta: TemplateDigraph, big: dict[str, str]) -> dict[st
     out = {}
     for a, name in enumerate(domain):
         # element i is vertex i
-        w = g.vertex_index(big[g.vertices[meta.elem_vid[a]]])
+        w = g.vertex_index(big[g.vertices[a]])
         if w >= len(domain):
             raise NotEndomorphism("an element vertex leaves the element level")
         out[name] = domain[w]

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, SignatureMismatch
-from .structures import RelStructure, make_structure
+from .structures import RelStructure, fresh_prefix, make_structure
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,16 @@ def merge_instance(x: RelStructure, blocks: BlockInfo) -> RelStructure:
     Each tuple t of the i-th relation becomes one product tuple with t
     at block i and a fresh pad element at every other position.  Pads
     are never shared between tuples; they are named
-    ``pad:<relname>:<tupleindex>:<position>`` with a 0-based tuple index
-    and a 1-based absolute position.
+    ``<p>pad:<relname>:<tupleindex>:<position>`` with a 0-based tuple index
+    and a 1-based absolute position.  The prefix <p> is the fewest ``_``
+    such that no element name starts with <p>pad: (see fresh_prefix).
     """
     if tuple(r.arity for r in x.relations) != blocks.arities:
         raise SignatureMismatch(
             f"instance {x.name!r} does not match block arities {blocks.arities}"
         )
     domain = list(x.domain)
+    prefix = fresh_prefix(domain, ("pad:",))
     k = blocks.total
     merged: list[tuple[int, ...]] = []
     for i, rel in enumerate(x.relations):
@@ -99,7 +101,7 @@ def merge_instance(x: RelStructure, blocks: BlockInfo) -> RelStructure:
                 if pos in rng:
                     row.append(t[pos - rng.start])
                 else:
-                    domain.append(f"pad:{rel.name}:{tidx}:{pos + 1}")
+                    domain.append(f"{prefix}pad:{rel.name}:{tidx}:{pos + 1}")
                     row.append(len(domain) - 1)
             merged.append(tuple(row))
     name = merged_relation_name([r.name for r in x.relations])

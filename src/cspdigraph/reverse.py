@@ -129,7 +129,6 @@ class InternalComponent:
     vertices: tuple[int, ...]
     base: tuple[int, ...]
     top: tuple[int, ...]
-    height: int
     # every edge of g with an endpoint among the vertices; the other
     # endpoint is then a vertex, a base or a top vertex
     edges: tuple[tuple[int, int], ...]
@@ -174,14 +173,12 @@ def internal_components(
                     comp_vs.append(w)
                     stack.append(w)
         comp_vs.sort()
-        lv = [levels[v] for v in comp_vs]
         result.append(
             InternalComponent(
                 cid=len(result),
                 vertices=tuple(comp_vs),
                 base=tuple(sorted(base)),
                 top=tuple(sorted(top)),
-                height=max(lv) - min(lv),
                 edges=tuple(edges),
             )
         )

@@ -26,6 +26,7 @@ modified, so concurrent searches over shared inputs are safe.
 from __future__ import annotations
 
 import operator
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .builder import PathSpec, build_path
@@ -650,8 +651,8 @@ def interpretable_at_levels(
             )
     path = build_path(spec)
     by_level: dict[int, list[str]] = {}
-    for i, name in enumerate(path.vertices):
-        by_level.setdefault(path.levels[i], []).append(name)
+    for name, level in zip(path.vertices, accumulate(spec.orientations(), initial=0)):
+        by_level.setdefault(level, []).append(name)
     last = len(path.vertices) - 1
     named = {"iota": path.vertices[0], "tau": path.vertices[last]}
     restriction: dict[str, list[str]] = {}

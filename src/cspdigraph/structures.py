@@ -129,7 +129,6 @@ class Digraph:
     name: str
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
-    levels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
@@ -148,15 +147,6 @@ class Digraph:
                 if (u, v) in seen:
                     raise ParseError(f"duplicate edge ({u},{v}) in {self.name!r}")
                 seen.add((u, v))
-        if self.levels is not None:
-            if len(self.levels) != n:
-                raise ParseError("level map does not cover all vertices")
-            for u, v in self.edges:
-                if self.levels[v] != self.levels[u] + 1:
-                    raise ParseError(
-                        f"edge {self.vertices[u]}->{self.vertices[v]} does not "
-                        "increment the level by one"
-                    )
 
     @cached_property
     def _vertex_at(self) -> dict[str, int]:
@@ -190,7 +180,6 @@ class Digraph:
                 for u, v in self.edges
                 if u in remap and v in remap
             ),
-            levels=tuple(self.levels[v] for v in ids) if self.levels else None,
         )
 
     def as_structure(self, role: Role = "instance") -> RelStructure:
@@ -204,15 +193,24 @@ def make_digraph(
     name: str,
     vertices: Sequence[str],
     edges: Iterable[tuple[int, int]],
-    levels: Sequence[int] | None = None,
 ) -> Digraph:
     """Build a digraph from index edges, deduplicating silently."""
-    return Digraph(
-        name,
-        tuple(vertices),
-        tuple(dict.fromkeys(edges)),
-        tuple(levels) if levels is not None else None,
-    )
+    return Digraph(name, tuple(vertices), tuple(dict.fromkeys(edges)))
+
+
+def fresh_prefix(names: Iterable[str], heads: tuple[str, ...]) -> str:
+    """The fewest '_' that no name starts with followed by one of heads:
+    a fresh name made of it and a head meets none of the names."""
+    # leading '_' counts of the names that would meet a fresh name
+    taken = {
+        len(e) - len(bare)
+        for e in names
+        if (bare := e.lstrip("_")).startswith(heads)
+    }
+    n = 0
+    while n in taken:
+        n += 1
+    return "_" * n
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +392,13 @@ def serialize_digraph(g: Digraph) -> str:
 # DOT export
 
 
-def export_dot(g: Digraph) -> str:
-    """One DOT digraph; vertices grouped by level when levels exist."""
+def export_dot(g: Digraph, levels: Sequence[int] | None = None) -> str:
+    """One DOT digraph; vertices grouped by level when given one per vertex."""
     out = [f'digraph "{g.name}" {{']
-    if g.levels is not None:
+    if levels is not None:
         by_level: dict[int, list[str]] = {}
         for i, v in enumerate(g.vertices):
-            by_level.setdefault(g.levels[i], []).append(v)
+            by_level.setdefault(levels[i], []).append(v)
         for lvl in sorted(by_level):
             members = " ".join(f'"{v}";' for v in by_level[lvl])
             out.append(f"  {{ rank=same; {members} }}")

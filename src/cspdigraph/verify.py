@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from . import lifting
 from .builder import TemplateDigraph, build_digraph, build_path, path_spec
+from .errors import ParseError
 from .forward import forward_instance
 from .identities import OpTable, majority_identities, wnu_identities
 from .merge import merge_instance, merge_template
@@ -334,12 +335,18 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 7, trials: int | None = None) -> SuiteReport:
+    """Run a suite; ParseError if trials is given to a suite without them
+    or is not positive."""
     fn = SUITES[name]
     kwargs = {}
     code = fn.__code__
     if "seed" in code.co_varnames[: code.co_argcount]:
         kwargs["seed"] = seed
-    if trials is not None and "trials" in code.co_varnames[: code.co_argcount]:
+    if trials is not None:
+        if "trials" not in code.co_varnames[: code.co_argcount]:
+            raise ParseError(f"suite {name!r} has no trials")
+        if trials < 1:
+            raise ParseError(f"trials must be a positive integer, not {trials}")
         kwargs["trials"] = trials
     return fn(**kwargs)
 

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import accumulate
 
 import pytest
 
@@ -10,7 +11,14 @@ from cspdigraph.builder import (
     path_spec,
 )
 from cspdigraph.errors import PreconditionError
+from cspdigraph.rng import Lcg64
 from cspdigraph.structures import make_structure
+from cspdigraph.verify import random_single_template
+
+
+def _path_levels(spec):
+    """The level of each vertex of the spec's path, from the element end."""
+    return list(accumulate(spec.orientations(), initial=0))
 
 
 def _orientation(g):
@@ -26,10 +34,11 @@ def _orientation(g):
 
 
 def test_all_singles_path_is_directed():
-    g = build_path(path_spec(2, [1, 2]))
+    spec = path_spec(2, [1, 2])
+    g = build_path(spec)
     assert len(g.vertices) == 5
     assert _orientation(g) == [1, 1, 1, 1]
-    assert g.levels == (0, 1, 2, 3, 4)
+    assert _path_levels(spec) == [0, 1, 2, 3, 4]
 
 
 def test_all_zigzag_path_k1():
@@ -40,10 +49,11 @@ def test_all_zigzag_path_k1():
 
 
 def test_minimal_path_k3_single_at_3():
-    g = build_path(path_spec(3, [3]))
+    spec = path_spec(3, [3])
+    g = build_path(spec)
     assert len(g.vertices) == 10
     assert _orientation(g) == [1, 1, -1, 1, 1, -1, 1, 1, 1]
-    assert max(g.levels) == 5
+    assert max(_path_levels(spec)) == 5
 
 
 def test_index_set():
@@ -54,9 +64,12 @@ def test_index_set():
 
 def test_segments_at_position():
     spec = path_spec(3, [3])
-    segs = spec.segment_sets()
+    segs = [
+        {l for l in range(1, 4) if p in spec.segment_positions(l)}
+        for p in range(spec.length() + 1)
+    ]
     assert len(segs) == spec.length() + 1
-    assert segs[0] == segs[-1] == frozenset()
+    assert segs[0] == segs[-1] == set()
     assert segs[1] == {1}
     # boundary between segments 1 and 2 of an all-zigzag prefix
     assert segs[4] == {1, 2}
@@ -102,30 +115,44 @@ def test_multi_relation_template_rejected():
         build_digraph(t)
 
 
-def test_every_path_matches_its_spec(two_cycle):
-    meta = build_digraph(two_cycle)
-    for e, spec in meta.path_specs.items():
-        # interior ids rise with position along the path
-        interiors = [v for v, path in enumerate(meta.v_path) if path == e]
-        vids = [meta.elem_vid[e[0]], *interiors, meta.tuple_vid[e[1]]]
-        assert spec.singles == index_set(e[0], e[1])
-        fresh = build_path(spec)
-        assert len(vids) == len(fresh.vertices)
+def test_every_path_matches_its_spec(two_cycle, parity4):
+    for meta in map(build_digraph, (two_cycle, parity4)):
         edge_set = set(meta.digraph.edges)
-        for p in range(len(vids) - 1):
-            step = fresh.levels[p + 1] - fresh.levels[p]
-            if step == 1:
-                assert (vids[p], vids[p + 1]) in edge_set
-            else:
-                assert (vids[p + 1], vids[p]) in edge_set
+        assert len(meta.paths) == len(meta.template.domain) * len(meta.tuples)
+        for e, (singles, segments) in meta.paths.items():
+            a, r = e[0], e[1:]
+            # element a is vertex a; interior ids rise with position
+            interiors = [v for v, c in enumerate(meta.coords) if c == e]
+            vids = [a, *interiors, meta.tuple_vid[r]]
+            assert [meta.v_pos[v] for v in interiors] == list(range(1, len(vids) - 1))
+            spec = path_spec(meta.k, index_set(a, r))
+            assert singles == sum(1 << l for l in spec.singles)
+            assert len(vids) == spec.length() + 1
+            assert segments[0] == ()
+            for l in range(1, meta.k + 1):
+                assert segments[l] == tuple(vids[p] for p in spec.segment_positions(l))
+            for p, step in enumerate(spec.orientations()):
+                if step == 1:
+                    assert (vids[p], vids[p + 1]) in edge_set
+                else:
+                    assert (vids[p + 1], vids[p]) in edge_set
 
 
-def test_level_map_is_valid_and_height_exact(parity4):
-    meta = build_digraph(parity4)
-    g = meta.digraph
-    for u, v in g.edges:
-        assert g.levels[v] == g.levels[u] + 1
-    assert max(g.levels) == meta.k + 2
+def test_level_map_is_valid_and_height_exact(two_cycle, edge_template, parity4, unit_template):
+    """The encoding's levels, kept only in meta.lvl, rise by one along every
+    edge, put the elements alone at level 0 and the tuples alone at k+2."""
+    rng = Lcg64(11)
+    seeded = [random_single_template(rng, max_elems=4, max_arity=4) for _ in range(40)]
+    for meta in map(build_digraph, [two_cycle, edge_template, parity4, unit_template, *seeded]):
+        lvl, na = meta.lvl, len(meta.template.domain)
+        assert len(lvl) == len(meta.digraph.vertices)
+        for u, v in meta.digraph.edges:
+            assert lvl[v] == lvl[u] + 1
+        assert max(lvl) == meta.height == meta.k + 2
+        assert [v for v in range(len(lvl)) if lvl[v] == 0] == list(range(na))
+        assert [v for v in range(len(lvl)) if lvl[v] == meta.height] == sorted(
+            meta.tuple_vid.values()
+        )
 
 
 def test_level_one_interiors_lie_on_segment_one(two_cycle):
@@ -133,25 +160,25 @@ def test_level_one_interiors_lie_on_segment_one(two_cycle):
     level_one = [
         v
         for v in range(len(meta.digraph.vertices))
-        if meta.lvl[v] == 1 and meta.v_path[v] is not None
+        if meta.lvl[v] == 1 and meta.coords[v]
     ]
     assert level_one
     for v in level_one:
-        assert meta.v_segs[v] >= {1}
+        assert meta.segs[v] & 1 << 1
     # elements and tuples lie on no path and in no segment
-    for v in (*meta.elem_vid, *meta.tuple_vid.values()):
-        assert meta.v_path[v] is None and meta.v_segs[v] == frozenset()
+    for v in (*range(len(meta.template.domain)), *meta.tuple_vid.values()):
+        assert meta.coords[v] == () and meta.segs[v] == 0
 
 
 def test_boundary_vertex_reports_two_segments(parity4):
     meta = build_digraph(parity4)
     found = False
     for v in range(len(meta.digraph.vertices)):
-        if meta.v_path[v] is None:
+        if not meta.coords[v]:
             continue
-        segs = meta.v_segs[v]
-        if len(segs) == 2:
-            lo, hi = sorted(segs)
+        segs = meta.segs[v]
+        if segs.bit_count() == 2:
+            lo, hi = (l for l in range(1, meta.k + 1) if segs >> l & 1)
             assert hi == lo + 1
             assert meta.lvl[v] == hi
             found = True
@@ -177,3 +204,10 @@ def test_dmeta_text_is_pinned(name, two_cycle, edge_template, parity4):
     template = {"2cycle": two_cycle, "edge": edge_template, "parity4": parity4}[name]
     text = dmeta_to_text(build_digraph(template))
     assert hashlib.sha256(text.encode()).hexdigest() == DMETA_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["a,b", "a|1"])
+def test_element_name_with_a_separator_is_refused(name):
+    t = make_structure("s", [name, "c"], [("R", 2, [(0, 1)])])
+    with pytest.raises(PreconditionError, match="element name"):
+        build_digraph(t)

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -583,3 +584,83 @@ def test_nonempty_relation_is_precondition_error(ctx, capsys):
     empty.write_text("structure t\ndomain a\nrelation R 1\nend\n")
     code, _, err = run(capsys, "stats", "--template", str(empty))
     assert code == 3
+
+
+# sha256 of `cspdg build --dot` on the fixtures
+DOT_SHA256 = {
+    "2cycle": "71360f0401c2ad6dfbac491780960737913cf9a682604a68bcbdaa5720a7c2a8",
+    "edge": "2be6f528829b63a6351c4c6d937ec4846a42828d4d09d9076bf6837b64702a7b",
+    "parity4": "f02323cc166ff8733450ac76d1deaa5e6f216e692fe46fd630aff2f8cfa27bc3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_SHA256))
+def test_build_dot_is_pinned(ctx, capsys, name):
+    dot = ctx / f"{name}.dot"
+    code, _, _ = run(
+        capsys, "build", "--template", str(FIXTURES / f"{name}.rel"),
+        "-o", str(ctx / f"{name}.dg"), "--dot", str(dot),
+    )
+    assert code == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == DOT_SHA256[name]
+
+
+@pytest.mark.parametrize("verb", ["build", "stats", "reverse", "lift"])
+def test_element_name_with_a_separator_is_refused(ctx, capsys, verb):
+    """Element names 'b,c' and 'a,b' would give the tuples (a, b,c) and
+    (a,b, c) one vertex name; the encoding refuses them up front."""
+    t = ctx / "commas.rel"
+    t.write_text("structure s\ndomain a b,c a,b c\nrelation R 2\ntuple a b,c\ntuple a,b c\nend\n")
+    (ctx / "v.dg").write_text("digraph v\nvertex v\nend\n")
+    extra = {
+        "build": ["-o", str(ctx / "s.dg")],
+        "stats": [],
+        "reverse": ["--instance", str(ctx / "v.dg"), "-o", str(ctx / "b.rel")],
+        "lift": ["--sigma", str(ctx / "majority.ids"), "-o", str(ctx / "r.txt")],
+    }[verb]
+    code, out, err = run(capsys, verb, "--template", str(t), *extra)
+    assert (code, out) == (3, "")
+    assert err == "error: element name 'b,c' holds ',' or '|', a separator\n"
+
+
+def test_pad_names_avoid_an_element_named_like_a_pad(ctx, capsys):
+    """merge_instance would name the pad of R's tuple 0 at position 2
+    pad:R:0:2, which is an element here, so the pads take a '_' prefix."""
+    (ctx / "rs.rel").write_text(
+        "structure rs\ndomain 0 1\nrelation R 1\ntuple 0\nrelation S 1\ntuple 1\nend\n"
+    )
+    inst = ctx / "pads.rel"
+    inst.write_text(
+        "instance p\ndomain pad:R:0:2 w\nrelation R 1\ntuple w\n"
+        "relation S 1\ntuple pad:R:0:2\nend\n"
+    )
+    merged = ctx / "pads1.rel"
+    code, _, err = run(capsys, "merge", "--input", str(inst), "-o", str(merged))
+    assert (code, err) == (0, "")
+    assert "domain pad:R:0:2 w _pad:R:0:2 _pad:S:0:1\n" in merged.read_text()
+    code, _, err = run(
+        capsys, "forward", "--template", str(ctx / "rs.rel"),
+        "--instance", str(inst), "-o", str(ctx / "pads.dg"),
+    )
+    assert (code, err) == (0, "")
+    assert "vertex _pad:R:0:2\n" in (ctx / "pads.dg").read_text()
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_verify_trials_must_be_positive(capsys, value):
+    code, out, err = run(capsys, "verify", "counts", "--trials", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: trials must be a positive integer, not {value}\n"
+
+
+@pytest.mark.parametrize("suite", ["observation", "delta", "lift", "endo", "core"])
+def test_verify_trials_is_refused_for_a_suite_without_trials(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--trials", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: suite {suite!r} has no trials\n"
+
+
+def test_verify_trials_sets_the_count(capsys):
+    code, out, _ = run(capsys, "verify", "counts", "--trials", "2")
+    assert code == 0
+    assert out.endswith("suite counts: 2/2 ok\n") and len(out.splitlines()) == 3

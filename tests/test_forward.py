@@ -113,7 +113,7 @@ def test_probes(two_cycle):
     assert find_hom(single_edge_probe(), meta.digraph) is not None
     # the all-singles path embeds exactly when some pair realizes every position
     probe = full_path_probe(2)
-    want = any(spec.singles == {1, 2} for spec in meta.path_specs.values())
+    want = any(singles == 0b110 for singles, _ in meta.paths.values())
     assert (find_hom(probe, meta.digraph) is not None) == want
 
 

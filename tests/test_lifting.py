@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import re
@@ -128,6 +129,16 @@ def test_permutability_identities_hold_everywhere():
 # Orders
 
 
+def _segment(meta, e, l):
+    """The vertex ids of segment l of the path with coordinates e."""
+    return meta.paths[e][1][l]
+
+
+def _singles(meta, e):
+    """The single-edge segments of the path with coordinates e."""
+    return {l for l in range(1, meta.k + 1) if meta.paths[e][0] >> l & 1}
+
+
 def order_less(meta, x, y, variant="ar"):
     """Strict comparison under ``order_key``; accepts vertex names or indices."""
     key = order_key(meta, variant)
@@ -150,16 +161,15 @@ def test_orders_are_strict_and_total(two_cycle):
 def test_level_decides_across_categories(two_cycle):
     meta = build_digraph(two_cycle)
     level2 = next(v for v in range(len(meta.lvl)) if meta.lvl[v] == 2)
-    assert order_less(meta, meta.elem_vid[0], level2)
+    assert order_less(meta, 0, level2)
     assert order_less(meta, level2, meta.tuple_vid[(0, 1)])
 
 
 def test_same_path_orders_by_distance_from_the_element(two_cycle):
     meta = build_digraph(two_cycle)
-    e = (0, (1, 0))  # all-zigzag connecting path of the two-cycle
-    spec = meta.path_specs[e]
-    assert spec.singles == {2}
-    seg = meta.segments[e, 1]  # zigzag: two level-1 vertices
+    e = (0, 1, 0)  # the connecting path of element 0 and tuple (1, 0)
+    assert _singles(meta, e) == {2}
+    seg = _segment(meta, e, 1)  # zigzag: two level-1 vertices
     assert meta.lvl[seg[0]] == 1 and meta.lvl[seg[2]] == 1
     assert order_less(meta, seg[0], seg[2])
 
@@ -175,7 +185,7 @@ def test_variants_disagree_on_some_pair(two_cycle):
     assert disagree
     x, y = disagree[0]
     assert meta.lvl[x] == meta.lvl[y]
-    assert meta.v_path[x] != meta.v_path[y]
+    assert meta.coords[x] != meta.coords[y]
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +196,10 @@ def test_diagonal_and_mixed_levels(two_cycle):
     meta = build_digraph(two_cycle)
     for v in range(len(meta.digraph.vertices)):
         assert in_delta(meta, (v, v))
-    a = meta.elem_vid[0]
+    a = 0  # element i is vertex i
     r = meta.tuple_vid[(0, 1)]
     assert not in_delta(meta, (a, r))
-    assert in_delta(meta, (meta.elem_vid[0], meta.elem_vid[1]))
+    assert in_delta(meta, (0, 1))
 
 
 def test_in_delta_matches_explicit_search(two_cycle, edge_template, unit_template):
@@ -205,10 +215,10 @@ def test_in_delta_matches_explicit_search(two_cycle, edge_template, unit_templat
 def test_peak_and_source_on_one_path_are_isolated(parity4):
     """Same level, same path, but no shared direction: a singleton component."""
     meta = build_digraph(parity4)
-    e = (0, (0, 1, 1, 1))  # single edge only at position 1: zigzags at 2,3,4
-    assert meta.path_specs[e].singles == {1}
-    seg2 = meta.segments[e, 2]
-    seg3 = meta.segments[e, 3]
+    e = (0, 0, 1, 1, 1)  # single edge only at position 1: zigzags at 2,3,4
+    assert _singles(meta, e) == {1}
+    seg2 = _segment(meta, e, 2)
+    seg3 = _segment(meta, e, 3)
     peak = seg2[1]   # level 3, no outgoing edge
     mid = seg3[2]    # level 3, no incoming edge
     assert meta.lvl[peak] == meta.lvl[mid] == 3
@@ -224,7 +234,7 @@ def test_peak_and_source_on_one_path_are_isolated(parity4):
 def test_classify_cases(two_cycle):
     meta = build_digraph(two_cycle)
     maj = _maj_bool()
-    a0, a1 = meta.elem_vid
+    a0, a1 = 0, 1
     r0 = meta.tuple_vid[(0, 1)]
     assert classify(meta, (a0, a1, a0), maj).tag == "1a"
     assert classify(meta, (r0, r0, r0), maj).tag == "1b"
@@ -239,8 +249,8 @@ def test_classify_cases(two_cycle):
 def test_classify_case2_on_one_path(two_cycle):
     meta = build_digraph(two_cycle)
     maj = _maj_bool()
-    e = (0, (1, 0))
-    seg = meta.segments[e, 1]
+    e = (0, 1, 0)
+    seg = _segment(meta, e, 1)
     case = classify(meta, (seg[0], seg[2], seg[0]), maj)
     assert case.tag in ("2b", "2c")
     assert case.l == 1
@@ -249,11 +259,11 @@ def test_classify_case2_on_one_path(two_cycle):
 def test_classify_3a_needs_two_paths_same_level(two_cycle):
     meta = build_digraph(two_cycle)
     maj = _maj_bool()
-    e1, e2 = (0, (0, 1)), (0, (1, 0))
-    assert meta.path_specs[e1].singles == {1}
-    assert meta.path_specs[e2].singles == {2}
-    peak = meta.segments[e2, 1][1]  # level 2, incoming edges only
-    mid = meta.segments[e1, 2][2]   # level 2, outgoing edges only
+    e1, e2 = (0, 0, 1), (0, 1, 0)
+    assert _singles(meta, e1) == {1}
+    assert _singles(meta, e2) == {2}
+    peak = _segment(meta, e2, 1)[1]  # level 2, incoming edges only
+    mid = _segment(meta, e1, 2)[2]   # level 2, outgoing edges only
     tup = (peak, mid, peak)
     assert not in_delta(meta, tup)
     assert classify(meta, tup, maj).tag == "3a"
@@ -261,7 +271,7 @@ def test_classify_3a_needs_two_paths_same_level(two_cycle):
 
 def _segment_offset(meta, v, e, l):
     """The position of v on its path e, counted from segment l's start."""
-    return meta.v_pos[v] - meta.v_pos[meta.segments[e, l][0]]
+    return meta.v_pos[v] - meta.v_pos[_segment(meta, e, l)[0]]
 
 
 def diagonal_oracle(op, c):
@@ -270,7 +280,7 @@ def diagonal_oracle(op, c):
     meta = op.meta
     case = classify(meta, c, op.f_a)
     assert case.tag in ("2a", "2b", "2c")
-    seg = meta.segments[case.e, case.l]
+    seg = _segment(meta, case.e, case.l)
     if case.tag == "2a":
         return seg[0] if meta.lvl[seg[0]] == meta.lvl[c[0]] else seg[1]
     offsets = [
@@ -291,9 +301,10 @@ def case_oracle(op, c):
     if tag in ("2a", "2b", "2c"):
         return diagonal_oracle(op, c)
     if tag == "1a":
-        return meta.elem_vid[op.f_a(c)]
+        # element i is vertex i
+        return op.f_a(c)
     if tag == "1b":
-        na = len(meta.elem_vid)
+        na = len(meta.template.domain)
         rows = [meta.tuples[v - na] for v in c]
         return meta.tuple_vid[tuple(map(op.f_a, zip(*rows)))]
     low = op._least(c)
@@ -305,7 +316,7 @@ def case_oracle(op, c):
             return low
         return max(c, key=op._rank_star.__getitem__)
     if tag == "3a":
-        labels = tuple(0 if meta.v_path[v] == case.paths[0] else 2 for v in c)
+        labels = tuple(0 if meta.coords[v] == case.paths[0] else 2 for v in c)
         z = op.f_z(labels)
         return op._least([v for v, lab in zip(c, labels) if lab == z])
     assert tag == "3c"
@@ -332,7 +343,7 @@ def test_case2c_agrees_with_zigzag_minimum(two_cycle):
         if case.tag != "2c":
             continue
         seen += 1
-        seg = meta.segments[case.e, case.l]
+        seg = _segment(meta, case.e, case.l)
         offsets = [
             _segment_offset(meta, v, ei, case.l) if zig else None
             for v, ei, zig in zip(pair, case.paths, case.labels)
@@ -468,10 +479,11 @@ def test_tabulate_equals_the_calls_on_every_pattern(name):
 def test_no_common_segment_is_an_invariant_violation(edge_template):
     """A tuple in the diagonal component whose vertices share no segment:
     both a call and tabulate raise, from the finisher they share."""
-    op = LiftedOp(build_digraph(edge_template), _maj_bool(), zz_median())
-    meta = op.meta
-    u, v = [w for w in range(op.size) if meta.lvl[w] == 1 and meta.sides[w] & 1][:2]
-    op._segs[v] = 0
+    meta = build_digraph(edge_template)
+    u, v = [w for w in range(len(meta.lvl)) if meta.lvl[w] == 1 and meta.sides[w] & 1][:2]
+    segs = list(meta.segs)
+    segs[v] = 0
+    op = LiftedOp(dataclasses.replace(meta, segs=tuple(segs)), _maj_bool(), zz_median())
     with pytest.raises(InternalInvariantViolation, match=re.escape(f"{(u, v, u)} has no common")):
         op((u, v, u))
     with pytest.raises(InternalInvariantViolation, match=re.escape(f"{(u, u, v)} has no common")):
@@ -751,7 +763,7 @@ def test_lift_all_reports_a_broken_lift(monkeypatch, edge_template):
         if case.tag != "2a":
             return value
         swapped += 1
-        low, high = self.meta.segments[case.e, case.l]
+        low, high = _segment(self.meta, case.e, case.l)
         return high if value == low else low
 
     monkeypatch.setattr(LiftedOp, "_diagonal_value", broken)
@@ -765,8 +777,8 @@ def test_lift_restricted_to_elements_is_the_original(edge_template):
     meta = build_digraph(edge_template)
     op = LiftedOp(meta, _maj_bool(), zz_median())
     for t in itertools.product(range(2), repeat=3):
-        got = op(tuple(meta.elem_vid[x] for x in t))
-        assert got == meta.elem_vid[_maj_bool()(t)]
+        # element i is vertex i
+        assert op(t) == _maj_bool()(t)
 
 
 def test_lift_majority_on_single_edge_template(edge_template):

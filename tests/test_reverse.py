@@ -40,16 +40,17 @@ def _levels(g):
 
 
 def fan_at_element(meta, a):
-    keep = [meta.elem_vid[a]]
+    # element a is vertex a
+    keep = [a]
     keep.extend(meta.tuple_vid[r] for r in meta.tuples)
-    keep.extend(v for v, e in enumerate(meta.v_path) if e is not None and e[0] == a)
+    keep.extend(v for v, e in enumerate(meta.coords) if e and e[0] == a)
     return meta.digraph.induced(keep, name=f"fan:a:{a}")
 
 
 def fan_at_tuple(meta, r):
     keep = [meta.tuple_vid[r]]
-    keep.extend(meta.elem_vid)
-    keep.extend(v for v, e in enumerate(meta.v_path) if e is not None and e[1] == r)
+    keep.extend(range(len(meta.template.domain)))
+    keep.extend(v for v, e in enumerate(meta.coords) if e and e[1:] == r)
     return meta.digraph.induced(keep, name="fan:r")
 
 
@@ -190,9 +191,10 @@ def test_encoding_of_two_cycle_has_four_internal_components(two_cycle):
         assert len(c.base) == 1 and len(c.top) == 1
         # each interior pins exactly the positions of its connecting path
         # element i is vertex i, tuple t vertex |A| + t
-        want = meta.path_specs[
-            (c.base[0], meta.tuples[c.top[0] - len(meta.elem_vid)])
-        ].singles
+        singles, _ = meta.paths[
+            (c.base[0], *meta.tuples[c.top[0] - len(meta.template.domain)])
+        ]
+        want = {l for l in range(1, meta.k + 1) if singles >> l & 1}
         assert gamma(meta.digraph, c, assignment.levels, meta.k) == want
 
 

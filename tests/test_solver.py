@@ -489,11 +489,10 @@ def test_a_nullary_symbol_is_a_constant_tuple(edge_template):
 
 def _level_restricted_brute(h, level_of, spec, anchors=None):
     path = build_path(spec)
+    levels = list(itertools.accumulate(spec.orientations(), initial=0))
     slots = []
     for v in h.vertices:
-        options = [
-            i for i in range(len(path.vertices)) if path.levels[i] == level_of[v]
-        ]
+        options = [i for i in range(len(path.vertices)) if levels[i] == level_of[v]]
         if anchors and v in anchors:
             target = {"iota": path.vertices[0], "tau": path.vertices[-1]}[anchors[v]]
             options = [i for i in options if path.vertices[i] == target]

@@ -115,11 +115,6 @@ def test_built_and_parsed_digraphs_drop_repeated_edges_in_first_order():
     assert parse_digraph(text + "end\n") == g
 
 
-def test_digraph_levels_must_increment():
-    with pytest.raises(ParseError, match="increment"):
-        make_digraph("g", ["a", "b"], [(0, 1)], levels=[0, 2])
-
-
 _name = st.text(alphabet="abcdefgh012", min_size=1, max_size=4)
 
 
@@ -328,24 +323,29 @@ def test_tuple_compare_is_strict_total_order_exhaustively():
 
 def test_order_key_agrees_with_canonical_compare(two_cycle, edge_template, parity4):
     # same-level interiors on different paths compare by their (element,
-    # tuple) pair: A×R-lex under 'ar', R×A-lex under 'ra'
+    # tuple) pair: A×R-lex under 'ar', R×A-lex under 'ra'; on one path, by
+    # their distance from the element end
     compared = 0
     for template in (two_cycle, edge_template, parity4):
         meta = build_digraph(template)
         names = template.domain
-        interiors = [v for v, e in enumerate(meta.v_path) if e is not None]
+        interiors = [v for v, e in enumerate(meta.coords) if e]
         for variant, kind in (("ar", "A×R-lex"), ("ra", "R×A-lex")):
             key = order_key(meta, variant)
 
             def pair(v):
-                a, r = meta.v_path[v]
+                a, *r = meta.coords[v]
                 ea, er = names[a], tuple(names[i] for i in r)
                 return (ea, er) if variant == "ar" else (er, ea)
 
             for u, v in itertools.permutations(interiors, 2):
-                if meta.lvl[u] != meta.lvl[v] or meta.v_path[u] == meta.v_path[v]:
+                if meta.lvl[u] != meta.lvl[v]:
                     continue
                 ku, kv = key(u), key(v)
+                if meta.coords[u] == meta.coords[v]:
+                    pu, pv = meta.v_pos[u], meta.v_pos[v]
+                    assert (ku > kv) - (ku < kv) == (pu > pv) - (pu < pv)
+                    continue
                 assert (ku > kv) - (ku < kv) == canonical_compare(
                     template, pair(u), pair(v), kind
                 )
@@ -379,7 +379,8 @@ def test_dot_isolated_vertices():
 def test_dot_two_cycle_encoding_has_24_nodes(two_cycle):
     from cspdigraph.builder import build_digraph
 
-    dot = export_dot(build_digraph(two_cycle).digraph)
+    meta = build_digraph(two_cycle)
+    dot = export_dot(meta.digraph, meta.lvl)
     node_lines = [l for l in dot.splitlines() if l.strip().endswith('";') and "->" not in l]
     assert len(node_lines) == 24
     assert "rank=same" in dot
