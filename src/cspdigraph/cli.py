@@ -241,13 +241,16 @@ def cmd_lift(args) -> int:
     _, merged_t, _ = _single_relation_template(args.template)
     sigma = parse_identities(_read(args.sigma))
     meta = build_digraph(merged_t)
+    declared = [name for name, _ in sigma.symbols]
     witnesses = {}
     for spec in args.witness or []:
         if "=" not in spec:
             raise ParseError(f"--witness expects <symbol>=<table-file>, got {spec!r}")
         name, path = spec.split("=", 1)
+        if name not in declared:
+            raise ParseError(f"--witness {name!r}: {args.sigma} declares {' '.join(declared)}")
         witnesses[name] = parse_op_table(_read(path))
-    if set(witnesses) != {name for name, _ in sigma.symbols}:
+    if set(witnesses) != set(declared):
         found = find_operations(merged_t, sigma)
         if found is None:
             print("template-witnesses none")

@@ -13,9 +13,11 @@ The pipeline, per connected component of the input digraph:
             positions (gamma, read off the component's own edges: a
             directed three-edge walk across a position's levels pins
             it, no search needed); objects of four kinds record who must
-            share those positions, an equivalence closure identifies
-            vertices, and class representatives become the elements of
-            the output instance.
+            share those positions (types III and IV are read off the
+            internal components), an equivalence closure unites each
+            group once, and class representatives become the elements of
+            the output instance.  Only the type-I sets can outgrow the
+            input: one component fills them with |bases|·|tops|·k names.
 
 The output is homomorphism-equivalent to the input by construction;
 it only exists when the template is not trivially satisfiable, hence
@@ -233,6 +235,10 @@ class TypeIIObject:
     sets: tuple[tuple[str, ...], ...]
 
 
+def _pairs(groups) -> list[tuple[int, int]]:
+    return sorted({(u, v) for grp in groups for u in grp for v in grp if u < v})
+
+
 @dataclass
 class ReverseObjects:
     g: Digraph
@@ -241,8 +247,16 @@ class ReverseObjects:
     x_order: tuple[str, ...]
     type1: list[TypeIObject]
     type2: list[TypeIIObject]
-    edges3: list[tuple[int, int]]
-    edges4: list[tuple[int, int]]
+
+    @property
+    def edges3(self) -> list[tuple[int, int]]:
+        """Type-III objects: the pairs of tops of one internal component."""
+        return _pairs(c.top for c in self.internals)
+
+    @property
+    def edges4(self) -> list[tuple[int, int]]:
+        """Type-IV objects: the pairs of bases of one internal component."""
+        return _pairs(c.base for c in self.internals)
 
 
 def build_objects(
@@ -252,89 +266,68 @@ def build_objects(
     internals: list[InternalComponent],
     k: int,
 ) -> ReverseObjects:
+    """The type-I and type-II objects over the component's variables.
+
+    The variables are the base vertices followed by the fresh ones, each
+    named once where it is allocated: alpha for the positions a top-free
+    component leaves open above a base, beta for the positions a
+    base-free component pins below a top, and gamma-kind for the
+    positions of a top that nothing pins.
+    """
     g0 = [v for v in comp if levels[v] == 0]
     height = max(levels[v] for v in comp)
     gn = [v for v in comp if levels[v] == height]
     name = g.vertices.__getitem__
 
-    # Fresh vertices: alpha for baseless positions of top-free components,
-    # beta for base-free components, gamma-kind for positions nobody pins.
-    alpha: list[str] = []
-    beta: list[str] = []
+    alpha: dict[tuple[int, int, int], str] = {}
+    beta: dict[tuple[int, int, int], str] = {}
     # top-free components by base vertex, in internals order
     top_free_on: dict[int, list[InternalComponent]] = {}
+    tops_pinning: dict[tuple[int, int], list[InternalComponent]] = {}
     for c in internals:
         if not c.top:
             for b in c.base:
                 top_free_on.setdefault(b, []).append(c)
-                alpha.extend(
-                    f"xa:{c.cid}:{name(b)}:{i}"
-                    for i in range(1, k + 1)
-                    if i not in c.gamma
-                )
-        if not c.base:
-            beta.extend(
-                f"xb:{c.cid}:{name(e)}:{i}" for e in c.top for i in sorted(c.gamma)
-            )
-
-    tops_pinning: dict[tuple[int, int], list[InternalComponent]] = {}
-    for c in internals:
+                for i in range(1, k + 1):
+                    if i not in c.gamma:
+                        alpha[c.cid, b, i] = f"xa:{c.cid}:{name(b)}:{i}"
         for e in c.top:
+            if not c.base:
+                for i in sorted(c.gamma):
+                    beta[c.cid, e, i] = f"xb:{c.cid}:{name(e)}:{i}"
             for i in c.gamma:
                 tops_pinning.setdefault((e, i), []).append(c)
 
-    gamma_names: list[str] = []
-    for e in gn:
-        for i in range(1, k + 1):
-            if (e, i) not in tops_pinning:
-                gamma_names.append(f"xg:{name(e)}:{i}")
-
-    x_order = tuple([name(v) for v in g0] + alpha + beta + gamma_names)
+    free = {
+        (e, i): f"xg:{name(e)}:{i}"
+        for e in gn
+        for i in range(1, k + 1)
+        if (e, i) not in tops_pinning
+    }
+    x_order = tuple([name(v) for v in g0] + [*alpha.values(), *beta.values(), *free.values()])
 
     type1: list[TypeIObject] = []
     for e in gn:
         sets = []
         for i in range(1, k + 1):
-            pinning = tops_pinning.get((e, i), [])
             members: list[str] = []
-            for c in pinning:
+            for c in tops_pinning.get((e, i), ()):
                 if c.base:
                     members.extend(name(b) for b in c.base)
                 else:
-                    members.append(f"xb:{c.cid}:{name(e)}:{i}")
-            if not members:
-                members = [f"xg:{name(e)}:{i}"]
-            sets.append(tuple(dict.fromkeys(members)))
+                    members.append(beta[c.cid, e, i])
+            sets.append(tuple(dict.fromkeys(members)) or (free[e, i],))
         type1.append(TypeIObject(e, tuple(sets)))
 
     type2: list[TypeIIObject] = []
     for b in g0:
         for c in top_free_on.get(b, ()):
             sets = tuple(
-                (name(b),) if i in c.gamma else (f"xa:{c.cid}:{name(b)}:{i}",)
+                (name(b),) if i in c.gamma else (alpha[c.cid, b, i],)
                 for i in range(1, k + 1)
             )
             type2.append(TypeIIObject(b, c.cid, sets))
-
-    edges3 = sorted(
-        {
-            (e, f)
-            for c in internals
-            for e in c.top
-            for f in c.top
-            if e < f
-        }
-    )
-    edges4 = sorted(
-        {
-            (b, d)
-            for c in internals
-            for b in c.base
-            for d in c.base
-            if b < d
-        }
-    )
-    return ReverseObjects(g, k, internals, x_order, type1, type2, edges3, edges4)
+    return ReverseObjects(g, k, internals, x_order, type1, type2)
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +336,19 @@ def build_objects(
 
 @dataclass
 class SimPartition:
-    x_order: tuple[str, ...]
     rep: dict[str, str]
     classes: dict[str, tuple[str, ...]]
 
 
 def sim_closure(objects: ReverseObjects) -> SimPartition:
-    """One equivalence closure over the statically generated pair set.
+    """One equivalence closure that unites each group of variables once.
 
-    Pairs come from (1) each position set of each object, (2) shared-base
-    edges, (3) shared-top edges propagated through the two objects'
-    position sets.  Two objects whose sets at a position overlap need no
-    pairs of their own: each set is united, so they meet by transitivity.
-    Every class is rooted at its least-ranked member.
+    The groups are each type-I position set, the bases of each internal
+    component (its type-IV pairs) and, per position, the type-I sets of
+    its tops (its type-III pairs).  Each set is already one class by
+    then, so one member of it stands for the set.  Type-II sets are
+    single variables and unite nothing.  A class is headed by its first
+    member in x_order, the least index and so the union-find root.
     """
     rank = {x: i for i, x in enumerate(objects.x_order)}
     uf = UnionFind(len(objects.x_order))
@@ -366,36 +359,30 @@ def sim_closure(objects: ReverseObjects) -> SimPartition:
         for x in it:
             uf.union(first, rank[x])
 
-    name = objects.g.vertices.__getitem__
-    all_sets = [o.sets for o in objects.type1] + [o.sets for o in objects.type2]
-    for sets in all_sets:
-        for members in sets:
-            unite(members)
-    for b, d in objects.edges4:
-        uf.union(rank[name(b)], rank[name(d)])
-    by_top = {o.e: o for o in objects.type1}
-    for e, f in objects.edges3:
-        for i in range(objects.k):
-            unite(by_top[e].sets[i] + by_top[f].sets[i])
+    for o in objects.type1:
+        for members in o.sets:
+            if len(members) > 1:
+                unite(members)
+    by_top = {o.e: o.sets for o in objects.type1}
+    for c in objects.internals:
+        if len(c.base) > 1:
+            unite(objects.g.vertices[b] for b in c.base)
+        if len(c.top) > 1:
+            for i in range(objects.k):
+                unite(by_top[e][i][0] for e in c.top)
 
     classes: dict[int, list[str]] = {}
     for x in objects.x_order:
         classes.setdefault(uf.find(rank[x]), []).append(x)
-    rep = {}
-    out_classes = {}
-    for members in classes.values():
-        head = min(members, key=rank.__getitem__)
-        out_classes[head] = tuple(sorted(members, key=rank.__getitem__))
-        for x in members:
-            rep[x] = head
+    rep = {x: members[0] for members in classes.values() for x in members}
 
-    for sets in all_sets:
-        for members in sets:
+    for o in objects.type1:
+        for members in o.sets:
             if len({rep[x] for x in members}) != 1:
                 raise InternalInvariantViolation(
                     f"object set {members} straddles classes after closure"
                 )
-    return SimPartition(objects.x_order, rep, out_classes)
+    return SimPartition(rep, {m[0]: tuple(m) for m in classes.values()})
 
 
 def assemble_instance(

@@ -394,17 +394,21 @@ def serialize_digraph(g: Digraph) -> str:
 
 def export_dot(g: Digraph, levels: Sequence[int] | None = None) -> str:
     """One DOT digraph; vertices grouped by level when given one per vertex."""
-    out = [f'digraph "{g.name}" {{']
+
+    def q(name: str) -> str:
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    out = [f"digraph {q(g.name)} {{"]
     if levels is not None:
         by_level: dict[int, list[str]] = {}
         for i, v in enumerate(g.vertices):
             by_level.setdefault(levels[i], []).append(v)
         for lvl in sorted(by_level):
-            members = " ".join(f'"{v}";' for v in by_level[lvl])
+            members = " ".join(f"{q(v)};" for v in by_level[lvl])
             out.append(f"  {{ rank=same; {members} }}")
     for v in g.vertices:
-        out.append(f'  "{v}";')
+        out.append(f"  {q(v)};")
     for u, v in g.edges:
-        out.append(f'  "{g.vertices[u]}" -> "{g.vertices[v]}";')
+        out.append(f"  {q(g.vertices[u])} -> {q(g.vertices[v])};")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -331,6 +331,22 @@ def test_lift_verb_with_explicit_witness(ctx, capsys):
     assert code == 0 and out == "lift ok\n"
 
 
+def test_lift_witness_for_an_undeclared_symbol_is_usage_error(ctx, capsys):
+    """A table under a symbol the identities do not declare is refused,
+    not dropped in favour of a witness found by search."""
+    edge = ctx / "edge.rel"
+    edge.write_text("structure edge\ndomain 0 1\nrelation R 2\ntuple 0 1\nend\n")
+    table = ctx / "maj.op"
+    rows = [f"{a} {b} {c} {sorted((a, b, c))[1]}" for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    table.write_text("\n".join(["op m 3 over 2"] + rows) + "\n")
+    code, out, err = run(
+        capsys, "lift", "--template", str(edge),
+        "--sigma", str(ctx / "majority.ids"), "--witness", f"M={table}",
+    )
+    assert code == 2 and out == ""
+    assert "'M'" in err and "declares m" in err
+
+
 @pytest.mark.parametrize(
     "table, line",
     [
@@ -439,6 +455,16 @@ def test_export_dot(ctx, capsys):
     code, out, _ = run(capsys, "export-dot", "--digraph", str(zz))
     assert code == 0
     assert '"a" -> "b";' in out
+
+
+def test_export_dot_escapes_quotes_and_backslashes(ctx, capsys):
+    zz = ctx / "q.dg"
+    zz.write_text('digraph q"1\nvertex a"b\nvertex c\\d\nedge a"b c\\d\nend\n')
+    code, out, _ = run(capsys, "export-dot", "--digraph", str(zz))
+    assert code == 0
+    assert out == (
+        'digraph "q\\"1" {\n  "a\\"b";\n  "c\\\\d";\n  "a\\"b" -> "c\\\\d";\n}\n'
+    )
 
 
 def test_verify_verb(ctx, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cspdigraph import reverse
 from cspdigraph.builder import build_digraph, build_path, path_spec
 from cspdigraph.cli import _objects_report
 from cspdigraph.errors import PreconditionError, TrivialTemplate, Unbalanced
@@ -24,7 +25,7 @@ from cspdigraph.reverse import (
     assemble_instance,
 )
 from cspdigraph.rng import Lcg64
-from cspdigraph.solver import enumerate_homs, find_hom, interpretable_at_levels
+from cspdigraph.solver import UnionFind, enumerate_homs, find_hom, interpretable_at_levels
 from cspdigraph.structures import Digraph, make_digraph, make_structure, serialize_structure
 from cspdigraph.verify import random_digraph_instance, random_single_template
 from worked_example import EXPECTED_GAMMAS, worked_digraph
@@ -615,6 +616,99 @@ def test_low_components_share_one_template_structure(two_cycle, monkeypatch):
     assert sum(r.stage == "low-yes" for r in res.reports) == 200
     assert roles.count("template") == 1
     assert roles.count("instance") == 200
+
+
+def _stem(rng, k, names, edges, tag):
+    """A random oriented path from level 1 up to level k + 1 on fresh
+    vertices; its down-steps make zigzags, so gamma varies. Returns the
+    stem's vertices at level 1 and at level k + 1."""
+    at = {1: [len(names)]}
+    names.append(f"{tag}.0")
+    level, last = 1, at[1][0]
+    while level <= k:
+        step = -1 if level > 1 and rng.chance(1, 3) else 1
+        v = len(names)
+        names.append(f"{tag}.{v}")
+        edges.append((last, v) if step == 1 else (v, last))
+        level, last = level + step, v
+        at.setdefault(level, []).append(v)
+    return at[1], at[k + 1]
+
+
+def _wide_instance(rng, k, name):
+    """One to three gadgets over shared pools of 3-8 bases and 3-8 tops:
+    fans (one base, many tops), reversed fans, bowties, and gadgets with
+    bases only or tops only, each on its own random stem. Vertex ids are
+    shuffled, so ranks and names disagree."""
+    bases = list(range(rng.randint(3, 8)))
+    tops = list(range(len(bases), len(bases) + rng.randint(3, 8)))
+    names = [f"b{v}" for v in bases] + [f"t{v}" for v in tops]
+    edges = []
+
+    def some(pool, lo):
+        return sorted({rng.choice(pool) for _ in range(rng.randint(lo, 8))})
+
+    for s in range(rng.randint(1, 3)):
+        low, high = _stem(rng, k, names, edges, f"s{s}")
+        kind = rng.below(6)
+        below = [rng.choice(bases)] if kind == 0 else [] if kind == 5 else some(bases, 3)
+        above = [rng.choice(tops)] if kind == 1 else [] if kind == 4 else some(tops, 3)
+        edges.extend((b, rng.choice(low)) for b in below)
+        edges.extend((rng.choice(high), t) for t in above)
+    perm = list(range(len(names)))
+    for i in range(len(perm) - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    shuffled = [""] * len(names)
+    for old, new in enumerate(perm):
+        shuffled[new] = names[old]
+    return make_digraph(name, shuffled, [(perm[u], perm[v]) for u, v in edges])
+
+
+# sha256 of the outputs of the wide-component corpus below, fixed before the
+# closure united whole groups instead of pairs
+WIDE_CORPUS_DIGEST = "dda73c27c0659dc76b898117e5a3145e04cab9bda55a49f2b413c11530d6cded"
+
+
+def test_wide_components_are_pinned_by_digest():
+    """Instance text, mode and objects report of 200 seeded fans and
+    bowties, whose internal components have up to eight bases and tops."""
+    rng = Lcg64(61)
+    digest = hashlib.sha256()
+    wide = 0
+    for i in range(200):
+        template = random_single_template(rng, max_arity=4, nontrivial=True)
+        g = _wide_instance(rng, template.relations[0].arity, f"w{i}")
+        res = reverse_instance(g, template)
+        for text in (serialize_structure(res.instance), res.mode, _objects_report(res)):
+            digest.update(text.encode() + b"\0")
+        wide += sum(
+            len(c.base) >= 3 and len(c.top) >= 3
+            for r in res.reports if r.objects for c in r.objects.internals
+        )
+    assert wide >= 80
+    assert digest.hexdigest() == WIDE_CORPUS_DIGEST
+
+
+def test_closure_of_a_fan_is_linear_in_its_tops(two_cycle, monkeypatch):
+    """One base under a directed three-vertex stem with 2000 tops: the
+    closure unites the tops' sets once per position, not once per pair
+    of tops."""
+
+    class Counting(UnionFind):
+        calls = 0
+
+        def union(self, i, j):
+            Counting.calls += 1
+            super().union(i, j)
+
+    t = 2000
+    names = ["b", "s1", "s2", "s3"] + [f"t{j}" for j in range(t)]
+    edges = [(0, 1), (1, 2), (2, 3)] + [(3, 4 + j) for j in range(t)]
+    monkeypatch.setattr(reverse, "UnionFind", Counting)
+    res = reverse_instance(make_digraph("fan", names, edges), two_cycle)
+    assert res.mode == "assembled" and res.instance.domain == ("b",)
+    assert Counting.calls <= 10 * t
 
 
 @st.composite

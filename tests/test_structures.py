@@ -376,6 +376,14 @@ def test_dot_isolated_vertices():
     assert "->" not in dot
 
 
+def test_dot_escapes_every_id_in_rank_groups_too():
+    g = make_digraph('say "hi"', ['a"b', "c\\d"], [(0, 1)])
+    dot = export_dot(g, [0, 1])
+    assert dot.startswith('digraph "say \\"hi\\"" {\n')
+    assert '  { rank=same; "a\\"b"; }\n  { rank=same; "c\\\\d"; }\n' in dot
+    assert '  "a\\"b" -> "c\\\\d";\n' in dot
+
+
 def test_dot_two_cycle_encoding_has_24_nodes(two_cycle):
     from cspdigraph.builder import build_digraph
 
