@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .builder import TemplateDigraph, build_digraph
 from .errors import InternalInvariantViolation, TrivialTemplate, Unbalanced
 from .solver import UnionFind, find_hom
-from .structures import Digraph, RelStructure, make_digraph, make_structure
+from .structures import Digraph, RelStructure, fresh_prefix, make_digraph, make_structure
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +265,7 @@ def build_objects(
     levels: dict[int, int],
     internals: list[InternalComponent],
     k: int,
+    prefix: str = "",
 ) -> ReverseObjects:
     """The type-I and type-II objects over the component's variables.
 
@@ -272,7 +273,9 @@ def build_objects(
     named once where it is allocated: alpha for the positions a top-free
     component leaves open above a base, beta for the positions a
     base-free component pins below a top, and gamma-kind for the
-    positions of a top that nothing pins.
+    positions of a top that nothing pins.  Fresh names start with the
+    prefix and then xa:, xb: or xg:; reverse_instance picks a prefix
+    that no base vertex name starts with (see fresh_prefix).
     """
     g0 = [v for v in comp if levels[v] == 0]
     height = max(levels[v] for v in comp)
@@ -290,16 +293,16 @@ def build_objects(
                 top_free_on.setdefault(b, []).append(c)
                 for i in range(1, k + 1):
                     if i not in c.gamma:
-                        alpha[c.cid, b, i] = f"xa:{c.cid}:{name(b)}:{i}"
+                        alpha[c.cid, b, i] = f"{prefix}xa:{c.cid}:{name(b)}:{i}"
         for e in c.top:
             if not c.base:
                 for i in sorted(c.gamma):
-                    beta[c.cid, e, i] = f"xb:{c.cid}:{name(e)}:{i}"
+                    beta[c.cid, e, i] = f"{prefix}xb:{c.cid}:{name(e)}:{i}"
             for i in c.gamma:
                 tops_pinning.setdefault((e, i), []).append(c)
 
     free = {
-        (e, i): f"xg:{name(e)}:{i}"
+        (e, i): f"{prefix}xg:{name(e)}:{i}"
         for e in gn
         for i in range(1, k + 1)
         if (e, i) not in tops_pinning
@@ -465,7 +468,7 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
     n = k + 2
 
     reports: list[ComponentReport] = []
-    stage3: list[tuple[list[int], dict[int, int]]] = []
+    stage3: list[tuple[list[int], tuple[str, ...], dict[int, int]]] = []
     for comp in components(g):
         names = tuple(g.vertices[v] for v in comp)
         try:
@@ -486,23 +489,28 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
                 return ReverseResult(fixed_no(template), "fixed-no", reports)
             reports.append(ComponentReport(names, "low-yes"))
         else:
-            stage3.append((comp, assignment.levels))
+            stage3.append((comp, names, assignment.levels))
 
     if not stage3:
         reports.append(ComponentReport((), "fixed-yes", "no full-height component"))
         return ReverseResult(fixed_yes(template), "fixed-yes", reports)
 
+    # base vertices are the only input names in the output domain
+    prefix = fresh_prefix(
+        (g.vertices[v] for comp, _, levels in stage3 for v in comp if levels[v] == 0),
+        ("xa:", "xb:", "xg:"),
+    )
     domains: list[str] = []
     rows: list[tuple[int, ...]] = []
     rel = template.relations[0]
     cid_offset = 0
-    for comp, levels in stage3:
+    for comp, names, levels in stage3:
         internals = internal_components(g, comp, levels, n)
         for c in internals:
             c.cid += cid_offset
             c.gamma = gamma(g, c, levels, k)
         cid_offset += len(internals)
-        objects = build_objects(g, comp, levels, internals, k)
+        objects = build_objects(g, comp, levels, internals, k, prefix)
         partition = sim_closure(objects)
         part = assemble_instance(objects, partition, template)
         offset = len(domains)
@@ -511,12 +519,7 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
             tuple(i + offset for i in t) for t in part.relations[0].tuples
         )
         reports.append(
-            ComponentReport(
-                tuple(g.vertices[v] for v in comp),
-                "assembled",
-                objects=objects,
-                partition=partition,
-            )
+            ComponentReport(names, "assembled", objects=objects, partition=partition)
         )
     out = make_structure(
         f"rev:{g.name}", domains, [(rel.name, rel.arity, rows)], role="instance"

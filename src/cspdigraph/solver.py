@@ -3,13 +3,16 @@
 Backtracking over a smallest-domain-first variable order with
 generalized arc consistency maintained on every relation constraint.
 Domains are bitmasks over target elements.  A binary constraint over
-two distinct variables is revised with neighbour masks of the target
-relation, built once per search: the values of one variable that keep a
-support are the OR of the in- or out-neighbour masks over the set bits
-of the other variable's domain (bitwise arc consistency), and each OR is
-remembered per domain mask.  Every other constraint, k-ary or with a
-repeated variable, is revised by scanning the target tuples; the two
-revisions prune exactly the same values.
+two distinct variables is a pair of arcs, propagated from a queue of
+changed variables (a variable-oriented AC-3): for each side of a target
+relation, the values a popped variable's domain supports are the OR of
+the side's out- or in-neighbour masks over its set bits (bitwise arc
+consistency), computed once and ANDed into every neighbour on that
+side; each OR is remembered per domain mask.  Every other constraint,
+k-ary or with a repeated variable, is revised by scanning the target
+tuples from a queue of its own.  The fixpoint is the same whatever the
+order of revisions, and both kinds prune exactly what a scan of every
+constraint would.
 
 The search is iterative: an explicit stack of branching points and a
 trail that records every domain write as (variable, old mask), so that
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .builder import PathSpec, build_path
 from .errors import (
@@ -57,7 +60,9 @@ class _Neighbours:
 
     ``rows[a]`` is the mask of the values adjacent to ``a``; ``union``
     ORs the rows over the set bits of a domain and remembers the result
-    per domain mask, since the same masks recur across constraints.
+    per domain mask, since the same masks recur across variables.  The
+    propagation reads ``memo`` itself and calls ``union`` only on a miss,
+    so the memo is cleared in place, never replaced.
     """
 
     __slots__ = ("rows", "memo")
@@ -95,19 +100,14 @@ def _neighbour_masks(
 
 
 class _Constraint:
-    __slots__ = ("scope", "tuples", "masks", "requeue")
+    """A constraint revised by the tuple scan: k-ary, or with a repeated
+    variable."""
 
-    def __init__(
-        self,
-        scope: tuple[int, ...],
-        tuples: frozenset[tuple[int, ...]],
-        masks: tuple[_Neighbours, _Neighbours] | None,
-    ):
+    __slots__ = ("scope", "tuples", "requeue")
+
+    def __init__(self, scope: tuple[int, ...], tuples: frozenset[tuple[int, ...]]):
         self.scope = scope
         self.tuples = tuples
-        # (out, inn) of the target relation when the scope is two distinct
-        # variables; None sends the constraint to the tuple scan
-        self.masks = masks
         # with a repeated variable, the constraint's own pruning can take
         # away supports it counted, so it is revised again after a change
         self.requeue = len(set(scope)) != len(scope)
@@ -140,26 +140,40 @@ class _Search:
         # (var, old mask) for every domain write, oldest first
         self.trail: list[tuple[int, int]] = []
 
+        # a binary constraint (u, v) over two distinct variables is two
+        # arcs: u's domain bounds v's through the out-masks of the target
+        # relation, and v's bounds u's through the in-masks.  Each side of
+        # a relation is one (memo, union, ends) of self.sides, ends[x]
+        # listing the variables that x's domain bounds through it.
+        self.sides: list[tuple[dict, Callable, list[list[int]]]] = []
+        # every other constraint is scanned; by_var lists them per variable
         self.constraints: list[_Constraint] = []
-        for rel in source.relations:
-            target_rel = target.relation(rel.name)
-            tuples = frozenset(target_rel.tuples)
-            masks = None
-            for t in rel.tuples:
-                binary = len(t) == 2 and t[0] != t[1]
-                if binary and masks is None:
-                    masks = _neighbour_masks(tuples, self.n_vals)
-                self.constraints.append(
-                    _Constraint(t, tuples, masks if binary else None)
-                )
         self.by_var: list[list[int]] = [[] for _ in range(self.n_vars)]
-        for ci, c in enumerate(self.constraints):
-            for v in set(c.scope):
-                self.by_var[v].append(ci)
-        degree = [len(cs) for cs in self.by_var]
+        for rel in source.relations:
+            tuples = frozenset(target.relation(rel.name).tuples)
+            scanned = rel.tuples
+            if rel.arity == 2:
+                scanned = [t for t in rel.tuples if t[0] == t[1]]
+                if len(scanned) < len(rel.tuples):
+                    heads: list[list[int]] = [[] for _ in range(self.n_vars)]
+                    tails: list[list[int]] = [[] for _ in range(self.n_vars)]
+                    for u, v in rel.tuples:
+                        if u != v:
+                            heads[u].append(v)
+                            tails[v].append(u)
+                    out, inn = _neighbour_masks(tuples, self.n_vals)
+                    self.sides += [(out.memo, out.union, heads), (inn.memo, inn.union, tails)]
+            for t in scanned:
+                for v in set(t):
+                    self.by_var[v].append(len(self.constraints))
+                self.constraints.append(_Constraint(t, tuples))
+        # a variable's degree counts its scanned constraints and its arcs
+        degree = list(map(len, self.by_var))
+        for _, _, ends in self.sides:
+            degree = list(map(operator.add, degree, map(len, ends)))
         # branching order among equal domain sizes: higher degree first,
-        # then lower index
-        self.order = sorted(range(self.n_vars), key=lambda v: (-degree[v], v))
+        # then lower index (the sort is stable)
+        self.order = sorted(range(self.n_vars), key=degree.__getitem__, reverse=True)
 
     # -- propagation ------------------------------------------------------
 
@@ -191,52 +205,58 @@ class _Search:
                 changed.append(var)
         return changed
 
-    def _revise_pair(self, c: _Constraint) -> list[int] | None:
-        """The same pruning as ``_revise``, from the neighbour masks.
+    def _achieve_gac(self, changed: Iterable[int], pending: Iterable[int]) -> bool:
+        """Propagate to the fixpoint from the changed variables and the
+        pending scanned constraints; False on a wipeout.
 
-        For scope (u, v) the values of u that keep a support are the
-        in-neighbours of v's domain, and those of v the out-neighbours of
-        what is left of u's.
+        A popped variable's arcs take one support mask per side, the union
+        of that side's rows over its domain, and AND it into every other
+        end.  Scanned constraints wait in a set until no variable does.
         """
         doms = self.domains
-        u, v = c.scope
-        out, inn = c.masks
-        du = doms[u]
-        dv = doms[v]
-        nu = du & inn.union(dv)
-        if not nu:
-            return None
-        nv = dv & out.union(nu)
-        if not nv:
-            return None
-        changed = []
-        if nu != du:
-            self._set(u, nu)
-            changed.append(u)
-        if nv != dv:
-            self._set(v, nv)
-            changed.append(v)
-        return changed
-
-    def _achieve_gac(self, queue: Iterable[int]) -> bool:
-        constraints = self.constraints
+        trail = self.trail
+        sides = self.sides
         by_var = self.by_var
-        pending = set(queue)
-        while pending:
+        queue = set(changed)
+        pending = set(pending)
+        while True:
+            while queue:
+                x = queue.pop()
+                dx = doms[x]
+                for memo, union, ends in sides:
+                    others = ends[x]
+                    if not others:
+                        continue
+                    sup = memo.get(dx)
+                    if sup is None:
+                        sup = union(dx)
+                    for y in others:
+                        dy = doms[y]
+                        new = dy & sup
+                        if new != dy:
+                            if not new:
+                                return False
+                            trail.append((y, dy))
+                            doms[y] = new
+                            queue.add(y)
+                            if by_var[y]:
+                                pending.update(by_var[y])
+            if not pending:
+                return True
             ci = pending.pop()
-            c = constraints[ci]
-            changed = self._revise(c) if c.masks is None else self._revise_pair(c)
-            if changed is None:
+            c = self.constraints[ci]
+            revised = self._revise(c)
+            if revised is None:
                 return False
-            if changed:
-                for var in changed:
+            if revised:
+                for var in revised:
+                    queue.add(var)
                     pending.update(by_var[var])
                 # without a repeated variable every surviving value keeps
                 # the support it was found with, so a second revise of the
                 # same constraint would prune nothing
                 if not c.requeue:
                     pending.discard(ci)
-        return True
 
     # -- search -----------------------------------------------------------
 
@@ -266,7 +286,7 @@ class _Search:
     def solutions(self) -> Iterator[Hom]:
         if any(d == 0 for d in self.domains):
             return
-        if not self._achieve_gac(range(len(self.constraints))):
+        if not self._achieve_gac(range(self.n_vars), range(len(self.constraints))):
             return
         yield from self._dfs()
 
@@ -295,7 +315,7 @@ class _Search:
             low = untried & -untried
             stack[-1] = (var, untried ^ low, mark, first)
             self._set(var, low)
-            if not self._achieve_gac(by_var[var]):
+            if not self._achieve_gac((var,), by_var[var]):
                 continue
             nxt, nxt_first = self._pick(first)
             if nxt is None:

@@ -70,14 +70,20 @@ class RelStructure:
             raise ParseError(f"empty signature in {self.name!r}")
         m = len(self.domain)
         for rel in self.relations:
-            for t in rel.tuples:
-                if len(t) != rel.arity:
-                    raise ParseError(
-                        f"tuple {t} has length {len(t)}, relation "
-                        f"{rel.name!r} has arity {rel.arity}"
-                    )
-                if any(i < 0 or i >= m for i in t):
-                    raise ParseError(f"tuple {t} out of range in {rel.name!r}")
+            # one check of the lengths and one range check; the tuples are
+            # walked only to name the first offender
+            ends = list(chain.from_iterable(rel.tuples))
+            if set(map(len, rel.tuples)) - {rel.arity} or (
+                ends and (min(ends) < 0 or max(ends) >= m)
+            ):
+                for t in rel.tuples:
+                    if len(t) != rel.arity:
+                        raise ParseError(
+                            f"tuple {t} has length {len(t)}, relation "
+                            f"{rel.name!r} has arity {rel.arity}"
+                        )
+                    if any(i < 0 or i >= m for i in t):
+                        raise ParseError(f"tuple {t} out of range in {rel.name!r}")
             if self.role == "template" and not rel.tuples:
                 raise NonemptyRelationRequired(
                     f"relation {rel.name!r} of template {self.name!r} is empty"

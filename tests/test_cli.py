@@ -690,3 +690,72 @@ def test_verify_trials_sets_the_count(capsys):
     code, out, _ = run(capsys, "verify", "counts", "--trials", "2")
     assert code == 0
     assert out.endswith("suite counts: 2/2 ok\n") and len(out.splitlines()) == 3
+
+
+def _cli_corpus(tmp):
+    """(label, argv, written file or None) of every run of the CLI corpus.
+
+    Each fixture template T gets its encoding D(T) and its gadget, the
+    forward image of T read as an instance.  Each gadget and zigzag.dg is
+    solved into every D(T), reversed against every T, and put through
+    endos, core and forward over zigzag.dg; findops and lift run every
+    fixture identity set on edge and 2cycle.  The core of the parity4
+    gadget, 182 vertices and as many searches, is left out for time.
+    """
+    templates = ("edge", "2cycle", "parity4")
+    for t in templates:
+        rel = str(FIXTURES / f"{t}.rel")
+        yield f"build {t}", ["build", "--template", rel], tmp / f"D_{t}.dg"
+        yield f"forward {t}", ["forward", "--template", rel, "--instance", rel], tmp / f"g_{t}.dg"
+    inputs = [(f"g_{t}", tmp / f"g_{t}.dg") for t in templates]
+    inputs.append(("zigzag", FIXTURES / "zigzag.dg"))
+    for label, g in inputs:
+        for t in templates:
+            yield (
+                f"solve {label} {t}",
+                ["solve", "--template", str(tmp / f"D_{t}.dg"), "--instance", str(g)],
+                None,
+            )
+            yield (
+                f"reverse {label} {t}",
+                ["reverse", "--emit-objects", "--template", str(FIXTURES / f"{t}.rel"),
+                 "--instance", str(g)],
+                tmp / "rev.rel",
+            )
+        yield f"endos {label}", ["endos", "--structure", str(g)], None
+        if label != "g_parity4":
+            yield f"core {label}", ["core", "--structure", str(g)], tmp / "core.rel"
+        yield (
+            f"forward zigzag {label}",
+            ["forward", "--template", str(FIXTURES / "zigzag.dg"), "--instance", str(g)],
+            tmp / "fz.dg",
+        )
+    for t in ("edge", "2cycle"):
+        for ids in sorted(FIXTURES.glob("*.ids")):
+            for verb in ("findops", "lift"):
+                flag = "--structure" if verb == "findops" else "--template"
+                yield (
+                    f"{verb} {t} {ids.stem}",
+                    [verb, flag, str(FIXTURES / f"{t}.rel"), "--sigma", str(ids)],
+                    tmp / f"{verb}.txt",
+                )
+
+
+# sha256 of the label, exit code, stdout and written file of each run
+CLI_CORPUS_DIGEST = "e61a94148667288c4acf9e46cfc99a44c29cce257a98f915b5422185ac662433"
+
+
+def test_cli_corpus_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    codes = set()
+    for label, argv, written in _cli_corpus(tmp_path):
+        if written is not None:
+            argv += ["-o", str(written)]
+            written.unlink(missing_ok=True)
+        code, out, _ = run(capsys, *argv)
+        codes.add(code)
+        # a run that refuses writes nothing
+        text = written.read_text() if written is not None and written.exists() else ""
+        digest.update(f"{label}\0{code}\0{out}\0{text}\0".encode())
+    assert codes == {0, 1, 3}
+    assert digest.hexdigest() == CLI_CORPUS_DIGEST

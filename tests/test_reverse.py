@@ -416,6 +416,23 @@ def test_forward_then_reverse_round_trip(two_cycle):
     assert named == {("u", "v"), ("v", "w")}
 
 
+def test_fresh_names_avoid_base_vertex_names(two_cycle):
+    """A base vertex named xg:q6:2, like the free position 2 of the path's
+    top q6, must stay apart from it: the fresh names take a '_' prefix,
+    and the YES input stays YES.  The base joins q0's class, as both sit
+    below q1."""
+    p = build_path(path_spec(2, [1]))
+    g = make_digraph("g", [*p.vertices, "xg:q6:2"], [*p.edges, (len(p.vertices), 1)])
+    assert find_hom(g, build_digraph(two_cycle).digraph) is not None
+    res = reverse_instance(g, two_cycle)
+    assert res.mode == "assembled"
+    assert res.reports[0].partition.classes["q0"] == ("q0", "xg:q6:2")
+    assert serialize_structure(res.instance) == (
+        "instance rev:g\ndomain q0 _xg:q6:2\nrelation R 2\ntuple q0 _xg:q6:2\nend\n"
+    )
+    assert find_hom(res.instance, two_cycle) is not None
+
+
 def test_unbalanced_gives_fixed_no(two_cycle):
     g = make_digraph("c2", ["u", "v"], [(0, 1), (1, 0)])
     res = reverse_instance(g, two_cycle)

@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cspdigraph import solver
@@ -25,7 +25,6 @@ from cspdigraph.lifting import zigzag, zz_median, zz_p1, zz_p2
 from cspdigraph.rng import Lcg64
 from cspdigraph.solver import (
     WITNESS_SEARCH_BOUND,
-    _Search,
     core_of,
     endomorphisms,
     enumerate_homs,
@@ -38,6 +37,7 @@ from cspdigraph.solver import (
     satisfies,
 )
 from cspdigraph.structures import (
+    Digraph,
     Relation,
     RelStructure,
     make_digraph,
@@ -160,12 +160,56 @@ def test_deep_search_does_not_recurse():
     assert hom == {f"v{i}": "0" for i in range(n)}
 
 
+def scan_search(x, a, restriction=None):
+    """The reference search: every constraint revised by a scan of the
+    target tuples, to the fixpoint, under the solver's branching rule
+    (smallest domain, ties to higher degree, then lower index; values in
+    target order).  Recursive and slow, for small inputs."""
+    n = len(x.domain)
+    doms = [set(range(len(a.domain))) for _ in range(n)]
+    for name, allowed in (restriction or {}).items():
+        doms[x.element_index(name)] = {a.element_index(e) for e in allowed}
+    constraints = [
+        (scope, a.relation(rel.name).tuples) for rel in x.relations for scope in rel.tuples
+    ]
+    degree = [sum(v in scope for scope, _ in constraints) for v in range(n)]
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
+
+    def consistent(doms):
+        changed = True
+        while changed and all(doms):
+            changed = False
+            for scope, tuples in constraints:
+                live = [t for t in tuples if all(b in doms[v] for v, b in zip(scope, t))]
+                for i, v in enumerate(scope):
+                    keep = doms[v] & {t[i] for t in live}
+                    if keep != doms[v]:
+                        doms[v] = keep
+                        changed = True
+        return all(doms)
+
+    def dfs(doms):
+        if not consistent(doms):
+            return
+        unfixed = [v for v in order if len(doms[v]) > 1]
+        if not unfixed:
+            yield {x.domain[v]: a.domain[min(d)] for v, d in enumerate(doms)}
+            return
+        var = min(unfixed, key=lambda v: len(doms[v]))
+        for b in sorted(doms[var]):
+            yield from dfs([{b} if v == var else set(d) for v, d in enumerate(doms)])
+
+    yield from dfs(doms)
+
+
 @st.composite
 def _template_and_instance(draw):
-    """A template with a binary and a ternary relation, and an instance.
+    """A template with a binary and a ternary relation, an instance, and a
+    restriction.
 
     Instance rows draw from few elements, so scopes with a repeated
-    variable such as (u, u) or (u, v, u) are common.
+    variable such as (u, u) or (u, v, u) are common; a restricted element
+    may get any subset of the template's, the empty one included.
     """
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 5))
@@ -185,27 +229,109 @@ def _template_and_instance(draw):
         [("B", 2, rows(n, 2, 0, 8)), ("T", 3, rows(n, 3, 0, 3))],
         role="instance",
     )
-    return x, a
+    restriction = draw(
+        st.dictionaries(
+            st.sampled_from(x.domain),
+            st.lists(st.sampled_from(a.domain), unique=True, max_size=m),
+            max_size=2,
+        )
+    )
+    return x, a, restriction
+
+
+# (u, u) into B = {(0, 1), (1, 2)}: one revise leaves u = {1}, and only a
+# second, after its own pruning, finds that (1, 1) is no tuple
+_LOOP_ON_A_CHAIN = (
+    make_structure("x", ["u"], [("B", 2, [(0, 0)]), ("T", 3, [])], role="instance"),
+    make_structure("a", ["0", "1", "2"], [("B", 2, [(0, 1), (1, 2)]), ("T", 3, [(0, 0, 0)])]),
+    {},
+)
+
+# T prunes v0 to {0} and v1 to {1}; only the arcs of B, from the
+# variables T pruned, find that (0, 1) is no tuple of B
+_SCAN_THEN_ARC = (
+    make_structure(
+        "x", ["v0", "v1"], [("B", 2, [(0, 1)]), ("T", 3, [(0, 1, 1)])], role="instance"
+    ),
+    make_structure("a", ["0", "1"], [("B", 2, [(0, 0), (1, 1)]), ("T", 3, [(0, 1, 1)])]),
+    {},
+)
+
+# (v0, v1) into a 2-cycle on 0, 1 beside an isolated 2: both domains drop
+# to {0, 1}, v0's through the in-masks, so v0 is branched on first
+_BOTH_ENDS = (
+    make_structure("x", ["v0", "v1"], [("B", 2, [(0, 1)]), ("T", 3, [])], role="instance"),
+    make_structure("a", ["0", "1", "2"], [("B", 2, [(0, 1), (1, 0)]), ("T", 3, [(0, 0, 0)])]),
+    {},
+)
 
 
 @given(_template_and_instance())
+@example(_LOOP_ON_A_CHAIN)
+@example(_SCAN_THEN_ARC)
+@example(_BOTH_ENDS)
 @settings(max_examples=200, deadline=None)
-def test_neighbour_masks_keep_the_tuple_scan_order(pair):
-    x, a = pair
-    scan = _Search(x, a)
-    for c in scan.constraints:
-        c.masks = None
-    homs = list(enumerate_homs(x, a))
-    assert homs == list(scan.solutions())
+def test_neighbour_masks_keep_the_tuple_scan_order(case):
+    """The solver's arcs and scanned constraints give the homomorphisms of
+    the tuple scan alone, in the same order."""
+    x, a, restriction = case
+    homs = list(enumerate_homs(x, a, restriction))
+    assert homs == list(scan_search(x, a, restriction))
     # and they are exactly the maps that pass the raw definition
     every = (
         {x.domain[i]: a.domain[v] for i, v in enumerate(vals)}
         for vals in itertools.product(range(len(a.domain)), repeat=len(x.domain))
     )
-    brute = [h for h in every if is_hom(x, a, h)]
+    brute = [
+        h
+        for h in every
+        if is_hom(x, a, h) and all(h[v] in ok for v, ok in restriction.items())
+    ]
     assert sorted(sorted(h.items()) for h in homs) == sorted(
         sorted(h.items()) for h in brute
     )
+
+
+def _random_digraph(rng, name, n):
+    """A digraph on n vertices, each ordered pair an edge with chance 1/3,
+    loops included; (0, n-1) stands in for no edge at all, as a template
+    relation may not be empty."""
+    edges = [(u, v) for u in range(n) for v in range(n) if rng.chance(1, 3)]
+    return make_digraph(name, [f"{name}{i}" for i in range(n)], edges or [(0, n - 1)])
+
+
+def _random_restriction(rng, x, a):
+    """Now and then nothing; else a few source elements, each allowed a
+    random subset of the target's, the empty one included."""
+    if rng.chance(1, 3):
+        return None
+    return {
+        x.domain[rng.below(len(x.domain))]: [b for b in a.domain if rng.chance(1, 2)]
+        for _ in range(rng.randint(1, 3))
+    }
+
+
+def test_find_hom_is_the_first_enumerated_hom():
+    """find_hom's docstring: it gives what enumerate_homs gives first, and
+    None where that gives nothing; both agree with the tuple scan."""
+    rng = Lcg64(47)
+    pairs = []
+    for i in range(60):
+        x = _random_digraph(rng, "x", rng.randint(1, 6))
+        a = _random_digraph(rng, "a", rng.randint(1, 4))
+        pairs.append((x, a))
+        t = (random_single_template if i % 2 == 0 else random_multi_template)(rng)
+        pairs.append((random_instance_for(rng, t, max_elems=5), t))
+    found = 0
+    for x, a in pairs:
+        xs = x.as_structure("instance") if isinstance(x, Digraph) else x
+        at = a.as_structure("template") if isinstance(a, Digraph) else a
+        r = _random_restriction(rng, xs, at)
+        first = next(enumerate_homs(x, a, r), None)
+        assert find_hom(x, a, r) == first
+        assert first == next(scan_search(xs, at, r), None)
+        found += first is not None
+    assert 30 <= found <= 90
 
 
 def test_every_returned_hom_passes_the_definition(two_cycle):

@@ -11,6 +11,8 @@ from cspdigraph.rng import Lcg64
 from cspdigraph.structures import (
     _CHUNK,
     Digraph,
+    Relation,
+    RelStructure,
     _lines,
     export_dot,
     make_digraph,
@@ -103,6 +105,22 @@ def test_digraph_round_trip_minimal():
 def test_direct_digraph_construction_names_the_first_bad_edge(edges, message):
     with pytest.raises(ParseError) as info:
         Digraph("g", ("a", "b"), edges)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "tuples, message",
+    [
+        (((0, 1), (0,), (0, 5)), "tuple (0,) has length 1, relation 'R' has arity 2"),
+        (((0, 1), (0, 5), (0,)), "tuple (0, 5) out of range in 'R'"),
+        (((0, 1), (-1, 0)), "tuple (-1, 0) out of range in 'R'"),
+        (((0, 1, 1), (0, 1)), "tuple (0, 1, 1) has length 3, relation 'R' has arity 2"),
+    ],
+    ids=["length-first", "range-first", "negative", "too-long"],
+)
+def test_direct_structure_construction_names_the_first_bad_tuple(tuples, message):
+    with pytest.raises(ParseError) as info:
+        RelStructure("s", ("a", "b"), (Relation("R", 2, tuples),))
     assert str(info.value) == message
 
 
