@@ -2,8 +2,8 @@
 
 The zigzag 00->01<-10->11 carries a distributive lattice under the
 order 00 < 01 < 10 < 11, which supplies witnesses for most identity
-sets: meet/join, the median, the all-minimum operation for balanced
-sets, and the pair p1/p2 chaining three congruence permutations.
+sets: the median, the all-minimum operation of any arity (the meet, at
+arity 2), and the pair p1/p2 chaining three congruence permutations.
 
 An m-ary polymorphism of the template combines with an m-ary zigzag
 witness into an m-ary polymorphism of the encoded digraph.  Inputs
@@ -78,14 +78,6 @@ def zigzag_witness_problem(op) -> str | None:
             if op(args) not in block:
                 return "does not preserve the out-degree/in-degree classes"
     return None
-
-
-def zz_meet() -> OpTable:
-    return _zz_table("meet", 2, lambda a: min(a))
-
-
-def zz_join() -> OpTable:
-    return _zz_table("join", 2, lambda a: max(a))
 
 
 def zz_median() -> OpTable:

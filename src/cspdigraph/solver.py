@@ -22,19 +22,22 @@ deterministic: ties break on variable index and values are tried in
 target declaration order, which keeps every downstream artifact
 byte-reproducible.
 
-Each search owns its mutable state; structures themselves are never
-modified, so concurrent searches over shared inputs are safe.
+The search core works on integers only: initial domain masks in, image
+lists out.  Names meet it only in ``enumerate_homs``, which resolves them
+once; the core and witness searches pass masks and rows directly.  Each
+search owns its mutable state, so concurrent searches are safe.
 """
 
 from __future__ import annotations
 
 import operator
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .builder import PathSpec, build_path
 from .errors import (
     ArityMismatch,
+    ParseError,
     PreconditionError,
     SignatureMismatch,
     UnbalancedInput,
@@ -43,7 +46,6 @@ from .identities import IdentitySet, OpTable, product_offsets
 from .structures import Digraph, RelStructure, make_structure
 
 Hom = dict[str, str]
-Restriction = Mapping[str, Sequence[str]]
 
 
 def _as_structure(x, role):
@@ -114,29 +116,13 @@ class _Constraint:
 
 
 class _Search:
-    def __init__(
-        self,
-        source: RelStructure,
-        target: RelStructure,
-        restriction: Restriction | None = None,
-    ):
-        if dict(source.signature()) != dict(target.signature()):
-            raise SignatureMismatch(
-                f"signatures differ: {source.signature()} vs {target.signature()}"
-            )
-        self.source = source
-        self.target = target
-        self.n_vars = len(source.domain)
-        self.n_vals = len(target.domain)
-        full = (1 << self.n_vals) - 1
+    """From elements 0..len(domains)-1, element v starting from the value
+    mask domains[v], into values 0..n_vals-1; a relation is (arity,
+    source rows, target rows), and a solution is an image list."""
 
-        self.domains = [full] * self.n_vars
-        if restriction:
-            for name, allowed in restriction.items():
-                mask = 0
-                for el in allowed:
-                    mask |= 1 << target.element_index(el)
-                self.domains[source.element_index(name)] = mask
+    def __init__(self, domains: list[int], n_vals: int, relations: Iterable[tuple]):
+        self.n_vars = len(domains)
+        self.domains = list(domains)
         # (var, old mask) for every domain write, oldest first
         self.trail: list[tuple[int, int]] = []
 
@@ -149,19 +135,19 @@ class _Search:
         # every other constraint is scanned; by_var lists them per variable
         self.constraints: list[_Constraint] = []
         self.by_var: list[list[int]] = [[] for _ in range(self.n_vars)]
-        for rel in source.relations:
-            tuples = frozenset(target.relation(rel.name).tuples)
-            scanned = rel.tuples
-            if rel.arity == 2:
-                scanned = [t for t in rel.tuples if t[0] == t[1]]
-                if len(scanned) < len(rel.tuples):
+        for arity, rows, allowed in relations:
+            tuples = frozenset(allowed)
+            scanned = rows
+            if arity == 2:
+                scanned = [t for t in rows if t[0] == t[1]]
+                if len(scanned) < len(rows):
                     heads: list[list[int]] = [[] for _ in range(self.n_vars)]
                     tails: list[list[int]] = [[] for _ in range(self.n_vars)]
-                    for u, v in rel.tuples:
+                    for u, v in rows:
                         if u != v:
                             heads[u].append(v)
                             tails[v].append(u)
-                    out, inn = _neighbour_masks(tuples, self.n_vals)
+                    out, inn = _neighbour_masks(tuples, n_vals)
                     self.sides += [(out.memo, out.union, heads), (inn.memo, inn.union, tails)]
             for t in scanned:
                 for v in set(t):
@@ -283,14 +269,14 @@ class _Search:
                     break
         return best, first
 
-    def solutions(self) -> Iterator[Hom]:
+    def solutions(self) -> Iterator[list[int]]:
         if any(d == 0 for d in self.domains):
             return
         if not self._achieve_gac(range(self.n_vars), range(len(self.constraints))):
             return
         yield from self._dfs()
 
-    def _dfs(self) -> Iterator[Hom]:
+    def _dfs(self) -> Iterator[list[int]]:
         """Depth-first over an explicit stack of (var, untried values, mark, first).
 
         ``mark`` is the trail length when the node was entered: popping
@@ -298,7 +284,7 @@ class _Search:
         """
         var, first = self._pick(0)
         if var is None:
-            yield self._extract()
+            yield self._image()
             return
         doms = self.domains
         trail = self.trail
@@ -319,15 +305,12 @@ class _Search:
                 continue
             nxt, nxt_first = self._pick(first)
             if nxt is None:
-                yield self._extract()
+                yield self._image()
             else:
                 stack.append((nxt, doms[nxt], len(trail), nxt_first))
 
-    def _extract(self) -> Hom:
-        return {
-            self.source.domain[v]: self.target.domain[self.domains[v].bit_length() - 1]
-            for v in range(self.n_vars)
-        }
+    def _image(self) -> list[int]:
+        return [d.bit_length() - 1 for d in self.domains]
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +327,29 @@ def find_hom(source, target, restriction=None) -> Hom | None:
 
 
 def enumerate_homs(source, target, restriction=None) -> Iterator[Hom]:
-    """All homomorphisms, duplicate-free, in deterministic order."""
+    """All homomorphisms, duplicate-free, in deterministic order.
+
+    The one place where names meet the search.  At call time the
+    signatures are checked, an empty digraph's too, and then the
+    restriction's names are resolved into initial domain masks.
+    """
+    t = _as_structure(target, "template")
+    if dict(source.signature()) != dict(t.signature()):
+        raise SignatureMismatch(
+            f"signatures differ: {source.signature()} vs {t.signature()}"
+        )
     if isinstance(source, Digraph) and not source.vertices:
         return iter([{}])
     s = _as_structure(source, "instance")
-    t = _as_structure(target, "template")
-    return _Search(s, t, restriction).solutions()
+    domains = [(1 << len(t.domain)) - 1] * len(s.domain)
+    for name, allowed in (restriction or {}).items():
+        mask = 0
+        for el in allowed:
+            mask |= 1 << t.element_index(el)
+        domains[s.element_index(name)] = mask
+    relations = [(r.arity, r.tuples, t.relation(r.name).tuples) for r in s.relations]
+    images = _Search(domains, len(t.domain), relations).solutions()
+    return (dict(zip(s.domain, map(t.domain.__getitem__, image))) for image in images)
 
 
 def is_hom(source, target, mapping: Mapping[str, str]) -> bool:
@@ -372,17 +372,19 @@ def endomorphisms(structure) -> list[Hom]:
     return list(enumerate_homs(s, s))
 
 
-def _non_surjective_endo(s: RelStructure) -> Hom | None:
-    """An endomorphism that misses an element, or None if all are onto.
+def _non_surjective_endo(s: RelStructure) -> list[int] | None:
+    """The image list of an endomorphism that misses an element, or None.
 
     The elements are tried as the one missed in declaration order; the
     first that can be missed gives the first such endomorphism found.
     """
-    for avoided in s.domain:
-        rest = {x: [y for y in s.domain if y != avoided] for x in s.domain}
-        hom = find_hom(s, s, rest)
-        if hom is not None:
-            return hom
+    n = len(s.domain)
+    full = (1 << n) - 1
+    relations = [(r.arity, r.tuples, r.tuples) for r in s.relations]
+    for avoided in range(n):
+        image = next(_Search([full ^ 1 << avoided] * n, n, relations).solutions(), None)
+        if image is not None:
+            return image
     return None
 
 
@@ -391,16 +393,15 @@ def is_core(structure) -> bool:
     return _non_surjective_endo(_as_structure(structure, "template")) is None
 
 
-def _idempotent_power(mapping: Hom) -> Hom:
-    power = dict(mapping)
-    while any(power[power[x]] != power[x] for x in power):
-        power = {x: mapping[power[x]] for x in power}
+def _idempotent_power(image: list[int]) -> list[int]:
+    power = image
+    while any(power[p] != p for p in power):
+        power = [image[p] for p in power]
     return power
 
 
-def _induced_on(s: RelStructure, keep: list[str]) -> RelStructure:
-    idx = [s.element_index(x) for x in keep]
-    remap = {old: new for new, old in enumerate(idx)}
+def _induced_on(s: RelStructure, keep: list[int]) -> RelStructure:
+    remap = {old: new for new, old in enumerate(keep)}
     rels = []
     for rel in s.relations:
         rels.append(
@@ -414,7 +415,7 @@ def _induced_on(s: RelStructure, keep: list[str]) -> RelStructure:
                 ],
             )
         )
-    return make_structure(s.name, keep, rels, role=s.role)
+    return make_structure(s.name, [s.domain[i] for i in keep], rels, role=s.role)
 
 
 def core_of(structure) -> RelStructure:
@@ -422,7 +423,7 @@ def core_of(structure) -> RelStructure:
     s = _as_structure(structure, "template")
     while (witness := _non_surjective_endo(s)) is not None:
         retraction = _idempotent_power(witness)
-        s = _induced_on(s, [x for x in s.domain if retraction[x] == x])
+        s = _induced_on(s, [x for x, y in enumerate(retraction) if x == y])
     return s
 
 
@@ -459,9 +460,10 @@ def find_operations(structure, sigma: IdentitySet) -> dict[str, OpTable] | None:
 
     Every table cell is a variable of one big instance: identities merge
     cells (or pin them to constants), and preservation of each relation
-    contributes one row per choice of input tuples.  Solving that
-    instance against the structure itself yields the tables, and a None
-    answer is a proof that no witnesses exist.  Each table has the arity
+    contributes one row per choice of input tuples, each distinct row
+    once in first-occurrence order.  The search takes the rows and the
+    pinned cells' masks, no names, and its image list fills the tables;
+    a None answer is a proof that no witnesses exist.  Each table has the arity
     its symbol declares in ``sigma``; a symbol that is undeclared or used
     at another arity raises from ``sigma.ensure_linear()`` first.
 
@@ -514,8 +516,13 @@ def find_operations(structure, sigma: IdentitySet) -> dict[str, OpTable] | None:
         if constant.setdefault(root[cell], value) != value:
             return None
 
+    if not sigma.symbols:
+        raise ParseError("identity set declares no symbol")
     reps = sorted(set(root))
     rep_pos = {r: i for i, r in enumerate(reps)}
+    domains = [(1 << n) - 1] * len(reps)
+    for r, value in constant.items():
+        domains[rep_pos[r]] = 1 << value
     # each symbol's cells as indicator variables, in table order
     var_of = {
         name: [rep_pos[r] for r in root[first[name] : first[name] + n**arity]]
@@ -531,14 +538,10 @@ def find_operations(structure, sigma: IdentitySet) -> dict[str, OpTable] | None:
                 for j in range(rel.arity)
             )
             rows += zip(*(map(var_of[name].__getitem__, col) for col in columns))
-        relations.append((rel.name, rel.arity, rows))
-    names = [f"c{r}" for r in reps]
-    indicator = make_structure("indicator", names, relations, role="instance")
-    restriction = {f"c{r}": [s.domain[value]] for r, value in constant.items()}
-    hom = find_hom(indicator, s, restriction)
-    if hom is None:
+        relations.append((rel.arity, list(dict.fromkeys(rows)), rel.tuples))
+    image = next(_Search(domains, n, relations).solutions(), None)
+    if image is None:
         return None
-    image = [s.element_index(hom[name]) for name in names]
     return {
         name: OpTable(name, arity, n, tuple(image[v] for v in var_of[name]))
         for name, arity in sigma.symbols

@@ -188,6 +188,9 @@ class Digraph:
             ),
         )
 
+    def signature(self) -> tuple[tuple[str, int], ...]:
+        return (("E", 2),)
+
     def as_structure(self, role: Role = "instance") -> RelStructure:
         """View the digraph as a structure with one binary relation E."""
         return make_structure(

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 RUN_PY = ROOT / "perfbench" / "run.py"
 
@@ -48,11 +50,14 @@ def test_benchmark_unit_tests_pass():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_traced_benchmark_pass_runs():
-    """One traced lift-check pass: every function and method the pass
-    wraps must be found, and no item may fail under the wrappers."""
+@pytest.mark.parametrize(
+    "workload", ["forward-decide", "reverse-compile", "lift-check", "translate-bulk"]
+)
+def test_traced_benchmark_pass_runs(workload):
+    """One traced pass of each workload: every function and method the
+    pass wraps must be found, and no item may fail under the wrappers."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "lift-check", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,

@@ -151,6 +151,43 @@ def test_solve_with_restriction(ctx, capsys):
     assert code == 0 and out == "map u 1\nmap v 0\n"
 
 
+@pytest.mark.parametrize(
+    "text, template, expected",
+    [
+        ("digraph g\nend\n", "parity4.rel",
+         (3, "", "error: signatures differ: (('E', 2),) vs (('R', 4),)\n")),
+        ("digraph g\nvertex a\nend\n", "parity4.rel",
+         (3, "", "error: signatures differ: (('E', 2),) vs (('R', 4),)\n")),
+        ("digraph g\nend\n", "zigzag.dg", (0, "", "")),
+    ],
+)
+def test_solve_checks_the_signature_of_an_empty_digraph(ctx, capsys, text, template, expected):
+    g = ctx / "g.dg"
+    g.write_text(text)
+    t = ctx / template if (ctx / template).exists() else FIXTURES / template
+    assert run(capsys, "solve", "--instance", str(g), "--template", str(t)) == expected
+
+
+@pytest.mark.parametrize(
+    "template, allow, expected",
+    [
+        ("2cycle.rel", "allow w 0\n", (2, "", "error: unknown element name 'w'\n")),
+        ("2cycle.rel", "allow u 0 7\n", (2, "", "error: unknown element name '7'\n")),
+        # the signatures are compared before any name is looked up
+        ("ab.rel", "allow w 7\n",
+         (3, "", "error: signatures differ: (('R', 2),) vs (('R1', 2), ('R2', 1))\n")),
+    ],
+)
+def test_solve_restriction_errors(ctx, capsys, template, allow, expected):
+    allow_file = ctx / "r.allow"
+    allow_file.write_text(allow)
+    got = run(
+        capsys, "solve", "--template", str(ctx / template),
+        "--instance", str(ctx / "x.rel"), "--restrict", str(allow_file),
+    )
+    assert got == expected
+
+
 def test_forward_then_reverse_round_trip(ctx, capsys):
     gadget = ctx / "x.dg"
     code, _, _ = run(
@@ -400,6 +437,15 @@ def test_findops_negative_symbol_arity_is_usage_error(ctx, capsys):
     )
     assert code == 2 and out == ""
     assert "line 1: arity must be >= 0" in err
+
+
+@pytest.mark.parametrize("verb, flag", [("findops", "--structure"), ("lift", "--template")])
+@pytest.mark.parametrize("text", ["", "identity x = x\n"])
+def test_identity_set_without_symbols_is_usage_error(ctx, capsys, verb, flag, text):
+    sigma = ctx / "none.ids"
+    sigma.write_text(text)
+    got = run(capsys, verb, flag, str(ctx / "2cycle.rel"), "--sigma", str(sigma))
+    assert got == (2, "", "error: identity set declares no symbol\n")
 
 
 @pytest.mark.parametrize(
@@ -700,7 +746,8 @@ def _cli_corpus(tmp):
     solved into every D(T), reversed against every T, and put through
     endos, core and forward over zigzag.dg; findops and lift run every
     fixture identity set on edge and 2cycle.  The core of the parity4
-    gadget, 182 vertices and as many searches, is left out for time.
+    gadget, 182 vertices and as many searches, is pinned on its own by
+    test_core_of_the_parity4_gadget_is_pinned.
     """
     templates = ("edge", "2cycle", "parity4")
     for t in templates:
@@ -759,3 +806,18 @@ def test_cli_corpus_is_pinned(tmp_path, capsys):
         digest.update(f"{label}\0{code}\0{out}\0{text}\0".encode())
     assert codes == {0, 1, 3}
     assert digest.hexdigest() == CLI_CORPUS_DIGEST
+
+
+# sha256 of the exit code, stdout and written file of `cspdg core` on the
+# forward gadget of parity4 (182 vertices, a core)
+PARITY4_GADGET_CORE_SHA256 = "35c9e88ffd90806b06c638b6279837a70f3ffca7eae6900d6ac8f0765b8d03cb"
+
+
+def test_core_of_the_parity4_gadget_is_pinned(tmp_path, capsys):
+    rel = str(FIXTURES / "parity4.rel")
+    g, core = tmp_path / "g.dg", tmp_path / "core.rel"
+    assert run(capsys, "forward", "--template", rel, "--instance", rel, "-o", str(g))[0] == 0
+    code, out, _ = run(capsys, "core", "--structure", str(g), "-o", str(core))
+    assert out == "core-size 182 of 182\n"
+    digest = hashlib.sha256(f"{code}\0{out}\0{core.read_text()}\0".encode())
+    assert digest.hexdigest() == PARITY4_GADGET_CORE_SHA256

@@ -40,9 +40,7 @@ from cspdigraph.lifting import (
     restrict_endomorphism,
     zigzag,
     zz_allmin,
-    zz_join,
     zz_median,
-    zz_meet,
     zz_p1,
     zz_p2,
 )
@@ -67,6 +65,14 @@ def _maj_bool():
     return OpTable(
         "maj", 3, 2, tuple(sorted(t)[1] for t in itertools.product(range(2), repeat=3))
     )
+
+
+def zz_meet():
+    return OpTable("meet", 2, 4, tuple(map(min, itertools.product(range(4), repeat=2))))
+
+
+def zz_join():
+    return OpTable("join", 2, 4, tuple(map(max, itertools.product(range(4), repeat=2))))
 
 
 def _xor3():

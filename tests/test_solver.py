@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cspdigraph import solver
 from cspdigraph.builder import build_digraph, build_path, path_spec
 from cspdigraph.errors import PreconditionError, SignatureMismatch
+from cspdigraph.forward import forward_instance
 from cspdigraph.identities import (
     OpTable,
     majority_identities,
@@ -365,6 +366,20 @@ def test_full_relation_retracts_to_a_point():
 
 def test_core_of_core_is_itself(two_cycle):
     assert core_of(two_cycle) == two_cycle
+
+
+def test_internal_searches_look_up_no_names(monkeypatch, parity4, edge_template):
+    """core_of and find_operations hand the search masks and rows, so no
+    element name is resolved, however many searches they run."""
+    looked_up = []
+    lookup = RelStructure.element_index
+    monkeypatch.setattr(
+        RelStructure, "element_index", lambda s, name: looked_up.append(name) or lookup(s, name)
+    )
+    gadget = forward_instance(parity4, 4)
+    assert len(core_of(gadget).domain) == len(gadget.vertices) == 182
+    assert find_operations(build_digraph(edge_template).digraph, majority_identities())
+    assert looked_up == []
 
 
 # ---------------------------------------------------------------------------
