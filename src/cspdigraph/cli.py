@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 
 from . import verify as verify_mod
 from .builder import build_digraph, dmeta_to_text
@@ -26,10 +25,10 @@ from .solver import core_of, endomorphisms, find_hom, find_operations
 from .structures import (
     Digraph,
     RelStructure,
-    _digraph_from,
     _lines,
-    _structure_from,
     export_dot,
+    parse_digraph,
+    parse_structure,
     serialize_digraph,
     serialize_structure,
 )
@@ -49,12 +48,12 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load_any(path: str):
-    lines = _lines(_read(path))
-    first = next(lines, None)
+    text = _read(path)
+    first = next(_lines(text), None)
     if first is None:
         raise ParseError(f"{path}: empty file")
-    reader = _digraph_from if first[1].split()[0] == "digraph" else _structure_from
-    return reader(chain([first], lines))
+    reader = parse_digraph if first[1].split()[0] == "digraph" else parse_structure
+    return reader(text)
 
 
 def _load_structure(path: str) -> RelStructure:

@@ -338,15 +338,19 @@ def enumerate_homs(source, target, restriction=None) -> Iterator[Hom]:
         raise SignatureMismatch(
             f"signatures differ: {source.signature()} vs {t.signature()}"
         )
-    if isinstance(source, Digraph) and not source.vertices:
-        return iter([{}])
-    s = _as_structure(source, "instance")
-    domains = [(1 << len(t.domain)) - 1] * len(s.domain)
+    # an empty digraph has no structure view, and no element to restrict
+    empty = isinstance(source, Digraph) and not source.vertices
+    s = None if empty else _as_structure(source, "instance")
+    domains = [(1 << len(t.domain)) - 1] * (0 if s is None else len(s.domain))
     for name, allowed in (restriction or {}).items():
         mask = 0
         for el in allowed:
             mask |= 1 << t.element_index(el)
+        if s is None:
+            raise ParseError(f"unknown element name {name!r}")
         domains[s.element_index(name)] = mask
+    if s is None:
+        return iter([{}])
     relations = [(r.arity, r.tuples, t.relation(r.name).tuples) for r in s.relations]
     images = _Search(domains, len(t.domain), relations).solutions()
     return (dict(zip(s.domain, map(t.domain.__getitem__, image))) for image in images)

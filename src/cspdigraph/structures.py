@@ -18,6 +18,11 @@ Digraph files::
     edge <u> <v>
     end
 
+Every file is read a block of about 64k characters at a time, so no
+list of all lines is ever held.  A digraph block of only vertex lines or
+only edge lines in the form ``serialize_digraph`` writes is read in
+bulk; every other line, and every error, goes through the line loop.
+
 All models are immutable after construction.  Element order in a file is
 the canonical order used everywhere downstream, so parsing and
 serialization are exact inverses.
@@ -25,6 +30,7 @@ serialization are exact inverses.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -154,6 +160,17 @@ class Digraph:
                     raise ParseError(f"duplicate edge ({u},{v}) in {self.name!r}")
                 seen.add((u, v))
 
+    @classmethod
+    def _unchecked(
+        cls, name: str, vertices: tuple[str, ...], edges: tuple[tuple[int, int], ...]
+    ) -> "Digraph":
+        """A digraph built without ``__post_init__``'s checks.  Only the
+        reader calls this: it has found the vertex names distinct,
+        resolved every edge to them and dropped repeated edges already."""
+        g = object.__new__(cls)
+        g.__dict__.update(name=name, vertices=vertices, edges=edges)
+        return g
+
     @cached_property
     def _vertex_at(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.vertices)}
@@ -228,34 +245,53 @@ def fresh_prefix(names: Iterable[str], heads: tuple[str, ...]) -> str:
 # characters of text split at a time by the line reader
 _CHUNK = 1 << 16
 
+# a block of serialize_digraph's vertex lines or of its edge lines: single
+# spaces, '\n' breaks and names free of whitespace; a block holding a '#'
+# is not in that form either, which a plain search finds faster than a
+# [^\s#] class in the pattern
+_BULK = re.compile(r"(?:vertex \S+\n)+|(?:edge \S+ \S+\n)+")
+
+
+def _blocks(text: str) -> Iterator[str]:
+    """The text a block of about ``_CHUNK`` characters at a time, each
+    block ending just after a ``\\n``, so no line break runs on past one."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield text[start:cut]
+        start = cut
+
+
+def _bodies(rows: list[str], first: int) -> Iterator[tuple[int, str]]:
+    """(line number, body) of each row that holds a token, the rows
+    numbered from first; the body is the row with its ``#`` comment cut
+    and its ends stripped."""
+    for lineno, raw in enumerate(rows, first):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        body = raw.strip()
+        if body:
+            yield lineno, body
+
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
     """Yield (line number, body) of each line that holds a token, in order.
 
-    The body is the line with its ``#`` comment cut and its ends
-    stripped; lines are those of ``str.splitlines``, numbered from 1.
-    The reader streams: it splits the text a chunk at a time, each chunk
-    ending just after a ``\\n`` (no line break runs on past one), so it
-    holds no list of all lines.  Every file format reads through here.
+    Lines are those of ``str.splitlines``, numbered from 1.  The reader
+    streams: it splits the text a block at a time (``_blocks``), so it
+    holds no list of all lines.  Every other file format reads through
+    here; the digraph reader walks the same blocks and bodies itself, so
+    that it can read some blocks in bulk.
     """
-    start, first = 0, 1
-    while start < len(text):
-        cut = text.find("\n", start + _CHUNK) + 1 or len(text)
-        chunk = text[start:cut].splitlines()
-        for lineno, raw in enumerate(chunk, first):
-            if "#" in raw:
-                raw = raw.split("#", 1)[0]
-            body = raw.strip()
-            if body:
-                yield lineno, body
-        start, first = cut, first + len(chunk)
+    first = 1
+    for block in _blocks(text):
+        rows = block.splitlines()
+        yield from _bodies(rows, first)
+        first += len(rows)
 
 
 def parse_structure(text: str) -> RelStructure:
-    return _structure_from(_lines(text))
-
-
-def _structure_from(lines: Iterator[tuple[int, str]]) -> RelStructure:
+    lines = _lines(text)
     head_line = next(lines, None)
     if head_line is None:
         raise ParseError("empty structure file")
@@ -345,46 +381,84 @@ def serialize_structure(s: RelStructure) -> str:
 
 
 def parse_digraph(text: str) -> Digraph:
-    return _digraph_from(_lines(text))
+    """Read a digraph file, a block (``_blocks``) at a time.
 
-
-def _digraph_from(lines: Iterator[tuple[int, str]]) -> Digraph:
-    head_line = next(lines, None)
-    if head_line is None:
-        raise ParseError("empty digraph file")
-    lineno, body = head_line
-    head = body.split()
-    if head[0] != "digraph" or len(head) != 2:
-        raise ParseError("expected 'digraph <name>'", lineno)
-    name = head[1]
+    After the head line, a block of vertex lines only or of edge lines
+    only, each exactly as ``serialize_digraph`` writes it, is read in
+    bulk (``_read_bulk``).  Every other block goes through the line loop
+    below: the head line, ``end``, comments, other blanks, other line
+    breaks and mixed blocks; so does a bulk-form block that repeats a
+    vertex or names an unknown one, so the line loop names every error
+    with its line number.  Either way no list of all lines is held.
+    """
+    name: str | None = None  # set by the head line
+    ended = False
     index: dict[str, int] = {}  # vertex name -> index, in file order
     edges: list[tuple[int, int]] = []
-    for lineno, body in lines:
-        toks = body.split()
-        kw = toks[0]
-        if kw == "edge":
-            if len(toks) != 3:
-                raise ParseError("expected 'edge <u> <v>'", lineno)
-            try:
-                edges.append((index[toks[1]], index[toks[2]]))
-            except KeyError:
-                unknown = toks[1] if toks[1] not in index else toks[2]
-                raise ParseError(f"unknown vertex {unknown!r}", lineno) from None
-        elif kw == "vertex":
-            if len(toks) != 2:
-                raise ParseError("expected 'vertex <v>'", lineno)
-            if toks[1] in index:
-                raise ParseError(f"duplicate vertex {toks[1]!r}", lineno)
-            index[toks[1]] = len(index)
-        elif kw == "end":
-            break
-        else:
-            raise ParseError(f"unknown keyword {kw!r}", lineno)
-    else:
+    first = 1  # number of the block's first line
+    for block in _blocks(text):
+        if name is not None and not ended:
+            read = _read_bulk(block, index, edges)
+            if read:
+                first += read
+                continue
+        rows = block.splitlines()
+        for lineno, body in _bodies(rows, first):
+            toks = body.split()
+            kw = toks[0]
+            if name is None or ended:
+                if ended:
+                    raise ParseError("content after 'end'", lineno)
+                if kw != "digraph" or len(toks) != 2:
+                    raise ParseError("expected 'digraph <name>'", lineno)
+                name = toks[1]
+            elif kw == "edge":
+                if len(toks) != 3:
+                    raise ParseError("expected 'edge <u> <v>'", lineno)
+                try:
+                    edges.append((index[toks[1]], index[toks[2]]))
+                except KeyError:
+                    unknown = toks[1] if toks[1] not in index else toks[2]
+                    raise ParseError(f"unknown vertex {unknown!r}", lineno) from None
+            elif kw == "vertex":
+                if len(toks) != 2:
+                    raise ParseError("expected 'vertex <v>'", lineno)
+                if toks[1] in index:
+                    raise ParseError(f"duplicate vertex {toks[1]!r}", lineno)
+                index[toks[1]] = len(index)
+            elif kw == "end":
+                ended = True
+            else:
+                raise ParseError(f"unknown keyword {kw!r}", lineno)
+        first += len(rows)
+    if name is None:
+        raise ParseError("empty digraph file")
+    if not ended:
         raise ParseError("missing 'end'")
-    for lineno, _ in lines:
-        raise ParseError("content after 'end'", lineno)
-    return make_digraph(name, tuple(index), edges)
+    return Digraph._unchecked(name, tuple(index), tuple(dict.fromkeys(edges)))
+
+
+def _read_bulk(block: str, index: dict[str, int], edges: list[tuple[int, int]]) -> int:
+    """Read a block in the form ``_BULK`` matches and return its number of
+    lines; return 0, leaving index and edges as they were, when the block
+    is not in that form, repeats a vertex or names an unknown one."""
+    if "#" in block or not _BULK.fullmatch(block):
+        return 0
+    # the splits below make the name strings alone, not the keyword
+    # strings that block.split() would make and drop again
+    if block[0] == "v":
+        names = block[7:-1].split("\nvertex ")  # 'vertex a\nvertex b\n'
+        if len(set(names)) < len(names) or not index.keys().isdisjoint(names):
+            return 0
+        index.update(zip(names, range(len(index), len(index) + len(names))))
+        return len(names)
+    toks = block[5:-1].replace("\nedge ", " ").split(" ")  # 'edge a b\nedge c d\n'
+    try:
+        ends = list(map(index.__getitem__, toks))
+    except KeyError:
+        return 0
+    edges += zip(ends[::2], ends[1::2])
+    return len(ends) // 2
 
 
 def serialize_digraph(g: Digraph) -> str:

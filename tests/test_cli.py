@@ -188,6 +188,35 @@ def test_solve_restriction_errors(ctx, capsys, template, allow, expected):
     assert got == expected
 
 
+@pytest.mark.parametrize(
+    "allow, expected",
+    [
+        # target names are resolved before the source name
+        ("allow nosuch 9\n", (2, "", "error: unknown element name '9'\n")),
+        ("allow nosuch 00\n", (2, "", "error: unknown element name 'nosuch'\n")),
+    ],
+)
+def test_empty_digraph_resolves_the_restriction(ctx, capsys, allow, expected):
+    allow_file = ctx / "r.allow"
+    allow_file.write_text(allow)
+    for text in ("digraph g\nend\n", "digraph g\nvertex v\nend\n"):
+        g = ctx / "g.dg"
+        g.write_text(text)
+        got = run(
+            capsys, "solve", "--instance", str(g),
+            "--template", str(FIXTURES / "zigzag.dg"), "--restrict", str(allow_file),
+        )
+        assert got == expected, text
+    # an empty restriction on the empty digraph: its one empty map
+    allow_file.write_text("")
+    g.write_text("digraph g\nend\n")
+    got = run(
+        capsys, "solve", "--instance", str(g),
+        "--template", str(FIXTURES / "zigzag.dg"), "--restrict", str(allow_file),
+    )
+    assert got == (0, "", "")
+
+
 def test_forward_then_reverse_round_trip(ctx, capsys):
     gadget = ctx / "x.dg"
     code, _, _ = run(

@@ -1,7 +1,8 @@
 import itertools
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from cspdigraph.builder import build_digraph
@@ -13,6 +14,7 @@ from cspdigraph.structures import (
     Digraph,
     Relation,
     RelStructure,
+    _blocks,
     _lines,
     export_dot,
     make_digraph,
@@ -22,6 +24,8 @@ from cspdigraph.structures import (
     serialize_digraph,
     serialize_structure,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 TWO_CYCLE_TEXT = """\
 # the directed two-cycle
@@ -253,6 +257,164 @@ def test_line_reader_streams_like_one_split():
     want = _lines_in_one_list(text)
     assert next(lines) == want[0]
     assert [want[0], *lines] == want
+
+
+# ---------------------------------------------------------------------------
+# The digraph reader's bulk blocks against a line loop over _lines alone
+
+
+def _line_loop_digraph(text):
+    """The digraph reader with no bulk path: each line from _lines, and
+    the digraph built by the validating make_digraph."""
+    lines = _lines(text)
+    head_line = next(lines, None)
+    if head_line is None:
+        raise ParseError("empty digraph file")
+    lineno, body = head_line
+    head = body.split()
+    if head[0] != "digraph" or len(head) != 2:
+        raise ParseError("expected 'digraph <name>'", lineno)
+    index = {}
+    edges = []
+    for lineno, body in lines:
+        toks = body.split()
+        if toks[0] == "edge":
+            if len(toks) != 3:
+                raise ParseError("expected 'edge <u> <v>'", lineno)
+            for t in toks[1:]:
+                if t not in index:
+                    raise ParseError(f"unknown vertex {t!r}", lineno)
+            edges.append((index[toks[1]], index[toks[2]]))
+        elif toks[0] == "vertex":
+            if len(toks) != 2:
+                raise ParseError("expected 'vertex <v>'", lineno)
+            if toks[1] in index:
+                raise ParseError(f"duplicate vertex {toks[1]!r}", lineno)
+            index[toks[1]] = len(index)
+        elif toks[0] == "end":
+            break
+        else:
+            raise ParseError(f"unknown keyword {toks[0]!r}", lineno)
+    else:
+        raise ParseError("missing 'end'")
+    for lineno, _ in lines:
+        raise ParseError("content after 'end'", lineno)
+    return make_digraph(head[1], list(index), edges)
+
+
+def _ends_of_blocks(rows):
+    """Indices of the rows that end a block of the reader, for rows that
+    each end in one '\\n'."""
+    out, start, pos = [], 0, 0
+    for i, row in enumerate(rows):
+        pos += len(row) + 1
+        if pos - 1 >= start + _CHUNK:
+            out.append(i)
+            start = pos
+    return out
+
+
+@st.composite
+def large_digraph_files(draw):
+    """A digraph file of several blocks in serialize_digraph's form, edited
+    at and next to the ends of blocks and anywhere else: comment and blank
+    lines, tabs, padding, double spaces, other line breaks, glued comments
+    (`vertex a#b` declares `a`) and repeated edges.  Most files also have
+    a fault: a repeated or unknown vertex deep in a block, or content
+    after `end`, sometimes a whole bulk-form block of it."""
+    rng = Lcg64(draw(st.integers(0, 2**64 - 1)))
+    # long names keep each block to a few thousand lines
+    width = draw(st.integers(12, 40))
+    n = draw(st.integers(2, 4)) * _CHUNK // (width + 8) + rng.below(500)
+    m = draw(st.integers(1, 4)) * _CHUNK // (2 * width + 8) + rng.below(500)
+    names = [f"v{i:0{width}d}" for i in range(n)]
+    rows = [f"vertex {v}" for v in names]
+    rows += [f"edge {names[rng.below(n)]} {names[rng.below(n)]}" for _ in range(m)]
+    breaks = ["\n"] * len(rows)
+
+    fault = draw(st.sampled_from([None, "duplicate", None, "unknown", "after"]))
+    if fault == "duplicate":
+        at = draw(st.integers(n // 2, n - 1))
+        rows[at] = f"vertex {names[rng.below(at)]}"
+    elif fault == "unknown":
+        at = draw(st.integers(n + m // 2, n + m - 1))
+        rows[at] = rows[at].rsplit(" ", 1)[0] + " nosuch"
+
+    ends = _ends_of_blocks(["digraph g", *rows])
+    near_ends = st.sampled_from(ends).flatmap(lambda e: st.integers(e - 3, e))
+    at_rows = draw(st.lists(st.one_of(near_ends, st.integers(0, len(rows) - 1)), max_size=6))
+    # a glued comment on a vertex line of the second block, which is all
+    # vertex lines when the first block ends before the edges begin
+    glued = draw(st.integers(ends[0], max(ends[0], min(ends[1], n) - 1)))
+    # edit from the last row back, so that earlier indices stay put
+    for at in sorted({*at_rows, glued}, reverse=True):
+        edit = "glued" if at == glued else draw(st.sampled_from(
+            ["comment", "blank", "tab", "pad", "double", "break", "glued", "repeat"]
+        ))
+        if edit == "comment":
+            rows.insert(at, draw(_comment))
+            breaks.insert(at, "\n")
+        elif edit == "blank":
+            rows.insert(at, draw(_pad))
+            breaks.insert(at, "\n")
+        elif edit == "tab":
+            rows[at] = rows[at].replace(" ", "\t", 1)
+        elif edit == "pad":
+            rows[at] = draw(_pad) + rows[at] + draw(_pad)
+        elif edit == "double":
+            rows[at] = rows[at].replace(" ", "  ", 1)
+        elif edit == "break":
+            breaks[at] = draw(st.sampled_from(["\r\n", "\r", "\x0b", "\x0c", "\u2028"]))
+        elif edit == "glued":
+            rows[at] += "#" + draw(st.sampled_from(["", "b", "b#c"]))
+        elif at > n:
+            rows.insert(at, rows[rng.randint(n, at - 1)])
+            breaks.insert(at, "\n")
+
+    body = "digraph g\n" + "".join(r + b for r, b in zip(rows, breaks))
+    if fault != "after":
+        return body + "end\n"
+    pad = 0
+    if draw(st.booleans()):
+        # spaces that end a block just after `end`, so that the next
+        # block is all content after it
+        *_, last = _blocks(body + "end\n")
+        pad = max(0, _CHUNK + 1 - len(last))
+    after = "".join(f"vertex w{i}\n" for i in range(draw(st.integers(1, 8000))))
+    return body + "end" + " " * pad + "\n" + after
+
+
+# no shrinking: a failing file cannot shrink below a block or two, and
+# shrinking one of several blocks takes minutes
+@given(large_digraph_files())
+@settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_bulk_blocks_read_as_the_line_loop_reads_them(text):
+    assert len(text) > _CHUNK
+    try:
+        want = _line_loop_digraph(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_digraph(text)
+        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        return
+    got = parse_digraph(text)
+    assert got == want
+    assert Digraph(got.name, got.vertices, got.edges) == got
+
+
+def test_read_fixture_digraphs_pass_the_validating_constructor():
+    """The reader builds its digraph unchecked; the digraph files among the
+    fixtures and the encodings of the fixture templates read back as
+    digraphs that the validating constructor accepts and equals."""
+    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.dg"))]
+    texts += [
+        serialize_digraph(build_digraph(parse_structure(p.read_text())).digraph)
+        for p in sorted(FIXTURES.glob("*.rel"))
+    ]
+    assert len(texts) == 4
+    for text in texts:
+        g = parse_digraph(text)
+        assert Digraph(g.name, g.vertices, g.edges) == g
 
 
 # ---------------------------------------------------------------------------
