@@ -2,19 +2,27 @@
 
 The pipeline, per connected component of the input digraph:
 
-  stage 1   assign levels; anything unbalanced or taller than the
-            encoding's height means a fixed NO instance overall.
+  stage 1   one walk per component, from its least vertex, finds it
+            and writes its levels into one per-vertex list, normalised
+            per component; anything unbalanced (walked again, only for
+            the witness) or taller than the encoding's height means a
+            fixed NO instance overall.
   stage 2   components strictly lower than the encoding are decided
             directly against the encoded digraph; a NO again yields the
             fixed NO instance, a YES constrains nothing further.
   stage 3   full-height components are compiled into hyperedges: the
             induced subgraph between the extreme levels splits into
             internal components, each of which pins a set of tuple
-            positions (gamma, read off the component's own edges: a
-            directed three-edge walk across a position's levels pins
-            it, no search needed); objects of four kinds record who must
-            share those positions (types III and IV are read off the
-            internal components), an equivalence closure unites each
+            positions (gamma), read in the walk that finds it, no search
+            needed: position l <= k is pinned when an internal vertex at
+            level l has an in-edge and an out-edge to a vertex that has
+            an out-edge, a directed three-edge walk across levels
+            l-1..l+2.  Every edge at an internal vertex belongs to its
+            component, and an edge leaving level l <= k ends at an
+            internal vertex, so the digraph's per-vertex has-in and
+            has-out flags decide it.  Objects of four kinds record who
+            must share those positions (types III and IV are read off
+            the internal components), an equivalence closure unites each
             group once, and class representatives become the elements of
             the output instance.  Only the type-I sets can outgrow the
             input: one component fills them with |bases|·|tops|·k names.
@@ -38,8 +46,52 @@ from .structures import Digraph, RelStructure, fresh_prefix, make_digraph, make_
 # Stage 1: components and levels
 
 
+def levelled_components(g: Digraph) -> tuple[list, list[tuple[list[int], int | None]]]:
+    """(level, parts): one walk per connected component finds it and
+    writes its levels.
+
+    The components come in order of least vertex, each sorted, with its
+    height.  Each walk starts at the component's least vertex and writes
+    every vertex's level into the one per-vertex list ``level``,
+    normalised so that the component's lowest vertex is at 0.  The
+    height is None when an edge disagrees with the levels already
+    written; assign_levels then walks that component again for the
+    witness.
+    """
+    nbrs = g.neighbours
+    level: list = [None] * len(g.vertices)
+    parts: list[tuple[list[int], int | None]] = []
+    for root in range(len(level)):
+        if level[root] is not None:
+            continue
+        level[root] = 0
+        comp = [root]
+        balanced = True
+        for u in comp:
+            lu = level[u]
+            for w, d in nbrs[u]:
+                lw = level[w]
+                if lw is None:
+                    level[w] = lu + d
+                    comp.append(w)
+                elif lw != lu + d:
+                    balanced = False
+        comp.sort()
+        height = None
+        if balanced:
+            low = min(map(level.__getitem__, comp))
+            if low:
+                for v in comp:
+                    level[v] -= low
+            height = max(map(level.__getitem__, comp))
+        parts.append((comp, height))
+    return level, parts
+
+
 def components(g: Digraph) -> list[list[int]]:
-    """Connected components (ignoring orientation), ordered by least vertex."""
+    """Connected components (ignoring orientation), ordered by least
+    vertex.  The tests' reference; reverse_instance finds them with
+    levelled_components."""
     nbrs = g.neighbours
     n = len(g.vertices)
     seen = [False] * n
@@ -71,7 +123,9 @@ def assign_levels(g: Digraph, comp: list[int]) -> LevelAssignment:
     """Propagate levels from the least vertex; raise Unbalanced on conflict.
 
     The witness is a closed walk with nonzero net orientation, built
-    from the propagation tree plus the offending edge.
+    from the propagation tree plus the offending edge.  reverse_instance
+    walks a component again here only when levelled_components found it
+    unbalanced, so this traversal order alone decides the witness.
     """
     nbrs = g.neighbours
     root = comp[0]
@@ -131,22 +185,28 @@ class InternalComponent:
     vertices: tuple[int, ...]
     base: tuple[int, ...]
     top: tuple[int, ...]
-    # every edge of g with an endpoint among the vertices; the other
-    # endpoint is then a vertex, a base or a top vertex
-    edges: tuple[tuple[int, int], ...]
     gamma: frozenset[int] = frozenset()
 
 
 def internal_components(
-    g: Digraph, comp: list[int], levels: dict[int, int], height: int
+    g: Digraph, comp: list[int], levels, height: int
 ) -> list[InternalComponent]:
-    """Components of the vertices strictly between levels 0 and height.
+    """Components of the vertices strictly between levels 0 and height,
+    each with its gamma for k = height - 2.
 
+    ``levels[v]`` is v's level, from the per-vertex list (or any map).
     An out-neighbour of an internal vertex is internal or a top vertex,
     an in-neighbour internal or a base vertex, so one walk over the
-    neighbour lists finds each component's base, top and edges.
+    neighbour lists finds each component's base and top.  The same walk
+    reads gamma: position l is forced when an internal vertex u at level
+    l <= k has an in-edge and an out-edge to a vertex that has an
+    out-edge.  That is the rule of ``gamma`` over the component's own
+    edges, because every edge at an internal vertex is one of them, and
+    the head of an edge leaving level l <= k is internal.
     """
     nbrs = g.neighbours
+    has_out, has_in = g.end_flags
+    pinning = height - 1  # internal levels 1..k pin their position
     seen: set[int] = set()
     result = []
     for root in comp:
@@ -155,25 +215,24 @@ def internal_components(
         comp_vs = [root]
         base: set[int] = set()
         top: set[int] = set()
-        edges: list[tuple[int, int]] = []
+        forced: set[int] = set()
         seen.add(root)
-        stack = [root]
-        while stack:
-            u = stack.pop()
+        for u in comp_vs:
+            lu = levels[u]
+            pins = lu < pinning and has_in[u]
             for w, d in nbrs[u]:
                 if d == 1:
-                    edges.append((u, w))
+                    if pins and has_out[w]:
+                        forced.add(lu)
                     if levels[w] == height:
                         top.add(w)
                         continue
                 elif levels[w] == 0:
-                    edges.append((w, u))
                     base.add(w)
                     continue
                 if w not in seen:
                     seen.add(w)
                     comp_vs.append(w)
-                    stack.append(w)
         comp_vs.sort()
         result.append(
             InternalComponent(
@@ -181,29 +240,40 @@ def internal_components(
                 vertices=tuple(comp_vs),
                 base=tuple(sorted(base)),
                 top=tuple(sorted(top)),
-                edges=tuple(edges),
+                gamma=frozenset(forced),
             )
         )
     return result
 
 
+def _own_edges(g: Digraph, c: InternalComponent) -> list[tuple[int, int]]:
+    """Every edge of g with an endpoint among the component's vertices;
+    the other endpoint is then a vertex, a base or a top vertex."""
+    member = set(c.vertices)
+    nbrs = g.neighbours
+    return [
+        (u, w) if d == 1 else (w, u)
+        for u in c.vertices
+        for w, d in nbrs[u]
+        if d == 1 or w not in member
+    ]
+
+
 def boundary_subgraph(
-    g: Digraph, c: InternalComponent, levels: dict[int, int]
+    g: Digraph, c: InternalComponent, levels
 ) -> tuple[Digraph, dict[str, int]]:
-    """The component plus its base and top, with only its own edges (the
-    solver-based cross-check's input; gamma reads c.edges directly)."""
+    """The component plus its base and top, with only its own edges: the
+    input of the tests' solver-based cross-check of gamma."""
     keep = sorted(c.vertices + c.base + c.top)
     names = [g.vertices[v] for v in keep]
     remap = {v: i for i, v in enumerate(keep)}
-    edges = [(remap[u], remap[v]) for u, v in c.edges]
+    edges = [(remap[u], remap[v]) for u, v in _own_edges(g, c)]
     sub = make_digraph(f"around:{names[0]}", names, edges)
     level_of = {g.vertices[v]: levels[v] for v in keep}
     return sub, level_of
 
 
-def gamma(
-    g: Digraph, c: InternalComponent, levels: dict[int, int], k: int
-) -> frozenset[int]:
+def gamma(g: Digraph, c: InternalComponent, levels, k: int) -> frozenset[int]:
     """Positions whose segment the component forces to be a single edge.
 
     Position j is forced exactly when the component (with its base and
@@ -212,12 +282,15 @@ def gamma(
     that fold is a directed three-edge walk crossing levels j-1..j+2,
     so j is forced iff some edge leaving level j has an in-edge at its
     tail and an out-edge at its head, all among the component's edges.
+    The tests' reference for the gamma that internal_components reads
+    in its walk.
     """
-    tails = {u for u, _ in c.edges}
-    heads = {v for _, v in c.edges}
+    edges = _own_edges(g, c)
+    tails = {u for u, _ in edges}
+    heads = {v for _, v in edges}
     return frozenset(
         levels[u]
-        for u, v in c.edges
+        for u, v in edges
         if 1 <= levels[u] <= k and u in heads and v in tails
     )
 
@@ -262,7 +335,7 @@ class ReverseObjects:
 def build_objects(
     g: Digraph,
     comp: list[int],
-    levels: dict[int, int],
+    levels,
     internals: list[InternalComponent],
     k: int,
     prefix: str = "",
@@ -468,28 +541,32 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
     n = k + 2
 
     reports: list[ComponentReport] = []
-    stage3: list[tuple[list[int], tuple[str, ...], dict[int, int]]] = []
-    for comp in components(g):
-        names = tuple(g.vertices[v] for v in comp)
-        try:
-            assignment = assign_levels(g, comp)
-        except Unbalanced as exc:
-            reports.append(
-                ComponentReport(names, "fixed-no", f"unbalanced: {' '.join(exc.witness)}")
+    stage3: list[tuple[list[int], tuple[str, ...]]] = []
+    levels, parts = levelled_components(g)
+    name = g.vertices.__getitem__
+    for comp, height in parts:
+        names = tuple(map(name, comp))
+        if height is None:
+            try:
+                assign_levels(g, comp)
+            except Unbalanced as exc:
+                reports.append(
+                    ComponentReport(names, "fixed-no", f"unbalanced: {' '.join(exc.witness)}")
+                )
+                return ReverseResult(fixed_no(template), "fixed-no", reports)
+            raise InternalInvariantViolation(
+                f"component of {names[0]} has a level function on a second walk"
             )
+        if height > n:
+            reports.append(ComponentReport(names, "fixed-no", f"height {height} > {n}"))
             return ReverseResult(fixed_no(template), "fixed-no", reports)
-        if assignment.height > n:
-            reports.append(
-                ComponentReport(names, "fixed-no", f"height {assignment.height} > {n}")
-            )
-            return ReverseResult(fixed_no(template), "fixed-no", reports)
-        if assignment.height < n:
+        if height < n:
             if not stage2_decide(_component_digraph(g, comp), meta):
                 reports.append(ComponentReport(names, "fixed-no", "low component, no map"))
                 return ReverseResult(fixed_no(template), "fixed-no", reports)
             reports.append(ComponentReport(names, "low-yes"))
         else:
-            stage3.append((comp, names, assignment.levels))
+            stage3.append((comp, names))
 
     if not stage3:
         reports.append(ComponentReport((), "fixed-yes", "no full-height component"))
@@ -497,18 +574,17 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
 
     # base vertices are the only input names in the output domain
     prefix = fresh_prefix(
-        (g.vertices[v] for comp, _, levels in stage3 for v in comp if levels[v] == 0),
+        (name(v) for comp, _ in stage3 for v in comp if levels[v] == 0),
         ("xa:", "xb:", "xg:"),
     )
     domains: list[str] = []
     rows: list[tuple[int, ...]] = []
     rel = template.relations[0]
     cid_offset = 0
-    for comp, names, levels in stage3:
+    for comp, names in stage3:
         internals = internal_components(g, comp, levels, n)
         for c in internals:
             c.cid += cid_offset
-            c.gamma = gamma(g, c, levels, k)
         cid_offset += len(internals)
         objects = build_objects(g, comp, levels, internals, k, prefix)
         partition = sim_closure(objects)

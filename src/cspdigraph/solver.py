@@ -25,7 +25,12 @@ byte-reproducible.
 The search core works on integers only: initial domain masks in, image
 lists out.  Names meet it only in ``enumerate_homs``, which resolves them
 once; the core and witness searches pass masks and rows directly.  Each
-search owns its mutable state, so concurrent searches are safe.
+search owns its domains, trail and queues.  What it reads of a target
+relation, the tuples as a frozenset and a binary relation's neighbour
+masks with their memos, is built once per relation and value count and
+kept on the relation (``Relation.prepared``), so every search into one
+target shares it.  A memo entry is a fixed function of its domain mask,
+so sharing it changes no answer, and interleaved searches stay safe.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .errors import (
     UnbalancedInput,
 )
 from .identities import IdentitySet, OpTable, product_offsets
-from .structures import Digraph, RelStructure, make_structure
+from .structures import Digraph, Relation, RelStructure, make_structure
 
 Hom = dict[str, str]
 
@@ -53,7 +58,7 @@ def _as_structure(x, role):
 
 
 # distinct domain masks remembered per side of a binary relation; the
-# bound keeps a long search's memory flat
+# bound keeps flat what a relation holds, however many searches read it
 _MEMO_LIMIT = 1 << 14
 
 
@@ -62,7 +67,9 @@ class _Neighbours:
 
     ``rows[a]`` is the mask of the values adjacent to ``a``; ``union``
     ORs the rows over the set bits of a domain and remembers the result
-    per domain mask, since the same masks recur across variables.  The
+    per domain mask, since the same masks recur across variables and
+    across searches: a side lives as long as its target relation, and
+    every search into that relation reads the same memo.  The
     propagation reads ``memo`` itself and calls ``union`` only on a miss,
     so the memo is cleared in place, never replaced.
     """
@@ -101,6 +108,19 @@ def _neighbour_masks(
     return _Neighbours(out), _Neighbours(inn)
 
 
+def _target(rel: Relation, n_vals: int) -> tuple[frozenset, tuple | None]:
+    """(tuples, sides): the relation as searches over n_vals values read
+    it, its tuples as a frozenset and, if binary, its (out, inn) neighbour
+    masks; built on first use and kept on the relation for every later
+    search into it."""
+    prepared = rel.prepared
+    if n_vals not in prepared:
+        tuples = frozenset(rel.tuples)
+        sides = _neighbour_masks(tuples, n_vals) if rel.arity == 2 else None
+        prepared[n_vals] = tuples, sides
+    return prepared[n_vals]
+
+
 class _Constraint:
     """A constraint revised by the tuple scan: k-ary, or with a repeated
     variable."""
@@ -117,10 +137,11 @@ class _Constraint:
 
 class _Search:
     """From elements 0..len(domains)-1, element v starting from the value
-    mask domains[v], into values 0..n_vals-1; a relation is (arity,
-    source rows, target rows), and a solution is an image list."""
+    mask domains[v]; a relation is (source rows, its target relation as
+    _target gives it for the values the masks range over), and a
+    solution is an image list."""
 
-    def __init__(self, domains: list[int], n_vals: int, relations: Iterable[tuple]):
+    def __init__(self, domains: list[int], relations: Iterable[tuple]):
         self.n_vars = len(domains)
         self.domains = list(domains)
         # (var, old mask) for every domain write, oldest first
@@ -135,10 +156,9 @@ class _Search:
         # every other constraint is scanned; by_var lists them per variable
         self.constraints: list[_Constraint] = []
         self.by_var: list[list[int]] = [[] for _ in range(self.n_vars)]
-        for arity, rows, allowed in relations:
-            tuples = frozenset(allowed)
+        for rows, (tuples, target_sides) in relations:
             scanned = rows
-            if arity == 2:
+            if target_sides is not None:
                 scanned = [t for t in rows if t[0] == t[1]]
                 if len(scanned) < len(rows):
                     heads: list[list[int]] = [[] for _ in range(self.n_vars)]
@@ -147,7 +167,7 @@ class _Search:
                         if u != v:
                             heads[u].append(v)
                             tails[v].append(u)
-                    out, inn = _neighbour_masks(tuples, n_vals)
+                    out, inn = target_sides
                     self.sides += [(out.memo, out.union, heads), (inn.memo, inn.union, tails)]
             for t in scanned:
                 for v in set(t):
@@ -351,8 +371,9 @@ def enumerate_homs(source, target, restriction=None) -> Iterator[Hom]:
         domains[s.element_index(name)] = mask
     if s is None:
         return iter([{}])
-    relations = [(r.arity, r.tuples, t.relation(r.name).tuples) for r in s.relations]
-    images = _Search(domains, len(t.domain), relations).solutions()
+    n_vals = len(t.domain)
+    relations = [(r.tuples, _target(t.relation(r.name), n_vals)) for r in s.relations]
+    images = _Search(domains, relations).solutions()
     return (dict(zip(s.domain, map(t.domain.__getitem__, image))) for image in images)
 
 
@@ -384,9 +405,9 @@ def _non_surjective_endo(s: RelStructure) -> list[int] | None:
     """
     n = len(s.domain)
     full = (1 << n) - 1
-    relations = [(r.arity, r.tuples, r.tuples) for r in s.relations]
+    relations = [(r.tuples, _target(r, n)) for r in s.relations]
     for avoided in range(n):
-        image = next(_Search([full ^ 1 << avoided] * n, n, relations).solutions(), None)
+        image = next(_Search([full ^ 1 << avoided] * n, relations).solutions(), None)
         if image is not None:
             return image
     return None
@@ -542,8 +563,8 @@ def find_operations(structure, sigma: IdentitySet) -> dict[str, OpTable] | None:
                 for j in range(rel.arity)
             )
             rows += zip(*(map(var_of[name].__getitem__, col) for col in columns))
-        relations.append((rel.arity, list(dict.fromkeys(rows)), rel.tuples))
-    image = next(_Search(domains, n, relations).solutions(), None)
+        relations.append((list(dict.fromkeys(rows)), _target(rel, n)))
+    image = next(_Search(domains, relations).solutions(), None)
     if image is None:
         return None
     return {

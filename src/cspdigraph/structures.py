@@ -47,6 +47,12 @@ class Relation:
     arity: int
     tuples: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def prepared(self) -> dict:
+        """What the solver builds once to search into this relation, by
+        value count; empty until a search first asks (solver._target)."""
+        return {}
+
 
 @dataclass(frozen=True)
 class RelStructure:
@@ -190,6 +196,16 @@ class Digraph:
             nbrs[u].append((v, 1))
             nbrs[v].append((u, -1))
         return tuple(map(tuple, nbrs))
+
+    @cached_property
+    def end_flags(self) -> tuple[bytes, bytes]:
+        """(has_out, has_in): per vertex 1 if it has an out-edge (an
+        in-edge), else 0, from one pass over the edges on first use."""
+        has_out = bytearray(len(self.vertices))
+        has_in = bytearray(len(self.vertices))
+        for u, v in self.edges:
+            has_out[u] = has_in[v] = 1
+        return bytes(has_out), bytes(has_in)
 
     def induced(self, vertex_ids: Sequence[int], name: str | None = None) -> "Digraph":
         """Induced subgraph, keeping vertex names and relative order."""

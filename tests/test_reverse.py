@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspdigraph import reverse
+from cspdigraph import reverse, solver
 from cspdigraph.builder import build_digraph, build_path, path_spec
 from cspdigraph.cli import _objects_report
 from cspdigraph.errors import PreconditionError, TrivialTemplate, Unbalanced
@@ -264,17 +264,20 @@ def _random_internals(seed, ks, per_k):
 def test_gamma_matches_fast_criterion_on_random_components():
     """The local criterion in production agrees with the solver-based one."""
     for k, g, levels, c in _random_internals(37, (2, 3, 4), 40):
-        assert gamma(g, c, levels, k) == gamma_by_search(g, c, levels, k)
+        assert c.gamma == gamma(g, c, levels, k) == gamma_by_search(g, c, levels, k)
 
 
 def test_component_edges_match_a_scan_of_every_edge():
+    """gamma and boundary_subgraph read a component's edges off the
+    neighbour lists of its vertices: each edge once, no edge missed."""
     for _, g, _, c in _random_internals(53, (2, 3, 4), 40):
-        assert sorted(c.edges) == sorted(edges_by_scan(g, c))
-        assert len(set(c.edges)) == len(c.edges)
+        own = reverse._own_edges(g, c)
+        assert sorted(own) == sorted(edges_by_scan(g, c))
+        assert len(set(own)) == len(own)
     g = worked_digraph()
     comp, assignment = _levels(g)
     for c in internal_components(g, comp, assignment.levels, 4):
-        assert sorted(c.edges) == sorted(edges_by_scan(g, c))
+        assert sorted(reverse._own_edges(g, c)) == sorted(edges_by_scan(g, c))
 
 
 def test_forced_positions_remain_interpretable_at_their_minimum():
@@ -287,13 +290,202 @@ def test_forced_positions_remain_interpretable_at_their_minimum():
         assert interpretable_at_levels(sub, level_of, path_spec(2, gm))
 
 
+# ---------------------------------------------------------------------------
+# The stage walks against the walks they replaced: components, then a
+# dict of levels per component, then internal components that keep their
+# edges and a gamma read off those edges, kept here as the oracle
+
+
+def _oracle_components(g):
+    nbrs = g.neighbours
+    seen = [False] * len(g.vertices)
+    out = []
+    for root in range(len(g.vertices)):
+        if seen[root]:
+            continue
+        comp = [root]
+        seen[root] = True
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w, _ in nbrs[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+def _oracle_assign_levels(g, comp):
+    """(levels, height); raises Unbalanced with the tree-walk witness."""
+    nbrs = g.neighbours
+    root = comp[0]
+    level = {root: 0}
+    parent = {root: root}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w, delta in nbrs[u]:
+            want = level[u] + delta
+            if w not in level:
+                level[w] = want
+                parent[w] = u
+                stack.append(w)
+            elif level[w] != want:
+                def back(x):
+                    trail = [x]
+                    while parent[x] != x:
+                        x = parent[x]
+                        trail.append(x)
+                    return trail
+
+                witness = [g.vertices[i] for i in back(u)[::-1] + back(w)]
+                raise Unbalanced("no level function", witness)
+    low = min(level.values())
+    normal = {v: l - low for v, l in level.items()}
+    return normal, max(normal.values())
+
+
+def _oracle_internal_components(g, comp, levels, height):
+    """(vertices, base, top, edges) of each internal component."""
+    nbrs = g.neighbours
+    seen = set()
+    result = []
+    for root in comp:
+        if root in seen or not 0 < levels[root] < height:
+            continue
+        comp_vs, base, top, edges = [root], set(), set(), []
+        seen.add(root)
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w, d in nbrs[u]:
+                if d == 1:
+                    edges.append((u, w))
+                    if levels[w] == height:
+                        top.add(w)
+                        continue
+                elif levels[w] == 0:
+                    edges.append((w, u))
+                    base.add(w)
+                    continue
+                if w not in seen:
+                    seen.add(w)
+                    comp_vs.append(w)
+                    stack.append(w)
+        result.append((tuple(sorted(comp_vs)), tuple(sorted(base)), tuple(sorted(top)), edges))
+    return result
+
+
+def _oracle_gamma(edges, levels, k):
+    tails = {u for u, _ in edges}
+    heads = {v for _, v in edges}
+    return frozenset(
+        levels[u] for u, v in edges if 1 <= levels[u] <= k and u in heads and v in tails
+    )
+
+
+@st.composite
+def _stage_inputs(draw):
+    """(g, k): one to four parts with shuffled vertex ids.  A part is an
+    isolated vertex; a balanced walk of height 0..k+3 with extra edges
+    between adjacent levels; such a walk plus one edge against its levels
+    (a self-loop, a level kept or skipped, a step down); or a stem that
+    zigzags from level 1 to k+1 between bases and tops, possibly none."""
+    k = draw(st.integers(2, 4))
+    lv: list[int] = []
+    edges: list[tuple[int, int]] = []
+
+    def walk(start, stop, floor):
+        """A random oriented walk from level start up to stop on fresh
+        vertices, never below floor; returns the vertices."""
+        vs = [len(lv)]
+        lv.append(start)
+        downs = draw(st.lists(st.booleans(), max_size=3 * (stop - start)))
+        for down in downs + [False] * (stop - start + len(downs)):
+            cur = lv[vs[-1]]
+            if cur == stop and not down:
+                break
+            step = -1 if down and cur > floor else 1
+            v = len(lv)
+            lv.append(cur + step)
+            edges.append((vs[-1], v) if step == 1 else (v, vs[-1]))
+            vs.append(v)
+        return vs
+
+    def extra(vs, count):
+        for _ in range(count):
+            u = draw(st.sampled_from(vs))
+            above = [v for v in vs if lv[v] == lv[u] + 1]
+            if above:
+                edges.append((u, draw(st.sampled_from(above))))
+
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["isolated", "walk", "unbalanced", "stem"]))
+        if kind == "isolated":
+            lv.append(0)
+        elif kind == "stem":
+            vs = walk(1, k + 1, 1)
+            for level, end in ((0, 1), (k + 2, k + 1)):
+                at = [v for v in vs if lv[v] == end]
+                for _ in range(draw(st.integers(0, 3))):
+                    x = len(lv)
+                    lv.append(level)
+                    other = draw(st.sampled_from(at))
+                    edges.append((x, other) if level == 0 else (other, x))
+                    vs.append(x)
+            extra(vs, draw(st.integers(0, 3)))
+        else:
+            vs = walk(0, draw(st.integers(0, k + 3)), 0)
+            extra(vs, draw(st.integers(0, 4)))
+            if kind == "unbalanced":
+                u, v = draw(st.sampled_from(vs)), draw(st.sampled_from(vs))
+                if lv[v] == lv[u] + 1:
+                    u, v = v, u  # against the levels either way
+                edges.append((u, v))
+    perm = draw(st.permutations(range(len(lv))))
+    names = [""] * len(lv)
+    for old, new in enumerate(perm):
+        names[new] = f"v{old}"
+    return make_digraph("parts", names, [(perm[u], perm[v]) for u, v in edges]), k
+
+
+@given(_stage_inputs())
+@settings(max_examples=300, deadline=None)
+def test_stage_walks_match_the_walks_they_replaced(case):
+    """levelled_components and internal_components give the oracle's
+    component order, heights, normalised levels and unbalanced witness,
+    and each internal component's vertices, base, top and gamma."""
+    g, k = case
+    levels, parts = reverse.levelled_components(g)
+    assert [comp for comp, _ in parts] == _oracle_components(g)
+    for comp, height in parts:
+        try:
+            want, want_height = _oracle_assign_levels(g, comp)
+        except Unbalanced as exc:
+            assert height is None
+            with pytest.raises(Unbalanced) as err:
+                assign_levels(g, comp)
+            assert err.value.witness == exc.witness
+            continue
+        assert height == want_height
+        assert {v: levels[v] for v in comp} == want
+        got = [
+            (c.vertices, c.base, c.top, c.gamma)
+            for c in internal_components(g, comp, levels, k + 2)
+        ]
+        assert got == [
+            (vs, base, top, _oracle_gamma(edges, want, k))
+            for vs, base, top, edges in _oracle_internal_components(g, comp, want, k + 2)
+        ]
+
+
 def test_objects_for_a_bare_path():
     k = 3
     g = build_path(path_spec(k, {1, 3}))
     comp, assignment = _levels(g)
     parts = internal_components(g, comp, assignment.levels, assignment.height)
-    for c in parts:
-        c.gamma = gamma(g, c, assignment.levels, k)
     obj = build_objects(g, comp, assignment.levels, parts, k)
     assert len(obj.type1) == 1
     (t1,) = obj.type1
@@ -334,8 +526,8 @@ def test_worked_fixture_objects(two_cycle):
     assert len(parts) == len(EXPECTED_GAMMAS)
     for c in parts:
         first = g.vertices[c.vertices[0]]
-        c.gamma = gamma(g, c, assignment.levels, 2)
         assert c.gamma == frozenset(EXPECTED_GAMMAS[first]), first
+        assert gamma(g, c, assignment.levels, 2) == c.gamma
         assert gamma_by_search(g, c, assignment.levels, 2) == c.gamma
 
     obj = build_objects(g, comp, assignment.levels, parts, 2)
@@ -618,7 +810,8 @@ def test_many_low_components_need_no_induced_subgraph(two_cycle, monkeypatch):
 
 def test_low_components_share_one_template_structure(two_cycle, monkeypatch):
     """Stage 2 decides every low component against one structure view of
-    the encoded template, built once per reverse, not once per component."""
+    the encoded template, built once per reverse, not once per component,
+    and every search into it reuses one set of its neighbour masks."""
     edge = make_digraph("e", ["s", "t"], [(0, 1)])
     g = _disjoint_union("lows", [edge] * 200)
     as_structure = Digraph.as_structure
@@ -628,11 +821,17 @@ def test_low_components_share_one_template_structure(two_cycle, monkeypatch):
         roles.append(role)
         return as_structure(self, role)
 
+    masks = []
+    neighbour_masks = solver._neighbour_masks
     monkeypatch.setattr(Digraph, "as_structure", counted)
+    monkeypatch.setattr(
+        solver, "_neighbour_masks", lambda *args: masks.append(1) or neighbour_masks(*args)
+    )
     res = reverse_instance(g, two_cycle)
     assert sum(r.stage == "low-yes" for r in res.reports) == 200
     assert roles.count("template") == 1
     assert roles.count("instance") == 200
+    assert len(masks) == 1
 
 
 def _stem(rng, k, names, edges, tag):

@@ -335,6 +335,57 @@ def test_find_hom_is_the_first_enumerated_hom():
     assert 30 <= found <= 90
 
 
+def _rebuilt(t):
+    """t with its relations built anew, so nothing prepared for t's
+    relations is reused by a search into it."""
+    rels = [(r.name, r.arity, r.tuples) for r in t.relations]
+    return make_structure(t.name, t.domain, rels, role=t.role)
+
+
+def test_searches_into_a_shared_target_match_fresh_targets(monkeypatch):
+    """Every search into a target reuses its prepared tuple set, neighbour
+    masks and memos.  Enumerations advanced in turn, with find_hom calls
+    in between, into shared targets (two digraphs on as many vertices and
+    a structure), and with every memo cleared after four entries, give
+    what searches into freshly built copies give, and what the tuple scan
+    gives."""
+    monkeypatch.setattr(solver, "_MEMO_LIMIT", 4)
+    rng = Lcg64(73)
+    shared = [
+        _random_digraph(rng, "a", 5).as_structure("template"),
+        _random_digraph(rng, "b", 5).as_structure("template"),
+        random_multi_template(rng, max_elems=4),
+    ]
+    jobs = []
+    for i in range(60):
+        t = shared[i % 3]
+        if t.signature() == (("E", 2),):
+            x = _random_digraph(rng, "x", rng.randint(1, 7)).as_structure("instance")
+        else:
+            x = random_instance_for(rng, t, max_elems=5)
+        jobs.append((x, t, _random_restriction(rng, x, t)))
+    homs = [enumerate_homs(*job) for job in jobs]
+    got: list[list] = [[] for _ in jobs]
+    firsts = []
+    live = list(range(len(jobs)))
+    while live:
+        for j in list(live):
+            hom = next(homs[j], None)
+            if hom is None or len(got[j]) == 30:
+                live.remove(j)
+            else:
+                got[j].append(hom)
+            firsts.append((j, find_hom(*jobs[(5 * j + len(firsts)) % len(jobs)])))
+    for j, (x, t, r) in enumerate(jobs):
+        assert got[j] == list(itertools.islice(enumerate_homs(x, _rebuilt(t), r), 30))
+        assert got[j] == list(itertools.islice(scan_search(x, t, r), 30))
+    for i, (j, first) in enumerate(firsts):
+        x, t, r = jobs[(5 * j + i) % len(jobs)]
+        assert first == next(enumerate_homs(x, _rebuilt(t), r), None)
+    assert sum(map(bool, got)) >= 20
+    assert [list(t.relations[0].prepared) for t in shared[:2]] == [[5], [5]]
+
+
 def test_every_returned_hom_passes_the_definition(two_cycle):
     meta = build_digraph(two_cycle)
     for hom in enumerate_homs(meta.digraph, meta.digraph):
