@@ -29,7 +29,10 @@ def forward_instance(x: RelStructure, k: int) -> Digraph:
     One tuple's pattern is built once from the k path specs: the
     interior name suffixes, and each edge as a pair of offsets into
     [the tuple's k entries, apex, interiors].  Every tuple is stamped
-    from it, so the edges are distinct by construction.
+    from it, so the edges are distinct by construction: each one has an
+    end among its own tuple's apex and interiors.  With the fresh names
+    apart from the element names, the gadget is valid as built, and it is
+    built without Digraph's checks.
     """
     if len(x.relations) != 1:
         raise ArityMismatch("forward translation expects a single-relation instance")
@@ -57,7 +60,7 @@ def forward_instance(x: RelStructure, k: int) -> Digraph:
         vertices += [q + s for s in suffixes]
         look = [*t, *range(base, len(vertices))]
         edges += [(look[u], look[v]) for u, v in pattern]
-    return Digraph(f"fwd:{x.name}", tuple(vertices), tuple(edges))
+    return Digraph._unchecked(f"fwd:{x.name}", tuple(vertices), tuple(edges))
 
 
 def gadget_size(n_elements: int, n_tuples: int, k: int) -> tuple[int, int]:

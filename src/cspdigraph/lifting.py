@@ -231,7 +231,15 @@ _LEAST, _GREATEST, _DIAGONAL, _CALL = range(4)
 
 
 class _Prefix(NamedTuple):
-    """What cases 2a-2c need of every place of a tuple but the last."""
+    """What cases 2a-2c need of every place of a tuple but the last.
+
+    targets memoises the target path: each source path a last vertex is
+    on (its coordinates meta.coords[v]) is resolved to the path f_a picks,
+    meta.paths[...], the first time a tuple finished from this prefix
+    needs it, and read from here for every later tuple on the same path.
+    The target depends on the prefix only through coords, so within one
+    tabulate every prefix with the same coords holds the same dict.
+    """
 
     values: tuple[int, ...]  # the vertex at each place
     at: tuple[int, ...] | range  # the argument pattern
@@ -243,6 +251,7 @@ class _Prefix(NamedTuple):
     least: list[int]  # per segment: least offset of a zigzag carrier, or 4
     a_last: int  # the last place's weight in the flat index of f_a
     z_last: int  # and in that of f_z
+    targets: dict  # source path -> (single segments, segments) of its target path
 
 
 class LiftedOp:
@@ -292,16 +301,20 @@ class LiftedOp:
         self._by_rank_star = sorted(range(self.size), key=order_key(meta, "ra"))
         self._rank = {v: i for i, v in enumerate(self._by_rank)}
         self._rank_star = {v: i for i, v in enumerate(self._by_rank_star)}
-        # for the diagonal cases, besides the paths, coordinates and segments
-        # of meta: each vertex's own path's single segments and its offset
-        # within each of its segments, or 4 (past any segment) where its own
-        # path is a single edge
-        self._own_singles = [meta.paths[e][0] if e else 0 for e in meta.coords]
-        self._offset = [[0] * (k + 1) for _ in range(self.size)]
+        # what the diagonal cases read of each vertex, in one record: its
+        # sides, segments, path coordinates and level from meta, its own
+        # path's single segments, and its offset within each of its
+        # segments, or 4 (past any segment) where its own path is a single
+        # edge
+        own_singles = [meta.paths[e][0] if e else 0 for e in meta.coords]
+        offset = [[0] * (k + 1) for _ in range(self.size)]
         for singles, segments in meta.paths.values():
             for l in range(1, k + 1):
                 for o, v in enumerate(segments[l]):
-                    self._offset[v][l] = 4 if singles >> l & 1 else o
+                    offset[v][l] = 4 if singles >> l & 1 else o
+        self._vertex = list(
+            zip(meta.sides, meta.segs, meta.coords, meta.lvl, own_singles, offset)
+        )
         # each argument position's weight in the flat index of f_a and of f_z
         self._a_weight = [f_a.size ** (m - 1 - i) for i in range(m)]
         self._z_weight = [f_z.size ** (m - 1 - i) for i in range(m)]
@@ -316,7 +329,7 @@ class LiftedOp:
         """The 'ar'-least of the given vertices."""
         return self._by_rank[min(map(self._rank.__getitem__, vids))]
 
-    def _diagonal_prefix(self, values, at, a_weight, z_weight) -> _Prefix:
+    def _diagonal_prefix(self, values, at, a_weight, z_weight, shared=None) -> _Prefix:
         """The state of cases 2a-2c after every place but the last.
 
         values holds the vertex at each of those places, all on one
@@ -325,22 +338,29 @@ class LiftedOp:
         f_z, the sum of the weights of its argument positions.  Per segment
         entries are filled only for the segments every vertex is on, and
         z_sums[l] is read only if no vertex's own path is a single edge at l.
+        shared, if given, maps coords to the targets dict of the prefixes
+        built before with the same a_weight (see _Prefix).
         """
-        k = self.meta.k
-        sides, segs, singles, coords = 3, -1, 0, [0] * (k + 1)
+        k, vertex = self.meta.k, self._vertex
+        sides, segs, singles, coords, offsets = 3, -1, 0, [0] * (k + 1), []
         for v, a in zip(values, a_weight):
-            sides &= self.meta.sides[v]
-            segs &= self.meta.segs[v]
-            singles |= self._own_singles[v]
-            coords = [x + y * a for x, y in zip(coords, self.meta.coords[v])]
+            v_sides, v_segs, source, _, own_singles, offset = vertex[v]
+            sides &= v_sides
+            segs &= v_segs
+            singles |= own_singles
+            coords = [x + y * a for x, y in zip(coords, source)]
+            offsets.append(offset)
         z_sums, least = [0] * (k + 1), [4] * (k + 1)
-        for l in range(1, k + 1):
+        # the vertices' offsets on each segment, if there are vertices; no
+        # vertex's segments hold bit 0
+        for l, on_l in enumerate(zip(*offsets)):
             if segs >> l & 1:
-                offsets = [self._offset[v][l] for v in values]
-                z_sums[l] = sum(map(operator.mul, offsets, z_weight))
-                least[l] = min(offsets, default=4)
+                z_sums[l] = sum(map(operator.mul, on_l, z_weight))
+                least[l] = min(on_l)
+        targets = {} if shared is None else shared.setdefault(tuple(coords), {})
         return _Prefix(
-            values, at, sides, segs, singles, coords, z_sums, least, a_weight[-1], z_weight[-1]
+            values, at, sides, segs, singles, coords, z_sums, least,
+            a_weight[-1], z_weight[-1], targets,
         )
 
     def _diagonal_value(self, prefix: _Prefix, v: int) -> int:
@@ -350,28 +370,33 @@ class LiftedOp:
         on that segment the end on the tuple's level is the value (2a, a
         single edge), f_z decides on the offsets (2b, zigzags on every
         carrier) or the least offset of a zigzag carrier wins (2c, which
-        is the 'ar'-least candidate)."""
-        _, _, _, segs, singles, coords, z_sums, least, a, z = prefix
-        meta = self.meta
-        common = segs & meta.segs[v]
+        is the 'ar'-least candidate).  The target path is looked up once
+        per source path and prefix (see _Prefix.targets)."""
+        _, _, _, segs, singles, coords, z_sums, least, a, z, targets = prefix
+        _, own_segs, source, level, own_singles, offset = self._vertex[v]
+        common = segs & own_segs
         if not common:
             c = tuple(map((*prefix.values, v).__getitem__, prefix.at))
             raise InternalInvariantViolation(
                 f"diagonal-component tuple {c} has no common segment"
             )
-        fa = self.f_a.values
-        key = tuple([fa[x + y * a] for x, y in zip(coords, meta.coords[v])])
-        target_singles, segments = meta.paths[key]
+        target = targets.get(source)
+        if target is None:
+            fa = self.f_a.values
+            key = tuple([fa[x + y * a] for x, y in zip(coords, source)])
+            target = targets[source] = self.meta.paths[key]
+        target_singles, segments = target
         bit = common & -common
         l = bit.bit_length() - 1
         seg = segments[l]
         if target_singles & bit:
-            return seg[0] if meta.lvl[seg[0]] == meta.lvl[v] else seg[1]
-        if (singles | self._own_singles[v]) & bit:
+            # segment l climbs from level l to level l+1
+            return seg[level - l]
+        if (singles | own_singles) & bit:
             # a segment's vertices on one level are ordered by position; a
             # carrier that is a single edge at l has offset 4 and never wins
-            return seg[min(least[l], self._offset[v][l])]
-        return seg[self.f_z.values[z_sums[l] + self._offset[v][l] * z]]
+            return seg[min(least[l], offset[l])]
+        return seg[self.f_z.values[z_sums[l] + offset[l] * z]]
 
     def _off_diagonal(self, c: tuple[int, ...]) -> int:
         """Cases 3a-3c: f_z chooses between two classes of c's positions,
@@ -432,20 +457,27 @@ class LiftedOp:
         or more levels is case 3c, and its value the 'ar'-least vertex.  A
         tuple on two levels is case 3b, and its value the 'ar'-least or the
         'ra'-greatest vertex as f_z decides on the 0/2 labels of the
-        lowest-level positions (read from _picks_least, as calls do).  A
-        prefix on one interior level builds the state of cases 2a-2c once
-        (_diagonal_prefix, with per-place weights), and every tuple it
-        makes in the diagonal component on that level is finished from it
-        (_diagonal_value), the two steps every call takes.  Only tuples on
-        the element or the tuple level, and tuples on one level outside
-        the diagonal component, are evaluated one by one.  The values are
-        checked once, not per tuple.
+        lowest-level positions (read from _picks_least, as calls do).  What
+        each level's last vertices take, one of those two, the diagonal
+        finish or a call, depends only on (levels met, lowest level,
+        positions on it), so it is worked out once per such prefix state
+        and remembered for the rest of the walk.  A prefix on one interior
+        level builds the state of cases 2a-2c once (_diagonal_prefix, with
+        per-place weights), and every tuple it makes in the diagonal
+        component on that level is finished from it (_diagonal_value), the
+        two steps every call takes.  The prefixes with the same partial
+        flat index into f_a share their target paths, each source path's
+        resolved once (see _Prefix).  Only tuples on the element or the
+        tuple level, and tuples on one level outside the diagonal
+        component, are evaluated one by one.  The values are checked once,
+        not per tuple.
         """
         at, places = argument_pattern(self, m, at)
         values = list(values)
         check_values(self, values)
         lvl, sides, rank, rank_star = self.meta.lvl, self.meta.sides, self._rank, self._rank_star
         picks_least, finish, value = self._picks_least, self._diagonal_value, self._value
+        by_rank, by_rank_star = self._by_rank, self._by_rank_star
         # the argument positions of each place, and its weights in the flat
         # indices of f_a and f_z
         masks, a_weight, z_weight = [0] * places, [0] * places, [0] * places
@@ -456,13 +488,18 @@ class LiftedOp:
         last = masks[-1]
         columns = [(v, rank[v], rank_star[v], lvl[v]) for v in values]
         levels = sorted({lvl[v] for v in values})
-        kinds = [_CALL] * (max(levels, default=0) + 1)
+        top = max(levels, default=0) + 1  # past every level of the values
         # the levels of elements and of tuples
         outer = 1 | 1 << (self.meta.k + 2)
         # the state after each place of the current prefix: (levels met as a
         # bitmask, lowest level, positions on it as a bitmask, least 'ar'
         # rank, greatest 'ra' rank)
-        states = [(0, len(kinds), 0, self.size, -1)]
+        states = [(0, top, 0, self.size, -1)]
+        # the kinds per level of each (levels met, lowest level, positions
+        # on it) a prefix has had so far
+        memo: dict[tuple[int, int, int], list[int]] = {}
+        # the target paths per partial flat index into f_a (see _Prefix)
+        shared: dict[tuple[int, ...], dict] = {}
         out: list[int] = []
         for idx in itertools.product(range(len(values)), repeat=places - 1):
             # in product order the places from the last nonzero index on
@@ -480,21 +517,26 @@ class LiftedOp:
                     lows |= masks[place]
                 states.append((met | 1 << lv, lo, lows, min(least, r), max(greatest, rs)))
             met, lo, lows, least, greatest = states[-1]
-            for lv in levels:
-                both = met | 1 << lv
-                if both == 1 << lv:
-                    kinds[lv] = _CALL if both & outer else _DIAGONAL
-                elif both.bit_count() > 2:
-                    kinds[lv] = _LEAST
-                else:
-                    on_low = last if lv < lo else lows | last if lv == lo else lows
-                    kinds[lv] = _LEAST if picks_least[on_low] else _GREATEST
-            least_v = self._by_rank[least] if met else None
-            greatest_v = self._by_rank_star[greatest] if met else None
-            prefix = tuple([values[i] for i in idx])
-            # on one interior level (or none yet, with one place)
-            if not (met & (met - 1) or met & outer):
-                diagonal = self._diagonal_prefix(prefix, at, a_weight, z_weight)
+            kinds = memo.get((met, lo, lows))
+            if kinds is None:
+                kinds = memo[met, lo, lows] = [_CALL] * top
+                for lv in levels:
+                    both = met | 1 << lv
+                    if both == 1 << lv:
+                        kinds[lv] = _CALL if both & outer else _DIAGONAL
+                    elif both.bit_count() > 2:
+                        kinds[lv] = _LEAST
+                    else:
+                        on_low = last if lv < lo else lows | last if lv == lo else lows
+                        kinds[lv] = _LEAST if picks_least[on_low] else _GREATEST
+            least_v = by_rank[least] if met else None
+            greatest_v = by_rank_star[greatest] if met else None
+            # only a prefix on one level (or none yet, with one place) makes
+            # tuples that are finished or called, which read its vertices
+            if not met & (met - 1):
+                prefix = tuple([values[i] for i in idx])
+                if not met & outer:
+                    diagonal = self._diagonal_prefix(prefix, at, a_weight, z_weight, shared)
             out.extend(
                 [
                     (v if r < least else least_v)

@@ -169,10 +169,16 @@ def stage2_decide(component: Digraph, meta: TemplateDigraph) -> bool:
 
 
 def _component_digraph(g: Digraph, comp: list[int]) -> Digraph:
-    """One component (sorted vertex ids) on its own, from its out-edges."""
+    """One component (sorted vertex ids) on its own, from its out-edges.
+
+    A component of a valid digraph is valid: its names are distinct and
+    its edges distinct and within it, so it is built without Digraph's
+    checks."""
     at = {v: i for i, v in enumerate(comp)}
     edges = tuple((at[u], at[w]) for u in comp for w, d in g.neighbours[u] if d == 1)
-    return Digraph(f"part:{g.vertices[comp[0]]}", tuple(g.vertices[v] for v in comp), edges)
+    return Digraph._unchecked(
+        f"part:{g.vertices[comp[0]]}", tuple(g.vertices[v] for v in comp), edges
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -573,51 +573,79 @@ def find_operations(structure, sigma: IdentitySet) -> dict[str, OpTable] | None:
     }
 
 
-def _column_images(op, tuples, j: int):
-    """Images of column j under op, one chunk per tuple at the first place.
+def _column_images(op, tuples, j: int, weight: int):
+    """Images of column j under op, times weight, one chunk per tuple at
+    the first place.
 
     op.tabulate(C, m) gives op over C^m in itertools.product order, with
     C the sorted values occurring in column j; every tuple of C^m occurs
     in some combination of m tuples, so nothing is evaluated that the
-    check does not need.  Chunk i holds the images, read off the table,
-    of the combinations whose first tuple is tuples[i], in
-    itertools.product order.
+    check does not need.  Chunk i holds the images of the combinations
+    whose first tuple is tuples[i], in itertools.product order, read from
+    the table's row for that tuple's value in column j: the slice of the
+    n^(m-1) entries whose first argument is that value.  Only that row is
+    scaled by weight, once per run of first tuples sharing the value, so
+    no scaled copy of the whole table is ever built; a scaled row refers
+    to one int object per value of op rather than holding its own.  A
+    chunk is done with once the next one is asked for: its row is
+    emptied then.
     """
     m = op.arity
     values = sorted({t[j] for t in tuples})
     place = {v: i for i, v in enumerate(values)}
     table = op.tabulate(values, m)
     if m == 0:
-        yield table  # the one, empty, combination
+        yield [weight * table[0]]  # the one, empty, combination
         return
     col = [place[t[j]] for t in tuples]
     n = len(values)
-    # table offsets of the last m-1 places, over all combinations
+    # table offsets within a row of the last m-1 places, over all combinations
     rest = product_offsets([n ** (m - 2 - i) for i in range(m - 1)], col)
     stride = n ** (m - 1)
+    scaled = [weight * x for x in range(op.size)]
+    last, row = None, []
     for p in col:
-        yield map(table.__getitem__, map((p * stride).__add__, rest))
+        if p != last:
+            # the last chunk's map still holds the old row
+            row.clear()
+            last, row = p, table[p * stride : (p + 1) * stride]
+            if weight != 1:
+                row = list(map(scaled.__getitem__, row))
+        yield map(row.__getitem__, rest)
 
 
 def is_polymorphism(op, structure) -> bool:
     """Exhaustive preservation check over all tuple combinations.
 
-    Each column of each relation gets its own table of op over the values
-    that occur in that column (see _column_images), and every one of the
-    |R|^m combinations is then checked by lookups.  op is evaluated at
-    most once per table entry, and a table is never larger than the set
-    of combinations it serves; besides the tables, memory holds the
-    images of the |R|^(m-1) combinations that share a first tuple.
-    Nothing outlives the call.
+    A tuple t of an a-ary relation over n elements is coded as the
+    integer sum(t[j] * n^(a-1-j)), and the relation as the set of its
+    tuples' codes.  Each column of the relation gets its own table of op
+    over the values that occur in that column (see _column_images); a
+    combination's image is then the sum of its columns' scaled images,
+    read off the tables, and every one of the |R|^m combinations is
+    checked by looking that one integer up.  The tuples are walked in
+    sorted order, so the first column's rows change only n times.  op is
+    evaluated at most once per table entry, and a table is never larger
+    than the set of combinations it serves; besides the tables, memory
+    holds, per column, the offsets within a row of the |R|^(m-1)
+    combinations that share a first tuple and the current row.  The codes
+    are summed and looked up one by one, never stored.  Nothing outlives
+    the call.
     """
     s = _as_structure(structure, "template")
-    if op.size != len(s.domain):
+    n = len(s.domain)
+    if op.size != n:
         raise ArityMismatch("operation domain does not match the structure")
     for rel in s.relations:
-        allowed = set(rel.tuples)
-        columns = [_column_images(op, rel.tuples, j) for j in range(rel.arity)]
+        weights = [n ** (rel.arity - 1 - j) for j in range(rel.arity)]
+        allowed = {sum(map(operator.mul, t, weights)) for t in rel.tuples}
+        tuples = sorted(rel.tuples)
+        columns = [_column_images(op, tuples, j, w) for j, w in enumerate(weights)]
         for chunk in zip(*columns):
-            if not allowed.issuperset(zip(*chunk)):
+            codes = chunk[0]
+            for images in chunk[1:]:
+                codes = map(operator.add, codes, images)
+            if not allowed.issuperset(codes):
                 return False
     return True
 

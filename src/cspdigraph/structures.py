@@ -170,9 +170,11 @@ class Digraph:
     def _unchecked(
         cls, name: str, vertices: tuple[str, ...], edges: tuple[tuple[int, int], ...]
     ) -> "Digraph":
-        """A digraph built without ``__post_init__``'s checks.  Only the
-        reader calls this: it has found the vertex names distinct,
-        resolved every edge to them and dropped repeated edges already."""
+        """A digraph built without ``__post_init__``'s checks, for callers
+        whose digraph is valid by construction: the reader, which has found
+        the vertex names distinct, resolved every edge to them and dropped
+        repeated edges already, the forward gadget and a component of a
+        valid digraph.  The tests pass each kind through the checks."""
         g = object.__new__(cls)
         g.__dict__.update(name=name, vertices=vertices, edges=edges)
         return g

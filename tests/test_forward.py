@@ -163,3 +163,21 @@ def test_forward_outputs_are_pinned_by_digest():
         digest.update(serialize_digraph(g).encode() + b"\0")
     assert repeated >= 100 and unused >= 80 and empty >= 5
     assert digest.hexdigest() == FORWARD_CORPUS_DIGEST
+
+
+def test_gadgets_pass_the_digraph_checks():
+    """forward_instance builds its gadget without Digraph's checks, since
+    it is valid by construction; the checking constructor accepts every
+    gadget of the corpus, and gadgets whose element names force a fresh
+    prefix of one or two underscores."""
+    clashing = [["y:0", "a"], ["y:0", "_q:7", "__y", "a"], ["q:", "_y:", "b"]]
+    forced = [
+        (make_structure("x", names, [("R", 2, [(0, 1), (1, 1), (1, 0)])], role="instance"), 2)
+        for names in clashing
+    ]
+    apexes = []
+    for x, k in [*_forward_corpus(), *forced]:
+        g = forward_instance(x, k)
+        assert Digraph(g.name, g.vertices, g.edges) == g
+        apexes.append(g.vertices[len(x.domain)] if x.relations[0].tuples else None)
+    assert apexes[-3:] == ["_y:0", "__y:0", "__y:0"]

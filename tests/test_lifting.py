@@ -534,12 +534,14 @@ def _random_lift(draw):
 
 @st.composite
 def _lift_and_values(draw):
-    """A lifted witness on a small random template and a sorted vertex subset."""
+    """A lifted witness on a small random template and a list of its
+    vertices in any order, some of them repeated, so that a product meets
+    a prefix state, and a source path under one prefix, more than once."""
     op = draw(_random_lift())
     if op is None:
         return None
     most = min(op.size, int(_PRODUCT_BOUND ** (1 / op.arity)))
-    values = sorted(draw(st.sets(st.integers(0, op.size - 1), max_size=most)))
+    values = draw(st.lists(st.integers(0, op.size - 1), max_size=most))
     return op, values
 
 
@@ -752,6 +754,51 @@ def test_template_witnesses_lift(template, name):
 @pytest.mark.parametrize("sigma", ["nu4", "jonsson2"])
 def test_affine_parity4_has_no_nu4_or_jonsson_witness(sigma):
     assert find_operations(_fixture("parity4", "rel"), _fixture(sigma, "ids")) is None
+
+
+class _CountedPaths(dict):
+    """meta.paths, logging the (prefix, source path) being finished at
+    each read."""
+
+    def __init__(self, paths, finishing):
+        super().__init__(paths)
+        self.finishing, self.reads = finishing, []
+
+    def __getitem__(self, key):
+        self.reads.append(self.finishing[-1])
+        return super().__getitem__(key)
+
+
+def test_lift_check_work_is_counted(monkeypatch, edge_template):
+    """The majority lift on edge, checked by is_polymorphism: one tabulate
+    per column of the edge relation, and meta.paths read at most once per
+    distinct (prefix, source path) that a finished tuple has, and fewer
+    times than tuples are finished.  Work done per tuple instead fails
+    here."""
+    meta = build_digraph(edge_template)
+    finishing, prefixes = [None], []
+    paths = _CountedPaths(meta.paths, finishing)
+    op = LiftedOp(dataclasses.replace(meta, paths=paths), _maj_bool(), zz_median())
+    paths.reads.clear()  # the constructor's own reads
+    tabulate, finish = LiftedOp.tabulate, LiftedOp._diagonal_value
+    tables = []
+
+    def counted_tabulate(self, values, m, at=None):
+        tables.append(list(values))
+        return tabulate(self, values, m, at)
+
+    def logged_finish(self, prefix, v):
+        prefixes.append(prefix)  # alive, so that no id is reused
+        finishing.append((id(prefix), self.meta.coords[v]))
+        return finish(self, prefix, v)
+
+    monkeypatch.setattr(LiftedOp, "tabulate", counted_tabulate)
+    monkeypatch.setattr(LiftedOp, "_diagonal_value", logged_finish)
+    assert is_polymorphism(op, meta.digraph_structure)
+    assert len(tables) == 2
+    pairs = set(finishing[1:])
+    assert len(set(paths.reads)) == len(paths.reads) < len(finishing) - 1
+    assert pairs.issuperset(paths.reads)
 
 
 def test_lift_all_reports_a_broken_lift(monkeypatch, edge_template):

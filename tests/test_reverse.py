@@ -147,6 +147,25 @@ def test_zigzag_component_is_yes(two_cycle):
     assert stage2_decide_fans(z, meta)
 
 
+def test_low_components_pass_the_digraph_checks():
+    """reverse builds each low component without Digraph's checks, since a
+    component of a valid digraph is valid; the checking constructor
+    accepts 100 random ones, and each has the component's induced edges."""
+    rng = Lcg64(23)
+    done = 0
+    while done < 100:
+        template = random_single_template(rng, nontrivial=True)
+        k = template.relations[0].arity
+        g = random_digraph_instance(rng, n_levels=k + 1)
+        for comp in components(g):
+            part = reverse._component_digraph(g, comp)
+            assert Digraph(part.name, part.vertices, part.edges) == part
+            induced = g.induced(comp, name=part.name)
+            assert part.vertices == induced.vertices
+            assert sorted(part.edges) == sorted(induced.edges)
+            done += 1
+
+
 def test_fan_variant_agrees_with_direct_decision():
     """Dual-method agreement on 100 random low components."""
     rng = Lcg64(23)

@@ -488,14 +488,16 @@ def brute_force_preserves(op, s) -> bool:
 
 @st.composite
 def _structure_and_op(draw):
-    """Relations of arity 1-3 over two or three elements, some with a
+    """Relations of arity 1-4 over two or three elements, some with a
     constant column, with repeated tuples kept (Relation is built directly,
-    not deduplicated), and an op of arity 1-3: mostly a random table, which
-    seldom preserves everything, now and then a projection, which does."""
+    not deduplicated), and an op of arity 0-3: mostly a random table, which
+    seldom preserves everything, now and then a projection, which does.  A
+    4-ary relation over three elements has tuple codes up to 3^4 - 1, with
+    the first column weighing n^3; a nullary op has one combination."""
     n = draw(st.integers(2, 3))
     rels = []
     for name in ("R", "S")[: draw(st.integers(1, 2))]:
-        k = draw(st.integers(1, 3))
+        k = draw(st.integers(1, 4))
         row = st.tuples(*[st.integers(0, n - 1)] * k)
         rows = sorted(draw(st.sets(row, min_size=1, max_size=6)))
         if draw(st.booleans()):
@@ -504,8 +506,8 @@ def _structure_and_op(draw):
         rows += draw(st.lists(st.sampled_from(rows), max_size=3))
         rels.append(Relation(name, k, tuple(rows)))
     s = RelStructure("s", tuple(str(i) for i in range(n)), tuple(rels))
-    m = draw(st.integers(1, 3))
-    if draw(st.integers(0, 4)) == 4:  # Hypothesis leans to 0
+    m = draw(st.sampled_from((1, 2, 3, 0)))
+    if m and draw(st.integers(0, 4)) == 4:  # Hypothesis leans to 0
         i = draw(st.integers(0, m - 1))
         values = tuple(args[i] for args in itertools.product(range(n), repeat=m))
     else:
