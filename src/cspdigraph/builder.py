@@ -22,7 +22,6 @@ tuple t of the sorted relation is vertex |A| + t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -127,11 +126,6 @@ class TemplateDigraph:
     @property
     def height(self) -> int:
         return self.k + 2
-
-    @cached_property
-    def digraph_structure(self) -> RelStructure:
-        """The digraph as a template structure, built once per instance."""
-        return self.digraph.as_structure("template")
 
     def stats(self) -> tuple[int, int, int, bool]:
         """(vertices, edges, height, counts-match-the-closed-formulas)."""

@@ -27,6 +27,7 @@ from .structures import (
     RelStructure,
     _lines,
     export_dot,
+    make_structure,
     parse_digraph,
     parse_structure,
     serialize_digraph,
@@ -59,7 +60,7 @@ def _load_any(path: str):
 def _load_structure(path: str) -> RelStructure:
     loaded = _load_any(path)
     if isinstance(loaded, Digraph):
-        return loaded.as_structure()
+        return make_structure(loaded.name, loaded.vertices, [("E", 2, loaded.edges)], "instance")
     return loaded
 
 

@@ -65,6 +65,10 @@ class IdentitySet:
     identities: tuple[Identity, ...]
 
     def ensure_linear(self) -> None:
+        """Raise unless the set declares a symbol and uses each at its
+        declared arity; both the witness search and lifting call it first."""
+        if not self.symbols:
+            raise ParseError("identity set declares no symbol")
         arity = dict(self.symbols)
         for ident in self.identities:
             for side in (ident.lhs, ident.rhs):
@@ -157,12 +161,6 @@ def parse_identities(text: str) -> IdentitySet:
                     lineno,
                 )
     return IdentitySet(tuple(symbols), tuple(identities))
-
-
-def serialize_identities(sigma: IdentitySet) -> str:
-    lines = [f"symbol {name} {arity}" for name, arity in sigma.symbols]
-    lines += [f"identity {ident}" for ident in sigma.identities]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +329,6 @@ def majority_identities() -> IdentitySet:
     )
 
 
-def maltsev_identities() -> IdentitySet:
-    return IdentitySet(
-        (("p", 3),),
-        (
-            Identity(_t("p", "x", "x", "x"), _v("x")),
-            Identity(_t("p", "y", "x", "x"), _v("y")),
-            Identity(_t("p", "x", "x", "y"), _v("y")),
-        ),
-    )
-
-
 def wnu_identities(arity: int) -> IdentitySet:
     """Weak near-unanimity: all one-y rotations agree, idempotently."""
     w = "w"
@@ -354,33 +341,3 @@ def wnu_identities(arity: int) -> IdentitySet:
     for a, b in zip(patterns, patterns[1:]):
         idents.append(Identity(a, b))
     return IdentitySet(((w, arity),), tuple(idents))
-
-
-def perm3_identities() -> IdentitySet:
-    """Two ternary witnesses chaining three congruence permutations."""
-    return IdentitySet(
-        (("p1", 3), ("p2", 3)),
-        (
-            Identity(_t("p1", "x", "x", "x"), _v("x")),
-            Identity(_t("p2", "x", "x", "x"), _v("x")),
-            Identity(_t("p1", "x", "y", "y"), _v("x")),
-            Identity(_t("p2", "x", "x", "y"), _v("y")),
-            Identity(_t("p1", "x", "x", "y"), _t("p2", "x", "y", "y")),
-        ),
-    )
-
-
-def tsi_identities(arity: int) -> IdentitySet:
-    """Totally symmetric idempotent: equal variable sets give equal values."""
-    f = "t"
-    idents = [Identity(_t(f, *["x"] * arity), _v("x"))]
-    for support in range(2, arity + 1):
-        names = [f"x{i}" for i in range(support)]
-        patterns = [
-            _t(f, *(names[i] for i in assignment))
-            for assignment in itertools.product(range(support), repeat=arity)
-            if set(assignment) == set(range(support))
-        ]
-        for a, b in zip(patterns, patterns[1:]):
-            idents.append(Identity(a, b))
-    return IdentitySet(((f, arity),), tuple(idents))

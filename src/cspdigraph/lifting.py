@@ -1,9 +1,10 @@
 """Zigzag witnesses and the lifting of polymorphisms to the encoded digraph.
 
 The zigzag 00->01<-10->11 carries a distributive lattice under the
-order 00 < 01 < 10 < 11, which supplies witnesses for most identity
-sets: the median, the all-minimum operation of any arity (the meet, at
-arity 2), and the pair p1/p2 chaining three congruence permutations.
+order 00 < 01 < 10 < 11, so it has witnesses for most identity sets;
+``lift_all`` searches the zigzag for them unless they are supplied.  The
+one witness built here is the all-minimum operation of any arity (the
+meet, at arity 2), which lifts endomorphisms as its unary case.
 
 An m-ary polymorphism of the template combines with an m-ary zigzag
 witness into an m-ary polymorphism of the encoded digraph.  Inputs
@@ -80,40 +81,8 @@ def zigzag_witness_problem(op) -> str | None:
     return None
 
 
-def zz_median() -> OpTable:
-    return _zz_table("median", 3, lambda a: sorted(a)[1])
-
-
 def zz_allmin(arity: int) -> OpTable:
     return _zz_table("allmin", arity, lambda a: min(a))
-
-
-def _p1(a):
-    x, y, z = a
-    if y != z and 1 in a:
-        return 1
-    if y != z and 2 in a:
-        return 2
-    return x
-
-
-def _p2(a):
-    x, y, z = a
-    if x != y and 1 in a:
-        return 1
-    if x != y and 2 in a:
-        return 2
-    if x == y:
-        return z
-    return x
-
-
-def zz_p1() -> OpTable:
-    return _zz_table("p1", 3, _p1)
-
-
-def zz_p2() -> OpTable:
-    return _zz_table("p2", 3, _p2)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +573,7 @@ def lift_all(
     for name in arity:
         report.tables[name] = LiftedOp(meta, witnesses_a[name], witnesses_z[name])
     for name, op in report.tables.items():
-        good = is_polymorphism(op, meta.digraph_structure)
+        good = is_polymorphism(op, meta.digraph)
         report.lines.append(
             f"polymorphism {name}: {'ok' if good else 'FAIL'} "
             f"({len(meta.digraph.edges)}^{op.arity} edge tuples)"
@@ -647,7 +616,7 @@ def restrict_endomorphism(meta: TemplateDigraph, big: dict[str, str]) -> dict[st
     out = {}
     for a, name in enumerate(domain):
         # element i is vertex i
-        w = g.vertex_index(big[g.vertices[a]])
+        w = g.element_index(big[g.vertices[a]])
         if w >= len(domain):
             raise NotEndomorphism("an element vertex leaves the element level")
         out[name] = domain[w]

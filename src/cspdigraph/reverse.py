@@ -165,7 +165,7 @@ def assign_levels(g: Digraph, comp: list[int]) -> LevelAssignment:
 
 
 def stage2_decide(component: Digraph, meta: TemplateDigraph) -> bool:
-    return find_hom(component, meta.digraph_structure) is not None
+    return find_hom(component, meta.digraph) is not None
 
 
 def _component_digraph(g: Digraph, comp: list[int]) -> Digraph:
@@ -468,10 +468,10 @@ def sim_closure(objects: ReverseObjects) -> SimPartition:
 
 
 def assemble_instance(
-    objects: ReverseObjects, partition: SimPartition, template: RelStructure
-) -> RelStructure:
-    """Hyperedges of representatives, one per type-I and type-II object."""
-    rel = template.relations[0]
+    objects: ReverseObjects, partition: SimPartition
+) -> tuple[list[str], list[tuple[int, ...]]]:
+    """(domain, rows): the class representatives, and one hyperedge of
+    them, by index into the domain, per type-I and type-II object."""
     domain = [x for x in objects.x_order if partition.rep[x] == x]
     index = {x: i for i, x in enumerate(domain)}
     rows = []
@@ -479,12 +479,7 @@ def assemble_instance(
         rows.append(tuple(index[partition.rep[s[0]]] for s in o.sets))
     for o in objects.type2:
         rows.append(tuple(index[partition.rep[s[0]]] for s in o.sets))
-    return make_structure(
-        f"rev:{objects.g.name}",
-        domain,
-        [(rel.name, rel.arity, rows)],
-        role="instance",
-    )
+    return domain, rows
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +589,10 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
         cid_offset += len(internals)
         objects = build_objects(g, comp, levels, internals, k, prefix)
         partition = sim_closure(objects)
-        part = assemble_instance(objects, partition, template)
+        domain, part_rows = assemble_instance(objects, partition)
         offset = len(domains)
-        domains.extend(part.domain)
-        rows.extend(
-            tuple(i + offset for i in t) for t in part.relations[0].tuples
-        )
+        domains.extend(domain)
+        rows.extend(tuple(i + offset for i in t) for t in part_rows)
         reports.append(
             ComponentReport(names, "assembled", objects=objects, partition=partition)
         )

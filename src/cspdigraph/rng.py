@@ -34,6 +34,3 @@ class Lcg64:
 
     def chance(self, num: int, den: int) -> bool:
         return self.below(den) < num
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

@@ -31,6 +31,10 @@ masks with their memos, is built once per relation and value count and
 kept on the relation (``Relation.prepared``), so every search into one
 target shares it.  A memo entry is a fixed function of its domain mask,
 so sharing it changes no answer, and interleaved searches stay safe.
+
+A digraph is searched as it is: ``Digraph.relations`` is E over its
+edge tuple, kept on the digraph, so every search into one digraph shares
+what is prepared on E.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .builder import PathSpec, build_path
 from .errors import (
     ArityMismatch,
-    ParseError,
     PreconditionError,
     SignatureMismatch,
     UnbalancedInput,
@@ -53,8 +56,12 @@ from .structures import Digraph, Relation, RelStructure, make_structure
 Hom = dict[str, str]
 
 
-def _as_structure(x, role):
-    return x.as_structure(role) if isinstance(x, Digraph) else x
+def _template(target):
+    """The target itself; a digraph without edges raises what its template
+    copy raises (an empty domain, or an empty relation)."""
+    if isinstance(target, Digraph) and not target.edges:
+        make_structure(target.name, target.vertices, [("E", 2, ())], role="template")
+    return target
 
 
 # distinct domain masks remembered per side of a binary relation; the
@@ -350,41 +357,33 @@ def enumerate_homs(source, target, restriction=None) -> Iterator[Hom]:
     """All homomorphisms, duplicate-free, in deterministic order.
 
     The one place where names meet the search.  At call time the
-    signatures are checked, an empty digraph's too, and then the
-    restriction's names are resolved into initial domain masks.
+    signatures are checked, and then the restriction's names are
+    resolved into initial domain masks.
     """
-    t = _as_structure(target, "template")
+    t = _template(target)
     if dict(source.signature()) != dict(t.signature()):
         raise SignatureMismatch(
             f"signatures differ: {source.signature()} vs {t.signature()}"
         )
-    # an empty digraph has no structure view, and no element to restrict
-    empty = isinstance(source, Digraph) and not source.vertices
-    s = None if empty else _as_structure(source, "instance")
-    domains = [(1 << len(t.domain)) - 1] * (0 if s is None else len(s.domain))
+    domains = [(1 << len(t.domain)) - 1] * len(source.domain)
     for name, allowed in (restriction or {}).items():
         mask = 0
         for el in allowed:
             mask |= 1 << t.element_index(el)
-        if s is None:
-            raise ParseError(f"unknown element name {name!r}")
-        domains[s.element_index(name)] = mask
-    if s is None:
-        return iter([{}])
+        domains[source.element_index(name)] = mask
     n_vals = len(t.domain)
-    relations = [(r.tuples, _target(t.relation(r.name), n_vals)) for r in s.relations]
+    relations = [(r.tuples, _target(t.relation(r.name), n_vals)) for r in source.relations]
     images = _Search(domains, relations).solutions()
-    return (dict(zip(s.domain, map(t.domain.__getitem__, image))) for image in images)
+    return (dict(zip(source.domain, map(t.domain.__getitem__, image))) for image in images)
 
 
 def is_hom(source, target, mapping: Mapping[str, str]) -> bool:
     """Check a candidate map against the raw preservation definition."""
-    s = _as_structure(source, "instance")
-    t = _as_structure(target, "template")
-    img = {s.element_index(a): t.element_index(b) for a, b in mapping.items()}
-    if len(img) != len(s.domain):
+    t = _template(target)
+    img = {source.element_index(a): t.element_index(b) for a, b in mapping.items()}
+    if len(img) != len(source.domain):
         return False
-    for rel in s.relations:
+    for rel in source.relations:
         allowed = set(t.relation(rel.name).tuples)
         for tup in rel.tuples:
             if tuple(img[i] for i in tup) not in allowed:
@@ -393,11 +392,10 @@ def is_hom(source, target, mapping: Mapping[str, str]) -> bool:
 
 
 def endomorphisms(structure) -> list[Hom]:
-    s = _as_structure(structure, "template")
-    return list(enumerate_homs(s, s))
+    return list(enumerate_homs(structure, structure))
 
 
-def _non_surjective_endo(s: RelStructure) -> list[int] | None:
+def _non_surjective_endo(s) -> list[int] | None:
     """The image list of an endomorphism that misses an element, or None.
 
     The elements are tried as the one missed in declaration order; the
@@ -415,7 +413,7 @@ def _non_surjective_endo(s: RelStructure) -> list[int] | None:
 
 def is_core(structure) -> bool:
     """True iff every endomorphism is surjective (complete search)."""
-    return _non_surjective_endo(_as_structure(structure, "template")) is None
+    return _non_surjective_endo(_template(structure)) is None
 
 
 def _idempotent_power(image: list[int]) -> list[int]:
@@ -443,12 +441,14 @@ def _induced_on(s: RelStructure, keep: list[int]) -> RelStructure:
     return make_structure(s.name, [s.domain[i] for i in keep], rels, role=s.role)
 
 
-def core_of(structure) -> RelStructure:
-    """The induced substructure of minimum size that the input retracts onto."""
-    s = _as_structure(structure, "template")
+def core_of(structure):
+    """The induced substructure (or subdigraph) of minimum size that the
+    input retracts onto."""
+    s = _template(structure)
     while (witness := _non_surjective_endo(s)) is not None:
         retraction = _idempotent_power(witness)
-        s = _induced_on(s, [x for x, y in enumerate(retraction) if x == y])
+        keep = [x for x, y in enumerate(retraction) if x == y]
+        s = s.induced(keep) if isinstance(s, Digraph) else _induced_on(s, keep)
     return s
 
 
@@ -489,8 +489,9 @@ def find_operations(structure, sigma: IdentitySet) -> dict[str, OpTable] | None:
     once in first-occurrence order.  The search takes the rows and the
     pinned cells' masks, no names, and its image list fills the tables;
     a None answer is a proof that no witnesses exist.  Each table has the arity
-    its symbol declares in ``sigma``; a symbol that is undeclared or used
-    at another arity raises from ``sigma.ensure_linear()`` first.
+    its symbol declares in ``sigma``; a set without symbols, or a symbol
+    that is undeclared or used at another arity, raises from
+    ``sigma.ensure_linear()`` first.
 
     The cell of f(a1..am) is the integer first[f] plus the flat index of
     (a1..am), so an identity side over every assignment, and a relation
@@ -498,7 +499,7 @@ def find_operations(structure, sigma: IdentitySet) -> dict[str, OpTable] | None:
     Past WITNESS_SEARCH_BOUND cells (the sum of n**m) plus rows (of
     |R|**m), PreconditionError names both before anything is built.
     """
-    s = _as_structure(structure, "template")
+    s = _template(structure)
     sigma.ensure_linear()
     n = len(s.domain)
     first: dict[str, int] = {}
@@ -541,8 +542,6 @@ def find_operations(structure, sigma: IdentitySet) -> dict[str, OpTable] | None:
         if constant.setdefault(root[cell], value) != value:
             return None
 
-    if not sigma.symbols:
-        raise ParseError("identity set declares no symbol")
     reps = sorted(set(root))
     rep_pos = {r: i for i, r in enumerate(reps)}
     domains = [(1 << n) - 1] * len(reps)
@@ -632,7 +631,7 @@ def is_polymorphism(op, structure) -> bool:
     are summed and looked up one by one, never stored.  Nothing outlives
     the call.
     """
-    s = _as_structure(structure, "template")
+    s = _template(structure)
     n = len(s.domain)
     if op.size != n:
         raise ArityMismatch("operation domain does not match the structure")

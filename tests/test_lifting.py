@@ -25,9 +25,7 @@ from cspdigraph.identities import (
     OpTable,
     Term,
     majority_identities,
-    maltsev_identities,
     parse_identities,
-    perm3_identities,
     wnu_identities,
 )
 from cspdigraph.lifting import (
@@ -40,9 +38,6 @@ from cspdigraph.lifting import (
     restrict_endomorphism,
     zigzag,
     zz_allmin,
-    zz_median,
-    zz_p1,
-    zz_p2,
 )
 from cspdigraph.rng import Lcg64
 from cspdigraph.solver import (
@@ -55,6 +50,7 @@ from cspdigraph.solver import (
 )
 from cspdigraph.structures import make_structure, parse_structure
 from cspdigraph.verify import delta_bfs, random_single_template
+from oracles import maltsev_identities, perm3_identities, zz_median, zz_p1, zz_p2
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -148,8 +144,8 @@ def _singles(meta, e):
 def order_less(meta, x, y, variant="ar"):
     """Strict comparison under ``order_key``; accepts vertex names or indices."""
     key = order_key(meta, variant)
-    vx = meta.digraph.vertex_index(x) if isinstance(x, str) else x
-    vy = meta.digraph.vertex_index(y) if isinstance(y, str) else y
+    vx = meta.digraph.element_index(x) if isinstance(x, str) else x
+    vy = meta.digraph.element_index(y) if isinstance(y, str) else y
     return key(vx) < key(vy)
 
 
@@ -794,7 +790,7 @@ def test_lift_check_work_is_counted(monkeypatch, edge_template):
 
     monkeypatch.setattr(LiftedOp, "tabulate", counted_tabulate)
     monkeypatch.setattr(LiftedOp, "_diagonal_value", logged_finish)
-    assert is_polymorphism(op, meta.digraph_structure)
+    assert is_polymorphism(op, meta.digraph)
     assert len(tables) == 2
     pairs = set(finishing[1:])
     assert len(set(paths.reads)) == len(paths.reads) < len(finishing) - 1
@@ -855,7 +851,6 @@ def test_lift_majority_on_or_and_imp_templates(tuples):
 
 
 def test_lift_permutability_on_single_edge_template(edge_template):
-    from cspdigraph.identities import perm3_identities
     from cspdigraph.solver import find_operations
 
     sigma = perm3_identities()
@@ -869,7 +864,6 @@ def test_lift_permutability_on_single_edge_template(edge_template):
 def test_lifted_permutability_on_parity4_satisfies_its_identities(parity4):
     # the same case-3c tuples as on OR and IMP; the full report, with its
     # 80^3 polymorphism check, is what `cspdg lift` prints for the fixtures
-    from cspdigraph.identities import perm3_identities
     from cspdigraph.solver import find_operations, satisfies
 
     sigma = perm3_identities()

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import time
 from pathlib import Path
 
@@ -10,19 +11,21 @@ from hypothesis import strategies as st
 
 from cspdigraph import solver
 from cspdigraph.builder import build_digraph, build_path, path_spec
-from cspdigraph.errors import PreconditionError, SignatureMismatch
+from cspdigraph.errors import (
+    NonemptyRelationRequired,
+    ParseError,
+    PreconditionError,
+    SignatureMismatch,
+)
 from cspdigraph.forward import forward_instance
 from cspdigraph.identities import (
     OpTable,
     majority_identities,
-    maltsev_identities,
     parse_identities,
-    perm3_identities,
     serialize_op_table,
-    tsi_identities,
     wnu_identities,
 )
-from cspdigraph.lifting import zigzag, zz_median, zz_p1, zz_p2
+from cspdigraph.lifting import zigzag
 from cspdigraph.rng import Lcg64
 from cspdigraph.solver import (
     WITNESS_SEARCH_BOUND,
@@ -51,19 +54,18 @@ from cspdigraph.verify import (
     random_multi_template,
     random_single_template,
 )
+from oracles import maltsev_identities, perm3_identities, tsi_identities, zz_median, zz_p1, zz_p2
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def brute_force_exists(x, a):
     """The raw oracle: try every map of the source into the target."""
-    xs = x.as_structure("instance") if hasattr(x, "as_structure") else x
-    aa = a.as_structure("template") if hasattr(a, "as_structure") else a
-    n, m = len(xs.domain), len(aa.domain)
+    n, m = len(x.domain), len(a.domain)
     for vals in itertools.product(range(m), repeat=n):
         ok = True
-        for rel in xs.relations:
-            allowed = set(aa.relation(rel.name).tuples)
+        for rel in x.relations:
+            allowed = set(a.relation(rel.name).tuples)
             if any(tuple(vals[i] for i in t) not in allowed for t in rel.tuples):
                 ok = False
                 break
@@ -325,12 +327,10 @@ def test_find_hom_is_the_first_enumerated_hom():
         pairs.append((random_instance_for(rng, t, max_elems=5), t))
     found = 0
     for x, a in pairs:
-        xs = x.as_structure("instance") if isinstance(x, Digraph) else x
-        at = a.as_structure("template") if isinstance(a, Digraph) else a
-        r = _random_restriction(rng, xs, at)
+        r = _random_restriction(rng, x, a)
         first = next(enumerate_homs(x, a, r), None)
         assert find_hom(x, a, r) == first
-        assert first == next(scan_search(xs, at, r), None)
+        assert first == next(scan_search(x, a, r), None)
         found += first is not None
     assert 30 <= found <= 90
 
@@ -338,6 +338,8 @@ def test_find_hom_is_the_first_enumerated_hom():
 def _rebuilt(t):
     """t with its relations built anew, so nothing prepared for t's
     relations is reused by a search into it."""
+    if isinstance(t, Digraph):
+        return Digraph(t.name, t.vertices, t.edges)
     rels = [(r.name, r.arity, r.tuples) for r in t.relations]
     return make_structure(t.name, t.domain, rels, role=t.role)
 
@@ -352,15 +354,15 @@ def test_searches_into_a_shared_target_match_fresh_targets(monkeypatch):
     monkeypatch.setattr(solver, "_MEMO_LIMIT", 4)
     rng = Lcg64(73)
     shared = [
-        _random_digraph(rng, "a", 5).as_structure("template"),
-        _random_digraph(rng, "b", 5).as_structure("template"),
+        _random_digraph(rng, "a", 5),
+        _random_digraph(rng, "b", 5),
         random_multi_template(rng, max_elems=4),
     ]
     jobs = []
     for i in range(60):
         t = shared[i % 3]
         if t.signature() == (("E", 2),):
-            x = _random_digraph(rng, "x", rng.randint(1, 7)).as_structure("instance")
+            x = _random_digraph(rng, "x", rng.randint(1, 7))
         else:
             x = random_instance_for(rng, t, max_elems=5)
         jobs.append((x, t, _random_restriction(rng, x, t)))
@@ -384,6 +386,90 @@ def test_searches_into_a_shared_target_match_fresh_targets(monkeypatch):
         assert first == next(enumerate_homs(x, _rebuilt(t), r), None)
     assert sum(map(bool, got)) >= 20
     assert [list(t.relations[0].prepared) for t in shared[:2]] == [[5], [5]]
+
+
+def _structure_copy(g, role):
+    """The oracle for the direct digraph search: g copied into the
+    structure with one binary relation E over its vertices."""
+    return make_structure(g.name, g.vertices, [("E", 2, g.edges)], role=role)
+
+
+def test_digraphs_search_as_their_structure_copies():
+    """Every solver entry gives on a digraph what it gives on its structure
+    copy.  Each digraph is also searched against the other side's copy,
+    so a digraph read any other way than as E over its edges shows."""
+    rng = Lcg64(61)
+    found = shrunk = 0
+    for _ in range(60):
+        x = _random_digraph(rng, "x", rng.randint(1, 6))
+        a = _random_digraph(rng, "a", rng.randint(1, 4))
+        xs, at = _structure_copy(x, "instance"), _structure_copy(a, "template")
+        r = _random_restriction(rng, x, a)
+        first = find_hom(xs, at, r)
+        homs = list(itertools.islice(enumerate_homs(xs, at, r), 30))
+        for source, target in ((x, a), (x, at), (xs, a)):
+            assert find_hom(source, target, r) == first
+            assert list(itertools.islice(enumerate_homs(source, target, r), 30)) == homs
+            assert all(is_hom(source, target, h) for h in homs)
+        assert is_core(a) == is_core(at)
+        core, core_copy = core_of(a), core_of(at)
+        assert isinstance(core, Digraph)
+        assert (core.vertices, core.edges) == (core_copy.domain, core_copy.relations[0].tuples)
+        tables = find_operations(a, majority_identities())
+        assert tables == find_operations(at, majority_identities())
+        n = len(a.vertices)
+        ops = [OpTable("r", 3, n, tuple(rng.below(n) for _ in range(n**3)))]
+        ops += tables.values() if tables else []
+        for op in ops:
+            assert is_polymorphism(op, a) == is_polymorphism(op, at)
+        found += first is not None
+        shrunk += len(core.vertices) < n
+    assert 15 <= found <= 50 and shrunk >= 10
+
+
+@pytest.mark.parametrize(
+    "target, error, message",
+    [
+        (Digraph("z", (), ()), ParseError, "empty domain in 'z'"),
+        (Digraph("e", ("v",), ()), NonemptyRelationRequired, "relation 'E' of template 'e' is empty"),
+    ],
+    ids=["empty", "edgeless"],
+)
+def test_a_digraph_target_without_edges_raises_as_its_template_copy(target, error, message):
+    """Each entry that reads a digraph as a template raises for an empty
+    or edgeless one exactly what building its template copy raises."""
+    message = f"^{re.escape(message)}$"
+    with pytest.raises(error, match=message):
+        _structure_copy(target, "template")
+    x = make_digraph("x", ["u"], [(0, 0)])
+    op = OpTable("p", 1, 1, (0,))
+    calls = [
+        lambda: find_hom(x, target),
+        lambda: enumerate_homs(x, target),
+        lambda: is_hom(x, target, {}),
+        lambda: endomorphisms(target),
+        lambda: is_core(target),
+        lambda: core_of(target),
+        lambda: find_operations(target, majority_identities()),
+        lambda: is_polymorphism(op, target),
+    ]
+    for call in calls:
+        with pytest.raises(error, match=message):
+            call()
+
+
+def test_an_empty_digraph_source_is_a_search_over_no_variables():
+    """Its one map is the empty one; a restriction naming anything raises,
+    the target's names resolved first."""
+    empty = Digraph("g", (), ())
+    a = make_digraph("a", ["a0", "a1"], [(0, 1)])
+    assert list(enumerate_homs(empty, a)) == [{}]
+    assert find_hom(empty, a, {}) == {}
+    assert is_hom(empty, a, {})
+    with pytest.raises(ParseError, match="^unknown element name 'nosuch'$"):
+        find_hom(empty, a, {"nosuch": ["a0"]})
+    with pytest.raises(ParseError, match="^unknown element name 'bad'$"):
+        find_hom(empty, a, {"nosuch": ["bad"]})
 
 
 def test_every_returned_hom_passes_the_definition(two_cycle):
@@ -423,10 +509,11 @@ def test_internal_searches_look_up_no_names(monkeypatch, parity4, edge_template)
     """core_of and find_operations hand the search masks and rows, so no
     element name is resolved, however many searches they run."""
     looked_up = []
-    lookup = RelStructure.element_index
-    monkeypatch.setattr(
-        RelStructure, "element_index", lambda s, name: looked_up.append(name) or lookup(s, name)
-    )
+    for cls in (RelStructure, Digraph):
+        lookup = cls.element_index
+        monkeypatch.setattr(
+            cls, "element_index", lambda s, name, lookup=lookup: looked_up.append(name) or lookup(s, name)
+        )
     gadget = forward_instance(parity4, 4)
     assert len(core_of(gadget).domain) == len(gadget.vertices) == 182
     assert find_operations(build_digraph(edge_template).digraph, majority_identities())

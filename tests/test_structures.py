@@ -24,6 +24,7 @@ from cspdigraph.structures import (
     serialize_digraph,
     serialize_structure,
 )
+from oracles import choice
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -70,6 +71,14 @@ def test_instance_accepts_empty_relation():
          "^line 2: duplicate element name 'a'$"),
         ("structure t\ndomain a\nrelation R 1\ntuple a\nrelation R 2\nend\n",
          "^line 5: duplicate relation name 'R'$"),
+        ("instance x\nblocks 1 1\nblocks 2\ndomain a\nrelation R 2\nend\n",
+         "^line 3: second 'blocks' line$"),
+        ("instance x\nblocks\ndomain a\nrelation R 2\nend\n",
+         "^line 2: blocks line must list arities$"),
+        ("instance x\nblocks 2 0\ndomain a\nrelation R 2\nend\n",
+         "^line 2: block arities must be positive$"),
+        ("instance x\nblocks -1 3\ndomain a\nrelation R 2\nend\n",
+         "^line 2: block arities must be positive$"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -250,7 +259,7 @@ def test_line_reader_streams_like_one_split():
     bodies = ["", "a", " ab\t", "#x", "a b # c", "\t", "edge a b", "v#", "x  y"]
     breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n\r", "\r\r\n"]
     text = "".join(
-        rng.choice(bodies) + rng.choice(breaks) for _ in range(80000)
+        choice(rng, bodies) + choice(rng, breaks) for _ in range(80000)
     ) + "tail"
     assert len(text) > 5 * _CHUNK
     lines = _lines(text)
