@@ -205,7 +205,7 @@ def build_digraph(template: RelStructure) -> TemplateDigraph:
         coords=tuple(coords),
         v_pos=tuple(v_pos),
         segs=tuple(segs),
-        sides=tuple(sum({1 if d == 1 else 2 for _, d in nbrs}) for nbrs in g.neighbours),
+        sides=tuple(bool(o) + 2 * bool(i) for o, i in zip(*g.adjacency)),
     )
 
 

@@ -1,6 +1,7 @@
 """Translate a digraph instance back into an instance of the template side.
 
-The pipeline, per connected component of the input digraph:
+The pipeline, per connected component of the input digraph; every
+stage walks the out- and in-lists of the digraph's cached adjacency:
 
   stage 1   one walk per component, from its least vertex, finds it
             and writes its levels into one per-vertex list, normalised
@@ -19,8 +20,8 @@ The pipeline, per connected component of the input digraph:
             an out-edge, a directed three-edge walk across levels
             l-1..l+2.  Every edge at an internal vertex belongs to its
             component, and an edge leaving level l <= k ends at an
-            internal vertex, so the digraph's per-vertex has-in and
-            has-out flags decide it.  Objects of four kinds record who
+            internal vertex, so whether a vertex's in- or out-list is
+            empty decides it.  Objects of four kinds record who
             must share those positions (types III and IV are read off
             the internal components), an equivalence closure unites each
             group once, and class representatives become the elements of
@@ -58,7 +59,7 @@ def levelled_components(g: Digraph) -> tuple[list, list[tuple[list[int], int | N
     written; assign_levels then walks that component again for the
     witness.
     """
-    nbrs = g.neighbours
+    outs, ins = g.adjacency
     level: list = [None] * len(g.vertices)
     parts: list[tuple[list[int], int | None]] = []
     for root in range(len(level)):
@@ -68,13 +69,21 @@ def levelled_components(g: Digraph) -> tuple[list, list[tuple[list[int], int | N
         comp = [root]
         balanced = True
         for u in comp:
-            lu = level[u]
-            for w, d in nbrs[u]:
+            up = level[u] + 1
+            for w in outs[u]:
                 lw = level[w]
                 if lw is None:
-                    level[w] = lu + d
+                    level[w] = up
                     comp.append(w)
-                elif lw != lu + d:
+                elif lw != up:
+                    balanced = False
+            down = up - 2
+            for w in ins[u]:
+                lw = level[w]
+                if lw is None:
+                    level[w] = down
+                    comp.append(w)
+                elif lw != down:
                     balanced = False
         comp.sort()
         height = None
@@ -175,7 +184,8 @@ def _component_digraph(g: Digraph, comp: list[int]) -> Digraph:
     its edges distinct and within it, so it is built without Digraph's
     checks."""
     at = {v: i for i, v in enumerate(comp)}
-    edges = tuple((at[u], at[w]) for u in comp for w, d in g.neighbours[u] if d == 1)
+    outs = g.adjacency[0]
+    edges = tuple((at[u], at[w]) for u in comp for w in outs[u])
     return Digraph._unchecked(
         f"part:{g.vertices[comp[0]]}", tuple(g.vertices[v] for v in comp), edges
     )
@@ -202,16 +212,15 @@ def internal_components(
 
     ``levels[v]`` is v's level, from the per-vertex list (or any map).
     An out-neighbour of an internal vertex is internal or a top vertex,
-    an in-neighbour internal or a base vertex, so one walk over the
-    neighbour lists finds each component's base and top.  The same walk
+    an in-neighbour internal or a base vertex, so one walk over the out-
+    and in-lists finds each component's base and top.  The same walk
     reads gamma: position l is forced when an internal vertex u at level
     l <= k has an in-edge and an out-edge to a vertex that has an
     out-edge.  That is the rule of ``gamma`` over the component's own
     edges, because every edge at an internal vertex is one of them, and
     the head of an edge leaving level l <= k is internal.
     """
-    nbrs = g.neighbours
-    has_out, has_in = g.end_flags
+    outs, ins = g.adjacency
     pinning = height - 1  # internal levels 1..k pin their position
     seen: set[int] = set()
     result = []
@@ -225,18 +234,19 @@ def internal_components(
         seen.add(root)
         for u in comp_vs:
             lu = levels[u]
-            pins = lu < pinning and has_in[u]
-            for w, d in nbrs[u]:
-                if d == 1:
-                    if pins and has_out[w]:
-                        forced.add(lu)
-                    if levels[w] == height:
-                        top.add(w)
-                        continue
-                elif levels[w] == 0:
+            pins = lu < pinning and ins[u]
+            for w in outs[u]:
+                if pins and outs[w]:
+                    forced.add(lu)
+                if levels[w] == height:
+                    top.add(w)
+                elif w not in seen:
+                    seen.add(w)
+                    comp_vs.append(w)
+            for w in ins[u]:
+                if levels[w] == 0:
                     base.add(w)
-                    continue
-                if w not in seen:
+                elif w not in seen:
                     seen.add(w)
                     comp_vs.append(w)
         comp_vs.sort()
@@ -346,7 +356,8 @@ def build_objects(
     k: int,
     prefix: str = "",
 ) -> ReverseObjects:
-    """The type-I and type-II objects over the component's variables.
+    """The type-I and type-II objects over a full-height component's
+    variables: its base at level 0, its tops at level k + 2.
 
     The variables are the base vertices followed by the fresh ones, each
     named once where it is allocated: alpha for the positions a top-free
@@ -356,9 +367,15 @@ def build_objects(
     prefix and then xa:, xb: or xg:; reverse_instance picks a prefix
     that no base vertex name starts with (see fresh_prefix).
     """
-    g0 = [v for v in comp if levels[v] == 0]
-    height = max(levels[v] for v in comp)
-    gn = [v for v in comp if levels[v] == height]
+    height = k + 2
+    g0: list[int] = []
+    gn: list[int] = []
+    for v in comp:
+        lv = levels[v]
+        if lv == 0:
+            g0.append(v)
+        elif lv == height:
+            gn.append(v)
     name = g.vertices.__getitem__
 
     alpha: dict[tuple[int, int, int], str] = {}

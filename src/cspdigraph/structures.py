@@ -19,15 +19,17 @@ Digraph files::
     end
 
 Every file is read a block of about 64k characters at a time, so no
-list of all lines is ever held.  A digraph block of only vertex lines or
-only edge lines in the form ``serialize_digraph`` writes is read in
-bulk; every other line, and every error, goes through the line loop.
+list of all lines is ever held.  In a digraph file, each run of vertex
+lines or of edge lines in the form ``serialize_digraph`` writes is read
+in bulk, wherever in a block it starts and ends; every other line, and
+every error, goes through the line loop.
 
 All models are immutable after construction.  Element order in a file is
 the canonical order used everywhere downstream, so parsing and
 serialization are exact inverses.  A digraph answers the same lookups
 as a structure, as the structure with one binary relation E over its
-edges, so the solver searches it as it is.
+edges, so the solver searches it as it is, and its walks read the
+out- and in-lists of its cached ``adjacency``.
 """
 
 from __future__ import annotations
@@ -198,24 +200,30 @@ class Digraph(_Lookups):
         return (Relation("E", 2, self.edges),)
 
     @cached_property
+    def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(outs, ins): for each vertex the heads of its out-edges and the
+        tails of its in-edges, in edge order; built on first use, for the
+        walks over the digraph.  The lists are shared and read only; they
+        stay lists, as a copy into tuples costs about half the build again."""
+        outs: list[list[int]] = [[] for _ in self.vertices]
+        ins: list[list[int]] = [[] for _ in self.vertices]
+        for u, v in self.edges:
+            outs[u].append(v)
+            ins[v].append(u)
+        return outs, ins
+
+    @cached_property
     def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """For each vertex, (w, 1) per edge to w and (w, -1) per edge from w,
-        in edge order; built on first use, for every walk over the digraph."""
+        in edge order (a loop gives both); built on first use, for the
+        walks whose order interleaves the two directions: the unbalanced
+        witness of reverse.assign_levels and the reference walks that the
+        tests check the others against (reverse.components, reverse.gamma)."""
         nbrs: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         for u, v in self.edges:
             nbrs[u].append((v, 1))
             nbrs[v].append((u, -1))
         return tuple(map(tuple, nbrs))
-
-    @cached_property
-    def end_flags(self) -> tuple[bytes, bytes]:
-        """(has_out, has_in): per vertex 1 if it has an out-edge (an
-        in-edge), else 0, from one pass over the edges on first use."""
-        has_out = bytearray(len(self.vertices))
-        has_in = bytearray(len(self.vertices))
-        for u, v in self.edges:
-            has_out[u] = has_in[v] = 1
-        return bytes(has_out), bytes(has_in)
 
     def induced(self, vertex_ids: Sequence[int], name: str | None = None) -> "Digraph":
         """Induced subgraph, keeping vertex names and relative order."""
@@ -262,11 +270,11 @@ def fresh_prefix(names: Iterable[str], heads: tuple[str, ...]) -> str:
 # characters of text split at a time by the line reader
 _CHUNK = 1 << 16
 
-# a block of serialize_digraph's vertex lines or of its edge lines: single
-# spaces, '\n' breaks and names free of whitespace; a block holding a '#'
-# is not in that form either, which a plain search finds faster than a
-# [^\s#] class in the pattern
-_BULK = re.compile(r"(?:vertex \S+\n)+|(?:edge \S+ \S+\n)+")
+# a run, from a line start, of serialize_digraph's vertex lines or of its
+# edge lines: single spaces, '\n' breaks and names free of whitespace; a
+# run holding a '#' is not in that form either, which a plain search
+# finds faster than a [^\s#] class in the pattern
+_BULK = re.compile(r"^(?:(?:vertex \S+\n)+|(?:edge \S+ \S+\n)+)", re.M)
 
 
 def _blocks(text: str) -> Iterator[str]:
@@ -406,54 +414,74 @@ def serialize_structure(s: RelStructure) -> str:
 def parse_digraph(text: str) -> Digraph:
     """Read a digraph file, a block (``_blocks``) at a time.
 
-    After the head line, a block of vertex lines only or of edge lines
-    only, each exactly as ``serialize_digraph`` writes it, is read in
-    bulk (``_read_bulk``).  Every other block goes through the line loop
-    below: the head line, ``end``, comments, other blanks, other line
-    breaks and mixed blocks; so does a bulk-form block that repeats a
-    vertex or names an unknown one, so the line loop names every error
-    with its line number.  Either way no list of all lines is held.
+    After the head line and before ``end``, each longest run of lines that
+    ``_BULK`` matches at a line start, vertex lines only or edge lines
+    only, each exactly as ``serialize_digraph`` writes it, is read in bulk
+    (``_read_bulk``).  Everything else goes through the line loop below,
+    numbered as it goes: the head line, ``end``, comments, blanks, other
+    spacing and line breaks, and a run that ``_read_bulk`` refuses (it
+    holds a ``#``, repeats a vertex or names an unknown one), so the line
+    loop names every error with its line number.  Either way no list of
+    all lines is held.
     """
     name: str | None = None  # set by the head line
     ended = False
     index: dict[str, int] = {}  # vertex name -> index, in file order
     edges: list[tuple[int, int]] = []
-    first = 1  # number of the block's first line
+    first = 1  # number of the next line
     for block in _blocks(text):
-        if name is not None and not ended:
-            read = _read_bulk(block, index, edges)
-            if read:
-                first += read
-                continue
-        rows = block.splitlines()
-        for lineno, body in _bodies(rows, first):
-            toks = body.split()
-            kw = toks[0]
-            if name is None or ended:
-                if ended:
-                    raise ParseError("content after 'end'", lineno)
-                if kw != "digraph" or len(toks) != 2:
-                    raise ParseError("expected 'digraph <name>'", lineno)
-                name = toks[1]
-            elif kw == "edge":
-                if len(toks) != 3:
-                    raise ParseError("expected 'edge <u> <v>'", lineno)
-                try:
-                    edges.append((index[toks[1]], index[toks[2]]))
-                except KeyError:
-                    unknown = toks[1] if toks[1] not in index else toks[2]
-                    raise ParseError(f"unknown vertex {unknown!r}", lineno) from None
-            elif kw == "vertex":
-                if len(toks) != 2:
-                    raise ParseError("expected 'vertex <v>'", lineno)
-                if toks[1] in index:
-                    raise ParseError(f"duplicate vertex {toks[1]!r}", lineno)
-                index[toks[1]] = len(index)
-            elif kw == "end":
-                ended = True
+        pos = 0
+        while pos < len(block):
+            # the line loop reads block[pos:stop]: up to the head line a
+            # line at a time, after `end` the rest, in between what comes
+            # before the next run or a run that _read_bulk refuses
+            if name is None:
+                stop = block.find("\n", pos) + 1 or len(block)
+            elif ended:
+                stop = len(block)
             else:
-                raise ParseError(f"unknown keyword {kw!r}", lineno)
-        first += len(rows)
+                run = _BULK.search(block, pos)
+                if run is None:
+                    stop = len(block)
+                elif run.start() > pos:
+                    stop = run.start()
+                else:
+                    stop = run.end()
+                    read = _read_bulk(run[0], index, edges)
+                    if read:
+                        first += read
+                        pos = stop
+                        continue
+            rows = block[pos:stop].splitlines()
+            for lineno, body in _bodies(rows, first):
+                toks = body.split()
+                kw = toks[0]
+                if name is None or ended:
+                    if ended:
+                        raise ParseError("content after 'end'", lineno)
+                    if kw != "digraph" or len(toks) != 2:
+                        raise ParseError("expected 'digraph <name>'", lineno)
+                    name = toks[1]
+                elif kw == "edge":
+                    if len(toks) != 3:
+                        raise ParseError("expected 'edge <u> <v>'", lineno)
+                    try:
+                        edges.append((index[toks[1]], index[toks[2]]))
+                    except KeyError:
+                        unknown = toks[1] if toks[1] not in index else toks[2]
+                        raise ParseError(f"unknown vertex {unknown!r}", lineno) from None
+                elif kw == "vertex":
+                    if len(toks) != 2:
+                        raise ParseError("expected 'vertex <v>'", lineno)
+                    if toks[1] in index:
+                        raise ParseError(f"duplicate vertex {toks[1]!r}", lineno)
+                    index[toks[1]] = len(index)
+                elif kw == "end":
+                    ended = True
+                else:
+                    raise ParseError(f"unknown keyword {kw!r}", lineno)
+            first += len(rows)
+            pos = stop
     if name is None:
         raise ParseError("empty digraph file")
     if not ended:
@@ -461,21 +489,21 @@ def parse_digraph(text: str) -> Digraph:
     return Digraph._unchecked(name, tuple(index), tuple(dict.fromkeys(edges)))
 
 
-def _read_bulk(block: str, index: dict[str, int], edges: list[tuple[int, int]]) -> int:
-    """Read a block in the form ``_BULK`` matches and return its number of
-    lines; return 0, leaving index and edges as they were, when the block
-    is not in that form, repeats a vertex or names an unknown one."""
-    if "#" in block or not _BULK.fullmatch(block):
+def _read_bulk(run: str, index: dict[str, int], edges: list[tuple[int, int]]) -> int:
+    """Read a run that ``_BULK`` matched and return its number of lines;
+    return 0, leaving index and edges as they were, when the run holds a
+    ``#``, repeats a vertex or names an unknown one."""
+    if "#" in run:
         return 0
     # the splits below make the name strings alone, not the keyword
-    # strings that block.split() would make and drop again
-    if block[0] == "v":
-        names = block[7:-1].split("\nvertex ")  # 'vertex a\nvertex b\n'
+    # strings that run.split() would make and drop again
+    if run[0] == "v":
+        names = run[7:-1].split("\nvertex ")  # 'vertex a\nvertex b\n'
         if len(set(names)) < len(names) or not index.keys().isdisjoint(names):
             return 0
         index.update(zip(names, range(len(index), len(index) + len(names))))
         return len(names)
-    toks = block[5:-1].replace("\nedge ", " ").split(" ")  # 'edge a b\nedge c d\n'
+    toks = run[5:-1].replace("\nedge ", " ").split(" ")  # 'edge a b\nedge c d\n'
     try:
         ends = list(map(index.__getitem__, toks))
     except KeyError:

@@ -239,15 +239,13 @@ def suite_orders(seed: int = 7, trials: int = 500) -> SuiteReport:
 
 def delta_bfs(meta: TemplateDigraph, m: int) -> set[tuple[int, ...]]:
     """Oracle: explicit search of the m-th power from the diagonal."""
-    nbrs = meta.digraph.neighbours
     start = [tuple([v] * m) for v in range(len(meta.digraph.vertices))]
     seen = set(start)
     stack = list(start)
     while stack:
         cur = stack.pop()
-        for direction in (1, -1):
-            steps = [[w for w, d in nbrs[v] if d == direction] for v in cur]
-            for nxt in itertools.product(*steps):
+        for step in meta.digraph.adjacency:
+            for nxt in itertools.product(*map(step.__getitem__, cur)):
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)

@@ -1,5 +1,6 @@
 import hashlib
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from cspdigraph.builder import (
 )
 from cspdigraph.errors import PreconditionError
 from cspdigraph.rng import Lcg64
-from cspdigraph.structures import make_structure
+from cspdigraph.structures import make_structure, parse_structure
 from cspdigraph.verify import random_single_template
 
 
@@ -211,3 +212,17 @@ def test_element_name_with_a_separator_is_refused(name):
     t = make_structure("s", [name, "c"], [("R", 2, [(0, 1)])])
     with pytest.raises(PreconditionError, match="element name"):
         build_digraph(t)
+
+
+def test_sides_are_the_edge_directions_at_each_vertex():
+    """On each fixture template's encoding, bit 1 of a vertex's sides is
+    set when some edge leaves it and bit 2 when some edge enters it, as
+    read off the signs of its neighbour list."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    templates = sorted(fixtures.glob("*.rel"))
+    assert len(templates) == 3
+    for path in templates:
+        meta = build_digraph(parse_structure(path.read_text()))
+        assert meta.sides == tuple(
+            sum({1 if d == 1 else 2 for _, d in nbrs}) for nbrs in meta.digraph.neighbours
+        )

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from cspdigraph import structures as structures_mod
 from cspdigraph.builder import build_digraph
 from cspdigraph.errors import NonemptyRelationRequired, ParseError
+from cspdigraph.forward import forward_instance
 from cspdigraph.lifting import order_key
 from cspdigraph.rng import Lcg64
 from cspdigraph.structures import (
@@ -202,6 +204,18 @@ def test_digraph_round_trip_is_identity(g):
     assert g.neighbours == tuple(_incident(g, x) for x in range(len(g.vertices)))
 
 
+@given(digraphs())
+@example(make_digraph("loops", ["a", "b", "c"], [(0, 0), (1, 0), (0, 1), (1, 1)]))
+@settings(max_examples=120, deadline=None)
+def test_adjacency_is_neighbours_split_by_direction(g):
+    """outs and ins are the neighbour lists filtered by sign, in edge
+    order: a loop is its own vertex's out- and in-neighbour, and an
+    isolated vertex has neither."""
+    outs, ins = g.adjacency
+    assert outs == [[w for w, d in nbrs if d == 1] for nbrs in g.neighbours]
+    assert ins == [[w for w, d in nbrs if d == -1] for nbrs in g.neighbours]
+
+
 _pad = st.text(alphabet=" \t", max_size=3)
 _gap = st.text(alphabet=" \t", min_size=1, max_size=3)
 _comment = st.text(alphabet=" \t#ab:_", max_size=6).map(lambda c: "#" + c)
@@ -325,12 +339,17 @@ def _ends_of_blocks(rows):
 
 @st.composite
 def large_digraph_files(draw):
-    """A digraph file of several blocks in serialize_digraph's form, edited
+    """(text, line): a digraph file of several blocks in serialize_digraph's
+    form, its vertex lines, its edge lines and then up to three runs of
+    new vertex lines, each followed by a run of edge lines, the shape of
+    a gadget file with low components put in before `end`.  It is edited
     at and next to the ends of blocks and anywhere else: comment and blank
-    lines, tabs, padding, double spaces, other line breaks, glued comments
-    (`vertex a#b` declares `a`) and repeated edges.  Most files also have
-    a fault: a repeated or unknown vertex deep in a block, or content
-    after `end`, sometimes a whole bulk-form block of it."""
+    lines, tabs, indents, padding, double spaces, other line breaks, glued
+    comments (`vertex a#b` declares `a`) and repeated edges.  Most files
+    also have a fault: a repeated or unknown vertex deep in a block, a
+    repeated vertex inside one of the later vertex runs, which start
+    mid-block (then line is its line number, else None), or content after
+    `end`, sometimes a whole bulk-form block of it."""
     rng = Lcg64(draw(st.integers(0, 2**64 - 1)))
     # long names keep each block to a few thousand lines
     width = draw(st.integers(12, 40))
@@ -339,15 +358,34 @@ def large_digraph_files(draw):
     names = [f"v{i:0{width}d}" for i in range(n)]
     rows = [f"vertex {v}" for v in names]
     rows += [f"edge {names[rng.below(n)]} {names[rng.below(n)]}" for _ in range(m)]
+    runs = []  # (first row, rows) of each later vertex run
+    for j in range(draw(st.integers(0, 3))):
+        fresh = [f"w{j}x{i:0{width}d}" for i in range(2 + rng.below(600))]
+        runs.append((len(rows), len(fresh)))
+        rows += [f"vertex {v}" for v in fresh]
+        names += fresh
+        rows += [
+            f"edge {names[rng.below(len(names))]} {names[rng.below(len(names))]}"
+            for _ in range(1 + rng.below(600))
+        ]
     breaks = ["\n"] * len(rows)
 
-    fault = draw(st.sampled_from([None, "duplicate", None, "unknown", "after"]))
+    faults = [None, "duplicate", None, "unknown", "after"] + ["in run"] * 3 * bool(runs)
+    fault = draw(st.sampled_from(faults))
+    line = None
     if fault == "duplicate":
         at = draw(st.integers(n // 2, n - 1))
         rows[at] = f"vertex {names[rng.below(at)]}"
     elif fault == "unknown":
         at = draw(st.integers(n + m // 2, n + m - 1))
         rows[at] = rows[at].rsplit(" ", 1)[0] + " nosuch"
+    elif fault == "in run":
+        start, size = draw(st.sampled_from(runs))
+        at = start + draw(st.integers(1, size - 1))
+        # a name from earlier in the run or from before it
+        earlier = rows[start + rng.below(at - start)] if draw(st.booleans()) else rows[0]
+        rows[at] = earlier
+        line = at + 2  # the head is line 1, each row one line
 
     ends = _ends_of_blocks(["digraph g", *rows])
     near_ends = st.sampled_from(ends).flatmap(lambda e: st.integers(e - 3, e))
@@ -357,8 +395,9 @@ def large_digraph_files(draw):
     glued = draw(st.integers(ends[0], max(ends[0], min(ends[1], n) - 1)))
     # edit from the last row back, so that earlier indices stay put
     for at in sorted({*at_rows, glued}, reverse=True):
+        size = len(rows)
         edit = "glued" if at == glued else draw(st.sampled_from(
-            ["comment", "blank", "tab", "pad", "double", "break", "glued", "repeat"]
+            ["comment", "blank", "tab", "indent", "pad", "double", "break", "glued", "repeat"]
         ))
         if edit == "comment":
             rows.insert(at, draw(_comment))
@@ -368,6 +407,8 @@ def large_digraph_files(draw):
             breaks.insert(at, "\n")
         elif edit == "tab":
             rows[at] = rows[at].replace(" ", "\t", 1)
+        elif edit == "indent":
+            rows[at] = draw(_gap) + rows[at]
         elif edit == "pad":
             rows[at] = draw(_pad) + rows[at] + draw(_pad)
         elif edit == "double":
@@ -376,13 +417,17 @@ def large_digraph_files(draw):
             breaks[at] = draw(st.sampled_from(["\r\n", "\r", "\x0b", "\x0c", "\u2028"]))
         elif edit == "glued":
             rows[at] += "#" + draw(st.sampled_from(["", "b", "b#c"]))
-        elif at > n:
+        elif n < at < n + m:
             rows.insert(at, rows[rng.randint(n, at - 1)])
             breaks.insert(at, "\n")
+        # no edit stops a row declaring its vertex; a row put in before
+        # the repeated vertex moves it down a line
+        if line is not None and len(rows) > size and at <= line - 2:
+            line += 1
 
     body = "digraph g\n" + "".join(r + b for r, b in zip(rows, breaks))
     if fault != "after":
-        return body + "end\n"
+        return body + "end\n", line
     pad = 0
     if draw(st.booleans()):
         # spaces that end a block just after `end`, so that the next
@@ -390,14 +435,15 @@ def large_digraph_files(draw):
         *_, last = _blocks(body + "end\n")
         pad = max(0, _CHUNK + 1 - len(last))
     after = "".join(f"vertex w{i}\n" for i in range(draw(st.integers(1, 8000))))
-    return body + "end" + " " * pad + "\n" + after
+    return body + "end" + " " * pad + "\n" + after, line
 
 
 # no shrinking: a failing file cannot shrink below a block or two, and
 # shrinking one of several blocks takes minutes
 @given(large_digraph_files())
 @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
-def test_bulk_blocks_read_as_the_line_loop_reads_them(text):
+def test_bulk_blocks_read_as_the_line_loop_reads_them(drawn):
+    text, line = drawn
     assert len(text) > _CHUNK
     try:
         want = _line_loop_digraph(text)
@@ -405,7 +451,10 @@ def test_bulk_blocks_read_as_the_line_loop_reads_them(text):
         with pytest.raises(ParseError) as info:
             parse_digraph(text)
         assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        if line is not None:
+            assert exc.line == line and "duplicate vertex" in str(exc)
         return
+    assert line is None
     got = parse_digraph(text)
     assert got == want
     assert Digraph(got.name, got.vertices, got.edges) == got
@@ -426,8 +475,49 @@ def test_read_fixture_digraphs_pass_the_validating_constructor():
         assert Digraph(g.name, g.vertices, g.edges) == g
 
 
-# ---------------------------------------------------------------------------
-# Canonical comparisons: an oracle for the two orders of lifting.order_key
+def _bulk_share(text):
+    """(lines that _read_bulk reads, lines) when parse_digraph reads text."""
+    read = []
+    bulk = structures_mod._read_bulk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structures_mod, "_read_bulk", lambda *args: read.append(bulk(*args)) or read[-1])
+        parse_digraph(text)
+    return sum(read), len(text.splitlines())
+
+
+def _gadget_with_low_lines():
+    """A forward gadget's file with a low component's vertex and edge lines
+    put in before `end`: the shape of a file that reverse reads."""
+    rng = Lcg64(29)
+    n = 400
+    tuples = [(rng.below(n), rng.below(n)) for _ in range(2 * n)]
+    x = make_structure("x", [f"e{i}" for i in range(n)], [("R", 2, tuples)], role="instance")
+    body = serialize_digraph(forward_instance(x, 2)).splitlines()
+    small = make_structure("s", ["a", "b", "c"], [("R", 2, [(0, 1), (1, 2)])], role="instance")
+    full = forward_instance(small, 2)
+    low = full.induced([i for i, v in enumerate(full.vertices) if not v.startswith("y:")])
+    extra = [f"vertex low:{v}" for v in low.vertices]
+    extra += [f"edge low:{low.vertices[u]} low:{low.vertices[v]}" for u, v in low.edges]
+    return "\n".join(body[:-1] + extra + body[-1:]) + "\n"
+
+
+def test_canonical_files_are_read_in_bulk_but_for_head_and_end():
+    """Every line of a canonical file but its head line and `end` goes
+    through _read_bulk, in whichever block it falls: the first block with
+    the head line, the one where the edges begin and the last one with the
+    lines put in before `end`."""
+    gadget = _gadget_with_low_lines()
+    assert len(gadget) > 2 * _CHUNK
+    read, lines = _bulk_share(gadget)
+    assert read >= 0.99 * lines
+    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.dg"))]
+    texts += [
+        serialize_digraph(build_digraph(parse_structure(p.read_text())).digraph)
+        for p in sorted(FIXTURES.glob("*.rel"))
+    ]
+    for text in [gadget, *texts]:
+        read, lines = _bulk_share(text)
+        assert read == lines - 2
 
 
 def canonical_compare(s, x, y, kind: str) -> int:

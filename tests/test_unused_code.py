@@ -3,10 +3,12 @@
 A helper that only the tests use belongs with the tests.  This walks the
 package's modules with ``ast`` and lists each top-level function or
 class, and each method of a top-level class other than a dunder, that
-nothing in the package reads outside the definition itself, by a name
-or by an attribute of that name.  Names the package exports in
-``__all__`` count as used, and so do the names in ``ALLOWED``, each with
-its reason.
+nothing in the package reads outside the definition itself.  A top-level
+definition is read by its name or as ``<module>.<name>``; a method by an
+attribute of its name.  So a function whose name is only ever read as
+the attribute of some object, a field of the same name say, has no
+caller.  Names the package exports in ``__all__`` count as used, and so
+do the names in ``ALLOWED``, each with its reason.
 """
 
 import ast
@@ -18,6 +20,7 @@ ALLOWED = {
     "interpretable_at_levels": "perfbench FUNCTIONS times it",
     "components": "perfbench FUNCTIONS times it",
     "boundary_subgraph": "perfbench FUNCTIONS times it",
+    "gamma": "perfbench FUNCTIONS times it",
     "classify": "perfbench FUNCTIONS times it",
     "gadget_size": "perfbench/workloads.py checks the gadget counts with it",
     "restrict_endomorphism": "the converse transfer (ROADMAP item 3) builds on it",
@@ -51,24 +54,45 @@ def _exported(trees: dict[str, ast.Module]) -> set[str]:
     return names
 
 
+def _module_names(tree: ast.Module) -> dict[str, str]:
+    """Local name -> module of each ``from . import module [as name]``."""
+    return {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+
+
 def unreferenced(trees: dict[str, ast.Module]) -> list[str]:
     """'module:qualified name' of each definition nothing reads."""
-    used: dict[str, list[ast.AST]] = {}
+    names: dict[str, list[ast.AST]] = {}  # `name` reads
+    attributes: dict[str, list[ast.AST]] = {}  # `x.name` reads
+    qualified: dict[tuple[str, str], list[ast.AST]] = {}  # `module.name` reads
     for tree in trees.values():
+        module_names = _module_names(tree)
         for node in ast.walk(tree):
             if isinstance(getattr(node, "ctx", None), ast.Load):
                 if isinstance(node, ast.Name):
-                    used.setdefault(node.id, []).append(node)
+                    names.setdefault(node.id, []).append(node)
                 elif isinstance(node, ast.Attribute):
-                    used.setdefault(node.attr, []).append(node)
+                    attributes.setdefault(node.attr, []).append(node)
+                    if isinstance(node.value, ast.Name) and node.value.id in module_names:
+                        key = (module_names[node.value.id], node.attr)
+                        qualified.setdefault(key, []).append(node)
     exported = _exported(trees)
     out = []
     for module, tree in trees.items():
-        for qualified, name, node in _definitions(tree):
+        stem = Path(module).stem
+        for dotted, name, node in _definitions(tree):
+            if "." in dotted:
+                refs = attributes.get(name, [])
+            else:
+                refs = names.get(name, []) + qualified.get((stem, name), [])
             own = set(map(id, ast.walk(node)))
-            if name in exported or any(id(ref) not in own for ref in used.get(name, ())):
+            if name in exported or any(id(ref) not in own for ref in refs):
                 continue
-            out.append(f"{module}:{qualified}")
+            out.append(f"{module}:{dotted}")
     return out
 
 
@@ -85,14 +109,22 @@ def test_a_new_unused_helper_is_caught():
         "def helper(n):\n"
         "    return helper(n - 1) if n else 0\n"
         "\n"
+        "def tally():\n"
+        "    return 0\n"
+        "\n"
+        "def qualified():\n"
+        "    return 0\n"
+        "\n"
         "class Box:\n"
         "    def spare(self):\n"
         "        return self.spare\n"
         "\n"
-        "def used():\n"
-        "    return Box()\n"
+        "def used(box):\n"
+        "    from . import extra as ex\n"
+        "    return Box(), box.tally, ex.qualified\n"
         "\n"
         "__all__ = ['used']\n"
     )
     found = [entry for entry in unreferenced(trees) if entry.startswith("extra.py:")]
-    assert found == ["extra.py:helper", "extra.py:Box.spare"]
+    # `box.tally` reads an attribute of some object, not the function
+    assert found == ["extra.py:helper", "extra.py:tally", "extra.py:Box.spare"]
