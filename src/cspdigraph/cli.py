@@ -70,6 +70,8 @@ def _load_restriction(path: str) -> dict[str, list[str]]:
         toks = body.split()
         if toks[0] != "allow" or len(toks) < 3:
             raise ParseError("expected 'allow <x> <a1> <a2> ...'", lineno)
+        if toks[1] in out:
+            raise ParseError(f"second 'allow' for {toks[1]!r}", lineno)
         out[toks[1]] = toks[2:]
     return out
 

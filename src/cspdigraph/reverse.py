@@ -7,10 +7,14 @@ stage walks the out- and in-lists of the digraph's cached adjacency:
             and writes its levels into one per-vertex list, normalised
             per component; anything unbalanced (walked again, only for
             the witness) or taller than the encoding's height means a
-            fixed NO instance overall.
+            fixed NO instance overall.  The walk is
+            structures.levelled_components, over the out- and in-lists;
+            the solver runs the same walk for its level windows.
   stage 2   components strictly lower than the encoding are decided
-            directly against the encoded digraph; a NO again yields the
-            fixed NO instance, a YES constrains nothing further.
+            directly against the encoded digraph, once per shape (the
+            vertex count and the edges renumbered in vertex order); a
+            NO again yields the fixed NO instance, a YES constrains
+            nothing further.
   stage 3   full-height components are compiled into hyperedges: the
             induced subgraph between the extreme levels splits into
             internal components, each of which pins a set of tuple
@@ -40,61 +44,18 @@ from dataclasses import dataclass, field
 from .builder import TemplateDigraph, build_digraph
 from .errors import InternalInvariantViolation, TrivialTemplate, Unbalanced
 from .solver import UnionFind, find_hom
-from .structures import Digraph, RelStructure, fresh_prefix, make_digraph, make_structure
+from .structures import (
+    Digraph,
+    RelStructure,
+    fresh_prefix,
+    levelled_components,
+    make_digraph,
+    make_structure,
+)
 
 
 # ---------------------------------------------------------------------------
 # Stage 1: components and levels
-
-
-def levelled_components(g: Digraph) -> tuple[list, list[tuple[list[int], int | None]]]:
-    """(level, parts): one walk per connected component finds it and
-    writes its levels.
-
-    The components come in order of least vertex, each sorted, with its
-    height.  Each walk starts at the component's least vertex and writes
-    every vertex's level into the one per-vertex list ``level``,
-    normalised so that the component's lowest vertex is at 0.  The
-    height is None when an edge disagrees with the levels already
-    written; assign_levels then walks that component again for the
-    witness.
-    """
-    outs, ins = g.adjacency
-    level: list = [None] * len(g.vertices)
-    parts: list[tuple[list[int], int | None]] = []
-    for root in range(len(level)):
-        if level[root] is not None:
-            continue
-        level[root] = 0
-        comp = [root]
-        balanced = True
-        for u in comp:
-            up = level[u] + 1
-            for w in outs[u]:
-                lw = level[w]
-                if lw is None:
-                    level[w] = up
-                    comp.append(w)
-                elif lw != up:
-                    balanced = False
-            down = up - 2
-            for w in ins[u]:
-                lw = level[w]
-                if lw is None:
-                    level[w] = down
-                    comp.append(w)
-                elif lw != down:
-                    balanced = False
-        comp.sort()
-        height = None
-        if balanced:
-            low = min(map(level.__getitem__, comp))
-            if low:
-                for v in comp:
-                    level[v] -= low
-            height = max(map(level.__getitem__, comp))
-        parts.append((comp, height))
-    return level, parts
 
 
 def components(g: Digraph) -> list[list[int]]:
@@ -182,7 +143,8 @@ def _component_digraph(g: Digraph, comp: list[int]) -> Digraph:
 
     A component of a valid digraph is valid: its names are distinct and
     its edges distinct and within it, so it is built without Digraph's
-    checks."""
+    checks.  Its vertex count and its edges, renumbered in vertex order,
+    are equal for equal components, so they share one decision."""
     at = {v: i for i, v in enumerate(comp)}
     outs = g.adjacency[0]
     edges = tuple((at[u], at[w]) for u in comp for w in outs[u])
@@ -560,8 +522,9 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
 
     reports: list[ComponentReport] = []
     stage3: list[tuple[list[int], tuple[str, ...]]] = []
-    levels, parts = levelled_components(g)
+    levels, parts = levelled_components(*g.adjacency)
     name = g.vertices.__getitem__
+    decided: dict[tuple, bool] = {}  # stage 2 answers by component shape
     for comp, height in parts:
         names = tuple(map(name, comp))
         if height is None:
@@ -579,7 +542,11 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
             reports.append(ComponentReport(names, "fixed-no", f"height {height} > {n}"))
             return ReverseResult(fixed_no(template), "fixed-no", reports)
         if height < n:
-            if not stage2_decide(_component_digraph(g, comp), meta):
+            part = _component_digraph(g, comp)
+            key = (len(comp), part.edges)
+            if key not in decided:
+                decided[key] = stage2_decide(part, meta)
+            if not decided[key]:
                 reports.append(ComponentReport(names, "fixed-no", "low component, no map"))
                 return ReverseResult(fixed_no(template), "fixed-no", reports)
             reports.append(ComponentReport(names, "low-yes"))

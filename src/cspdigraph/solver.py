@@ -15,12 +15,13 @@ order of revisions, and both kinds prune exactly what a scan of every
 constraint would.
 
 The search is iterative: an explicit stack of branching points and a
-trail that records every domain write as (variable, old mask), so that
-backtracking pops the trail back to the node's mark.  Depth is bounded
-by memory, not by the interpreter's recursion limit.  The search is
-deterministic: ties break on variable index and values are tried in
-target declaration order, which keeps every downstream artifact
-byte-reproducible.
+flat trail of ints that records every domain write as two entries, the
+variable and then its old mask, so a write allocates nothing and
+backtracking pops the trail back to the node's mark, two ints per write.
+Depth is bounded by memory, not by the interpreter's recursion limit.
+The search is deterministic: ties break on variable index and values
+are tried in target declaration order, which keeps every downstream
+artifact byte-reproducible.
 
 The search core works on integers only: initial domain masks in, image
 lists out.  Names meet it only in ``enumerate_homs``, which resolves them
@@ -35,6 +36,21 @@ so sharing it changes no answer, and interleaved searches stay safe.
 A digraph is searched as it is: ``Digraph.relations`` is E over its
 edge tuple, kept on the digraph, so every search into one digraph shares
 what is prepared on E.
+
+A search of a digraph into a digraph starts from level windows.  A
+homomorphism between connected balanced digraphs shifts every level by
+one constant, so a source vertex at level l of a balanced component of
+height h may take a target vertex w only if w's component is unbalanced,
+or balanced of some height H >= h with w's level in [l, l + H - h].  The
+source's levels come from the walk of ``levelled_components`` over the
+arc lists the search builds anyway (a component with a loop counts as
+unbalanced), the target's from ``Digraph.level_windows``, kept on the
+target with the one walk they come from.  The windows change no answer: a value outside its window
+fails arc consistency, since the walks from the vertex down to its
+component's bottom and up to its top unfold into trees, on which arc
+consistency is global (Freuder, JACM 1982).  So the root fixpoint, the
+search tree and the order of the solutions are those without windows;
+only the propagation that peels one level per wave is skipped.
 """
 
 from __future__ import annotations
@@ -51,7 +67,7 @@ from .errors import (
     UnbalancedInput,
 )
 from .identities import IdentitySet, OpTable, product_offsets
-from .structures import Digraph, Relation, RelStructure, make_structure
+from .structures import Digraph, Relation, levelled_components, make_structure
 
 Hom = dict[str, str]
 
@@ -146,13 +162,17 @@ class _Search:
     """From elements 0..len(domains)-1, element v starting from the value
     mask domains[v]; a relation is (source rows, its target relation as
     _target gives it for the values the masks range over), and a
-    solution is an image list."""
+    solution is an image list.  ``target`` is given when the source is a
+    digraph searched into that digraph: the masks are then cut to the
+    level windows."""
 
-    def __init__(self, domains: list[int], relations: Iterable[tuple]):
+    def __init__(
+        self, domains: list[int], relations: Iterable[tuple], target: Digraph | None = None
+    ):
         self.n_vars = len(domains)
         self.domains = list(domains)
-        # (var, old mask) for every domain write, oldest first
-        self.trail: list[tuple[int, int]] = []
+        # var, old mask for every domain write, oldest first
+        self.trail: list[int] = []
 
         # a binary constraint (u, v) over two distinct variables is two
         # arcs: u's domain bounds v's through the out-masks of the target
@@ -187,11 +207,27 @@ class _Search:
         # branching order among equal domain sizes: higher degree first,
         # then lower index (the sort is stable)
         self.order = sorted(range(self.n_vars), key=degree.__getitem__, reverse=True)
+        if target is not None and self.sides:
+            self._cut_to_windows(target)
+
+    def _cut_to_windows(self, target: Digraph) -> None:
+        """AND each source vertex's level window into its mask.  The
+        source is a digraph: its arcs are the two sides' lists, and its
+        only scanned constraints are its loops."""
+        (_, _, heads), (_, _, tails) = self.sides
+        level, parts = levelled_components(heads, tails)
+        loops = {c.scope[0] for c in self.constraints}
+        doms = self.domains
+        for comp, h in parts:
+            if h is not None and loops.isdisjoint(comp):
+                windows = target.level_windows(h)
+                for v in comp:
+                    doms[v] &= windows[level[v]]
 
     # -- propagation ------------------------------------------------------
 
     def _set(self, var: int, mask: int) -> None:
-        self.trail.append((var, self.domains[var]))
+        self.trail += var, self.domains[var]
         self.domains[var] = mask
 
     def _revise(self, c: _Constraint) -> list[int] | None:
@@ -227,7 +263,7 @@ class _Search:
         end.  Scanned constraints wait in a set until no variable does.
         """
         doms = self.domains
-        trail = self.trail
+        push = self.trail.append
         sides = self.sides
         by_var = self.by_var
         queue = set(changed)
@@ -249,7 +285,8 @@ class _Search:
                         if new != dy:
                             if not new:
                                 return False
-                            trail.append((y, dy))
+                            push(y)
+                            push(dy)
                             doms[y] = new
                             queue.add(y)
                             if by_var[y]:
@@ -307,7 +344,8 @@ class _Search:
         """Depth-first over an explicit stack of (var, untried values, mark, first).
 
         ``mark`` is the trail length when the node was entered: popping
-        the trail back to it restores the node's domains before each value.
+        the trail back to it, an old mask and then its variable at a time,
+        restores the node's domains before each value.
         """
         var, first = self._pick(0)
         if var is None:
@@ -320,8 +358,8 @@ class _Search:
         while stack:
             var, untried, mark, first = stack[-1]
             while len(trail) > mark:
-                v, old = trail.pop()
-                doms[v] = old
+                old = trail.pop()
+                doms[trail.pop()] = old
             if not untried:
                 stack.pop()
                 continue
@@ -358,7 +396,8 @@ def enumerate_homs(source, target, restriction=None) -> Iterator[Hom]:
 
     The one place where names meet the search.  At call time the
     signatures are checked, and then the restriction's names are
-    resolved into initial domain masks.
+    resolved into initial domain masks.  A digraph into a digraph starts
+    from the level windows, the restriction ANDed in.
     """
     t = _template(target)
     if dict(source.signature()) != dict(t.signature()):
@@ -373,7 +412,8 @@ def enumerate_homs(source, target, restriction=None) -> Iterator[Hom]:
         domains[source.element_index(name)] = mask
     n_vals = len(t.domain)
     relations = [(r.tuples, _target(t.relation(r.name), n_vals)) for r in source.relations]
-    images = _Search(domains, relations).solutions()
+    windows = t if isinstance(source, Digraph) and isinstance(t, Digraph) else None
+    images = _Search(domains, relations, windows).solutions()
     return (dict(zip(source.domain, map(t.domain.__getitem__, image))) for image in images)
 
 
@@ -399,13 +439,15 @@ def _non_surjective_endo(s) -> list[int] | None:
     """The image list of an endomorphism that misses an element, or None.
 
     The elements are tried as the one missed in declaration order; the
-    first that can be missed gives the first such endomorphism found.
+    first that can be missed gives the first such endomorphism found.  A
+    digraph's searches start from its level windows, cut once.
     """
     n = len(s.domain)
-    full = (1 << n) - 1
     relations = [(r.tuples, _target(r, n)) for r in s.relations]
+    start = _Search([(1 << n) - 1] * n, relations, s if isinstance(s, Digraph) else None).domains
     for avoided in range(n):
-        image = next(_Search([full ^ 1 << avoided] * n, relations).solutions(), None)
+        missed = ~(1 << avoided)
+        image = next(_Search([d & missed for d in start], relations).solutions(), None)
         if image is not None:
             return image
     return None
@@ -423,24 +465,6 @@ def _idempotent_power(image: list[int]) -> list[int]:
     return power
 
 
-def _induced_on(s: RelStructure, keep: list[int]) -> RelStructure:
-    remap = {old: new for new, old in enumerate(keep)}
-    rels = []
-    for rel in s.relations:
-        rels.append(
-            (
-                rel.name,
-                rel.arity,
-                [
-                    tuple(remap[i] for i in t)
-                    for t in rel.tuples
-                    if all(i in remap for i in t)
-                ],
-            )
-        )
-    return make_structure(s.name, [s.domain[i] for i in keep], rels, role=s.role)
-
-
 def core_of(structure):
     """The induced substructure (or subdigraph) of minimum size that the
     input retracts onto."""
@@ -448,7 +472,7 @@ def core_of(structure):
     while (witness := _non_surjective_endo(s)) is not None:
         retraction = _idempotent_power(witness)
         keep = [x for x, y in enumerate(retraction) if x == y]
-        s = s.induced(keep) if isinstance(s, Digraph) else _induced_on(s, keep)
+        s = s.induced(keep)
     return s
 
 

@@ -128,6 +128,16 @@ class RelStructure(_Lookups):
                     f"relation {rel.name!r} of template {self.name!r} is empty"
                 )
 
+    def induced(self, keep: Sequence[int]) -> "RelStructure":
+        """The substructure on the elements ``keep`` (ascending ids), with
+        this one's name and role."""
+        at = {old: new for new, old in enumerate(keep)}
+        rels = []
+        for r in self.relations:
+            kept = [t for t in r.tuples if all(i in at for i in t)]
+            rels.append((r.name, r.arity, [tuple(at[i] for i in t) for t in kept]))
+        return make_structure(self.name, [self.domain[i] for i in keep], rels, role=self.role)
+
 
 def make_structure(
     name: str,
@@ -213,6 +223,46 @@ class Digraph(_Lookups):
         return outs, ins
 
     @cached_property
+    def _level_masks(self) -> tuple[int, dict[int, list[int]]]:
+        """(unbalanced, by_height) from one levelled_components walk over
+        the adjacency: the mask of the vertices of unbalanced components
+        (a loop makes one unbalanced), and for each height H of a
+        balanced component the mask, per level 0..H, of the vertices of
+        such components at that level."""
+        level, parts = levelled_components(*self.adjacency)
+        unbalanced = 0
+        by_height: dict[int, list[int]] = {}
+        for comp, height in parts:
+            if height is None:
+                for v in comp:
+                    unbalanced |= 1 << v
+            else:
+                masks = by_height.setdefault(height, [0] * (height + 1))
+                for v in comp:
+                    masks[level[v]] |= 1 << v
+        return unbalanced, by_height
+
+    @cached_property
+    def _windows(self) -> dict[int, list[int]]:
+        """level_windows' lists so far, by height."""
+        return {}
+
+    def level_windows(self, h: int) -> list[int]:
+        """For a balanced component of height h searched into this digraph,
+        the mask of the vertices that its level l may take, for l = 0..h:
+        those of unbalanced components, and those at levels l..l+H-h of
+        balanced components of a height H >= h.  Kept per h, with the one
+        walk they come from, for every search into this digraph."""
+        if h not in self._windows:
+            unbalanced, by_height = self._level_masks
+            windows = self._windows[h] = [unbalanced] * (h + 1)
+            for height, masks in by_height.items():
+                for l in range(h + 1) if height >= h else ():
+                    for mask in masks[l : l + height - h + 1]:
+                        windows[l] |= mask
+        return self._windows[h]
+
+    @cached_property
     def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """For each vertex, (w, 1) per edge to w and (w, -1) per edge from w,
         in edge order (a loop gives both); built on first use, for the
@@ -238,6 +288,56 @@ class Digraph(_Lookups):
                 if u in remap and v in remap
             ),
         )
+
+
+def levelled_components(
+    outs: Sequence[Sequence[int]], ins: Sequence[Sequence[int]]
+) -> tuple[list, list[tuple[list[int], int | None]]]:
+    """(level, parts): one walk per connected component of the digraph
+    whose out- and in-lists these are finds it and writes its levels.
+
+    The components come in order of least vertex, each sorted, with its
+    height.  Each walk starts at the component's least vertex and writes
+    every vertex's level into the one per-vertex list ``level``,
+    normalised so that the component's lowest vertex is at 0.  The
+    height is None when an edge disagrees with the levels already
+    written, a loop's among them.
+    """
+    level: list = [None] * len(outs)
+    parts: list[tuple[list[int], int | None]] = []
+    for root in range(len(level)):
+        if level[root] is not None:
+            continue
+        level[root] = 0
+        comp = [root]
+        balanced = True
+        for u in comp:
+            up = level[u] + 1
+            for w in outs[u]:
+                lw = level[w]
+                if lw is None:
+                    level[w] = up
+                    comp.append(w)
+                elif lw != up:
+                    balanced = False
+            down = up - 2
+            for w in ins[u]:
+                lw = level[w]
+                if lw is None:
+                    level[w] = down
+                    comp.append(w)
+                elif lw != down:
+                    balanced = False
+        comp.sort()
+        height = None
+        if balanced:
+            low = min(map(level.__getitem__, comp))
+            if low:
+                for v in comp:
+                    level[v] -= low
+            height = max(map(level.__getitem__, comp))
+        parts.append((comp, height))
+    return level, parts
 
 
 def make_digraph(

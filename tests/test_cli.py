@@ -188,6 +188,18 @@ def test_solve_restriction_errors(ctx, capsys, template, allow, expected):
     assert got == expected
 
 
+def test_a_second_allow_for_one_element_is_a_parse_error(ctx, capsys):
+    """Two lines for one element would keep only the second; the second
+    is refused on its line, as a second symbol declaration is."""
+    allow = ctx / "r.allow"
+    allow.write_text("allow u 0\n# v is free\nallow u 1\n")
+    got = run(
+        capsys, "solve", "--template", str(ctx / "2cycle.rel"),
+        "--instance", str(ctx / "x.rel"), "--restrict", str(allow),
+    )
+    assert got == (2, "", "error: line 3: second 'allow' for 'u'\n")
+
+
 @pytest.mark.parametrize(
     "allow, expected",
     [

@@ -26,7 +26,13 @@ from cspdigraph.reverse import (
 )
 from cspdigraph.rng import Lcg64
 from cspdigraph.solver import UnionFind, enumerate_homs, find_hom, interpretable_at_levels
-from cspdigraph.structures import Digraph, make_digraph, make_structure, serialize_structure
+from cspdigraph.structures import (
+    Digraph,
+    levelled_components,
+    make_digraph,
+    make_structure,
+    serialize_structure,
+)
 from cspdigraph.verify import random_digraph_instance, random_single_template
 from oracles import choice
 from worked_example import EXPECTED_GAMMAS, worked_digraph
@@ -478,7 +484,7 @@ def test_stage_walks_match_the_walks_they_replaced(case):
     component order, heights, normalised levels and unbalanced witness,
     and each internal component's vertices, base, top and gamma."""
     g, k = case
-    levels, parts = reverse.levelled_components(g)
+    levels, parts = levelled_components(*g.adjacency)
     assert [comp for comp, _ in parts] == _oracle_components(g)
     for comp, height in parts:
         try:

@@ -427,6 +427,120 @@ def test_digraphs_search_as_their_structure_copies():
     assert 15 <= found <= 50 and shrunk >= 10
 
 
+@st.composite
+def _levelled_digraph(draw, name, max_parts=3):
+    """A digraph of a few components, its vertex ids shuffled: balanced
+    ones built by levels, each edge from a level l to l + 1, of heights
+    0 to 4; now and then one with a directed 2- or 3-cycle on top, or
+    with a loop."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(draw(st.integers(1, max_parts))):
+        height = draw(st.integers(0, 4))
+        levels = draw(st.lists(st.integers(0, height), min_size=1, max_size=6))
+        vs = list(range(n, n + len(levels)))
+        ups = [(u, v) for u in vs for v in vs if levels[v - n] == levels[u - n] + 1]
+        edges += draw(st.lists(st.sampled_from(ups), unique=True)) if ups else []
+        kind = draw(st.sampled_from(["balanced"] * 4 + ["cycle", "loop"]))
+        if kind == "cycle" and len(levels) >= 2:
+            ring = vs[: draw(st.integers(2, min(3, len(levels))))]
+            edges += zip(ring, ring[1:] + ring[:1])
+        elif kind == "loop":
+            u = draw(st.sampled_from(vs))
+            edges.append((u, u))
+        n += len(levels)
+    perm = draw(st.permutations(range(n)))
+    renamed = [(perm[u], perm[v]) for u, v in edges] or [(0, 0)]
+    return make_digraph(name, [f"{name}{i}" for i in range(n)], renamed)
+
+
+def _root_fixpoint(x, a, restriction):
+    """The domains after the root's arc consistency, None on a wipeout:
+    what the search holds when it first goes depth-first."""
+    roots = []
+
+    def record(search):
+        roots.append(list(search.domains))
+        return iter(())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver._Search, "_dfs", record)
+        assert list(enumerate_homs(x, a, restriction)) == []
+    return roots[0] if roots else None
+
+
+@given(_levelled_digraph("x"), _levelled_digraph("a"), st.data())
+@settings(max_examples=300, deadline=None)
+def test_level_windows_change_no_answer(x, a, data):
+    """A digraph into a digraph starts from level windows, a structure
+    copy without them.  Both give the same first map, the same first 30
+    maps, the same cores and the same domains after the root's arc
+    consistency, with a restriction or without."""
+    restriction = data.draw(
+        st.dictionaries(
+            st.sampled_from(x.vertices),
+            st.lists(st.sampled_from(a.vertices), unique=True),
+            max_size=2,
+        )
+        | st.none()
+    )
+    xs, at = _structure_copy(x, "instance"), _structure_copy(a, "template")
+    assert find_hom(x, a, restriction) == find_hom(xs, at, restriction)
+    assert list(itertools.islice(enumerate_homs(x, a, restriction), 30)) == list(
+        itertools.islice(enumerate_homs(xs, at, restriction), 30)
+    )
+    assert _root_fixpoint(x, a, restriction) == _root_fixpoint(xs, at, restriction)
+    for g in (x, a):
+        copy = _structure_copy(g, "template")
+        assert is_core(g) == is_core(copy)
+        assert core_of(g).vertices == core_of(copy).domain
+
+
+def _directed_path(n):
+    return make_digraph(f"P{n}", [f"p{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+def test_a_directed_path_into_itself_propagates_in_linear_work(monkeypatch):
+    """P_n -> P_n: the level windows leave each vertex its own image, so
+    the domain writes and the neighbour unions over domains grow at most
+    2.2x from n = 200 to n = 400; arc consistency from full domains
+    peels one level per wave, about n^2/6 revisions."""
+    counts = {"writes": 0, "unions": 0}
+
+    class CountingTrail(list):
+        def append(self, entry):
+            counts["writes"] += 1
+            super().append(entry)
+
+        def __iadd__(self, entries):
+            counts["writes"] += len(entries)
+            return super().__iadd__(entries)
+
+    init = solver._Search.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        self.trail = CountingTrail()
+
+    union = solver._Neighbours.union
+
+    def counting_union(self, dom):
+        counts["unions"] += 1
+        return union(self, dom)
+
+    monkeypatch.setattr(solver._Search, "__init__", counting_init)
+    monkeypatch.setattr(solver._Neighbours, "union", counting_union)
+    seen = {}
+    for n in (200, 400):
+        counts.update(writes=0, unions=0)
+        hom = find_hom(_directed_path(n), _directed_path(n))
+        assert hom == {f"p{i}": f"p{i}" for i in range(n)}
+        seen[n] = dict(counts)
+    assert seen[200]["unions"] > 0
+    for kind in counts:
+        assert seen[400][kind] <= 2.2 * seen[200][kind], seen
+
+
 @pytest.mark.parametrize(
     "target, error, message",
     [
