@@ -79,11 +79,11 @@ def path_spec(k: int, singles: Iterable[int] = ()) -> PathSpec:
     return PathSpec(k, frozenset(singles))
 
 
-def build_path(spec: PathSpec, name: str | None = None) -> Digraph:
+def build_path(spec: PathSpec) -> Digraph:
     """The oriented path of a spec; q0 is the initial vertex."""
     n = spec.length() + 1
     return make_digraph(
-        name or f"path:k{spec.k}:" + ",".join(map(str, sorted(spec.singles))),
+        f"path:k{spec.k}:" + ",".join(map(str, sorted(spec.singles))),
         [f"q{i}" for i in range(n)],
         spec.edges(range(n)),
     )

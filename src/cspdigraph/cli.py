@@ -21,7 +21,7 @@ from .identities import parse_identities, parse_op_table, serialize_op_table
 from .lifting import lift_all
 from .merge import BlockInfo, merge_instance, merge_template, unmerge_instance
 from .reverse import reverse_instance
-from .solver import core_of, endomorphisms, find_hom, find_operations
+from .solver import core_of, enumerate_homs, find_hom, find_operations
 from .structures import (
     Digraph,
     RelStructure,
@@ -219,10 +219,11 @@ def cmd_core(args) -> int:
 
 def cmd_endos(args) -> int:
     s = _load_any(args.structure)
-    endos = endomorphisms(s)
-    for phi in endos:
+    count = 0
+    for phi in enumerate_homs(s, s):
         print("endo " + " ".join(f"{x}={phi[x]}" for x in sorted(phi)))
-    print(f"count {len(endos)}")
+        count += 1
+    print(f"count {count}")
     return 0
 
 

@@ -60,44 +60,25 @@ from .structures import (
 
 def components(g: Digraph) -> list[list[int]]:
     """Connected components (ignoring orientation), ordered by least
-    vertex.  The tests' reference; reverse_instance finds them with
-    levelled_components."""
-    nbrs = g.neighbours
-    n = len(g.vertices)
-    seen = [False] * n
-    out = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w, _ in nbrs[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        out.append(sorted(comp))
-    return out
+    vertex: those of levelled_components, which reverse_instance reads."""
+    return [comp for comp, _ in levelled_components(*g.adjacency)[1]]
 
 
-@dataclass
-class LevelAssignment:
-    levels: dict[int, int]
-    height: int
+def assign_levels(g: Digraph, comp: list[int]) -> None:
+    """Raise Unbalanced when the component has no level function.
 
-
-def assign_levels(g: Digraph, comp: list[int]) -> LevelAssignment:
-    """Propagate levels from the least vertex; raise Unbalanced on conflict.
-
-    The witness is a closed walk with nonzero net orientation, built
-    from the propagation tree plus the offending edge.  reverse_instance
-    walks a component again here only when levelled_components found it
-    unbalanced, so this traversal order alone decides the witness.
+    Levels propagate from the least vertex over each vertex's edges in
+    edge order, (w, 1) for an edge to w and (w, -1) for one from w,
+    listed here in one pass over the edges.  The witness is a closed
+    walk with nonzero net orientation, built from the propagation tree
+    plus the offending edge.  reverse_instance calls this only on a
+    component that levelled_components found unbalanced, so this
+    traversal order alone decides the witness.
     """
-    nbrs = g.neighbours
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
+    for u, v in g.edges:
+        nbrs[u].append((v, 1))
+        nbrs[v].append((u, -1))
     root = comp[0]
     level = {root: 0}
     parent: dict[int, int] = {root: root}
@@ -125,9 +106,6 @@ def assign_levels(g: Digraph, comp: list[int]) -> LevelAssignment:
                     f"component of {g.vertices[root]} admits no level function",
                     witness,
                 )
-    low = min(level.values())
-    normal = {v: l - low for v, l in level.items()}
-    return LevelAssignment(normal, max(normal.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +145,12 @@ class InternalComponent:
 
 
 def internal_components(
-    g: Digraph, comp: list[int], levels, height: int
+    g: Digraph, comp: list[int], levels: list[int], height: int
 ) -> list[InternalComponent]:
     """Components of the vertices strictly between levels 0 and height,
     each with its gamma for k = height - 2.
 
-    ``levels[v]`` is v's level, from the per-vertex list (or any map).
+    ``levels[v]`` is v's level, from the per-vertex list.
     An out-neighbour of an internal vertex is internal or a top vertex,
     an in-neighbour internal or a base vertex, so one walk over the out-
     and in-lists finds each component's base and top.  The same walk
@@ -225,20 +203,18 @@ def internal_components(
 
 
 def _own_edges(g: Digraph, c: InternalComponent) -> list[tuple[int, int]]:
-    """Every edge of g with an endpoint among the component's vertices;
-    the other endpoint is then a vertex, a base or a top vertex."""
+    """Every edge of g with an endpoint among the component's vertices,
+    its out-edges and then its in-edges from outside; the other endpoint
+    is then a vertex, a base or a top vertex."""
     member = set(c.vertices)
-    nbrs = g.neighbours
-    return [
-        (u, w) if d == 1 else (w, u)
-        for u in c.vertices
-        for w, d in nbrs[u]
-        if d == 1 or w not in member
+    outs, ins = g.adjacency
+    return [(u, w) for u in c.vertices for w in outs[u]] + [
+        (w, u) for u in c.vertices for w in ins[u] if w not in member
     ]
 
 
 def boundary_subgraph(
-    g: Digraph, c: InternalComponent, levels
+    g: Digraph, c: InternalComponent, levels: list[int]
 ) -> tuple[Digraph, dict[str, int]]:
     """The component plus its base and top, with only its own edges: the
     input of the tests' solver-based cross-check of gamma."""
@@ -251,7 +227,7 @@ def boundary_subgraph(
     return sub, level_of
 
 
-def gamma(g: Digraph, c: InternalComponent, levels, k: int) -> frozenset[int]:
+def gamma(g: Digraph, c: InternalComponent, levels: list[int], k: int) -> frozenset[int]:
     """Positions whose segment the component forces to be a single edge.
 
     Position j is forced exactly when the component (with its base and
@@ -313,7 +289,7 @@ class ReverseObjects:
 def build_objects(
     g: Digraph,
     comp: list[int],
-    levels,
+    levels: list[int],
     internals: list[InternalComponent],
     k: int,
     prefix: str = "",

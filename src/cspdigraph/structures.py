@@ -262,25 +262,12 @@ class Digraph(_Lookups):
                         windows[l] |= mask
         return self._windows[h]
 
-    @cached_property
-    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each vertex, (w, 1) per edge to w and (w, -1) per edge from w,
-        in edge order (a loop gives both); built on first use, for the
-        walks whose order interleaves the two directions: the unbalanced
-        witness of reverse.assign_levels and the reference walks that the
-        tests check the others against (reverse.components, reverse.gamma)."""
-        nbrs: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for u, v in self.edges:
-            nbrs[u].append((v, 1))
-            nbrs[v].append((u, -1))
-        return tuple(map(tuple, nbrs))
-
-    def induced(self, vertex_ids: Sequence[int], name: str | None = None) -> "Digraph":
-        """Induced subgraph, keeping vertex names and relative order."""
+    def induced(self, vertex_ids: Sequence[int]) -> "Digraph":
+        """Induced subgraph, keeping the name, vertex names and relative order."""
         ids = sorted(set(vertex_ids))
         remap = {v: i for i, v in enumerate(ids)}
         return Digraph(
-            name or self.name,
+            self.name,
             tuple(self.vertices[v] for v in ids),
             tuple(
                 (remap[u], remap[v])

@@ -214,6 +214,7 @@ def suite_orders(seed: int = 7, trials: int = 500) -> SuiteReport:
     edges = meta.digraph.edges
     key = lifting.order_key(meta, "ar")
     key_star = lifting.order_key(meta, "ra")
+    edge_set = set(edges)
     done = 0
     while done < trials:
         chosen = [e for e in edges if rng.chance(1, 2)]
@@ -221,7 +222,6 @@ def suite_orders(seed: int = 7, trials: int = 500) -> SuiteReport:
             continue
         c_set = {u for u, _ in chosen}
         d_set = {v for _, v in chosen}
-        edge_set = set(edges)
         if any(meta.lvl[v] != meta.height for v in d_set):
             c = min(c_set, key=key)
             d = min(d_set, key=key)

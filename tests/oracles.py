@@ -1,9 +1,11 @@
-"""Fixed witnesses, stock identity sets and draws that only the tests use.
+"""Fixed witnesses, stock identity sets, draws and digraph walks that
+only the tests use.
 
 The package searches the zigzag for its witnesses; the tables here are
 the ones written by hand (the median and the pair p1/p2 chaining three
 congruence permutations), which the tests check against that search and
-lift directly.
+lift directly.  A digraph's walks read its out- and in-lists; the
+interleaved incidence list here is what the tests check them against.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import itertools
 
 from cspdigraph.identities import Identity, IdentitySet, OpTable, _t, _v
 from cspdigraph.lifting import _zz_table
+from cspdigraph.reverse import assign_levels
+from cspdigraph.structures import levelled_components
 
 
 def zz_median() -> OpTable:
@@ -96,3 +100,27 @@ def serialize_identities(sigma: IdentitySet) -> str:
 def choice(rng, seq):
     """One element of seq, drawn with an Lcg64."""
     return seq[rng.below(len(seq))]
+
+
+def incident(g, x):
+    """Edges at x in edge order: (v, 1) for x -> v and (u, -1) for u -> x,
+    so a loop at x gives (x, 1) and then (x, -1)."""
+    out = []
+    for u, v in g.edges:
+        if u == x:
+            out.append((v, 1))
+        if v == x:
+            out.append((u, -1))
+    return tuple(out)
+
+
+def component_levels(g, comp):
+    """(levels, height) of the component comp of g: the per-vertex level
+    list and the height that levelled_components writes.  An unbalanced
+    component raises the Unbalanced witness of assign_levels."""
+    levels, parts = levelled_components(*g.adjacency)
+    (height,) = [h for c, h in parts if c[0] == comp[0]]
+    if height is None:
+        assign_levels(g, comp)
+        raise AssertionError(f"assign_levels found no witness in {g.name!r}")
+    return levels, height

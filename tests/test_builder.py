@@ -15,6 +15,7 @@ from cspdigraph.errors import PreconditionError
 from cspdigraph.rng import Lcg64
 from cspdigraph.structures import make_structure, parse_structure
 from cspdigraph.verify import random_single_template
+from oracles import incident
 
 
 def _path_levels(spec):
@@ -224,5 +225,6 @@ def test_sides_are_the_edge_directions_at_each_vertex():
     for path in templates:
         meta = build_digraph(parse_structure(path.read_text()))
         assert meta.sides == tuple(
-            sum({1 if d == 1 else 2 for _, d in nbrs}) for nbrs in meta.digraph.neighbours
+            sum({1 if d == 1 else 2 for _, d in incident(meta.digraph, x)})
+            for x in range(len(meta.digraph.vertices))
         )

@@ -1,4 +1,7 @@
+import argparse
 import hashlib
+import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -333,6 +336,39 @@ def test_endos_verb(ctx, capsys):
     code, out, _ = run(capsys, "endos", "--structure", str(ctx / "2cycle.rel"))
     assert code == 0
     assert out == "endo 0=0 1=1\nendo 0=1 1=0\ncount 2\n"
+
+
+def test_readme_command_block_names_every_verb_of_the_parser():
+    """The verbs of README's `## Command line` block are exactly the
+    parser's subcommands, so the docs cannot drift from the parser."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    verbs = [line.split()[1] for line in block.splitlines() if line.strip()]
+    (sub,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert len(verbs) == len(set(verbs))
+    assert set(verbs) == set(sub.choices)
+
+
+def test_endos_prints_each_map_as_it_is_found(capsys, monkeypatch):
+    """endos prints each endomorphism before the search yields the next,
+    so its memory does not grow with their number; the output is that of
+    the unpatched run."""
+    zigzag = str(FIXTURES / "zigzag.dg")
+    _, want, _ = run(capsys, "endos", "--structure", zigzag)
+    out = io.StringIO()
+    search = cli.enumerate_homs
+
+    def streamed(source, target):
+        for i, phi in enumerate(search(source, target)):
+            assert out.getvalue().count("endo ") == i
+            yield phi
+
+    monkeypatch.setattr(cli, "enumerate_homs", streamed)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["endos", "--structure", zigzag]) == 0
+    assert out.getvalue() == want and want.count("endo ") > 2
 
 
 def test_findops_found_and_none(ctx, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,16 +32,21 @@ from cspdigraph.structures import (
     levelled_components,
     make_digraph,
     make_structure,
+    parse_digraph,
+    parse_structure,
     serialize_structure,
 )
 from cspdigraph.verify import random_digraph_instance, random_single_template
-from oracles import choice
+from oracles import choice, component_levels, incident
 from worked_example import EXPECTED_GAMMAS, worked_digraph
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _levels(g):
+    """(comp, levels, height) of g's first component."""
     comp = components(g)[0]
-    return comp, assign_levels(g, comp)
+    return (comp, *component_levels(g, comp))
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +58,14 @@ def fan_at_element(meta, a):
     keep = [a]
     keep.extend(meta.tuple_vid[r] for r in meta.tuples)
     keep.extend(v for v, e in enumerate(meta.coords) if e and e[0] == a)
-    return meta.digraph.induced(keep, name=f"fan:a:{a}")
+    return meta.digraph.induced(keep)
 
 
 def fan_at_tuple(meta, r):
     keep = [meta.tuple_vid[r]]
     keep.extend(range(len(meta.template.domain)))
     keep.extend(v for v, e in enumerate(meta.coords) if e and e[1:] == r)
-    return meta.digraph.induced(keep, name="fan:r")
+    return meta.digraph.induced(keep)
 
 
 def stage2_decide_fans(component, meta):
@@ -123,17 +129,39 @@ def test_self_loop_is_unbalanced():
         assign_levels(g, components(g)[0])
 
 
+def test_only_an_unbalanced_component_is_walked_again(monkeypatch):
+    """reverse_instance walks a component a second time, for its witness,
+    only when it is unbalanced: never on the fixture templates'
+    encodings, their forward gadgets or zigzag.dg, and once on an input
+    whose second of three components is unbalanced."""
+    calls = []
+    walk = reverse.assign_levels
+    monkeypatch.setattr(reverse, "assign_levels", lambda *a: calls.append(a) or walk(*a))
+    templates = [parse_structure(p.read_text()) for p in sorted(FIXTURES.glob("*.rel"))]
+    zigzag = parse_digraph((FIXTURES / "zigzag.dg").read_text())
+    for t in templates:
+        k = t.relations[0].arity
+        for g in (build_digraph(t).digraph, forward_instance(t, k), zigzag):
+            reverse_instance(g, t)
+    assert calls == []
+    two_cycle = make_digraph("c2", ["u", "v"], [(0, 1), (1, 0)])
+    g = _disjoint_union("mixed", [zigzag, two_cycle, zigzag])
+    res = reverse_instance(g, templates[0])
+    assert res.mode == "fixed-no" and "unbalanced:" in res.reports[-1].detail
+    assert len(calls) == 1
+
+
 def test_zigzag_levels():
     g = make_digraph("z", ["a", "b", "c", "d"], [(0, 1), (2, 1), (2, 3)])
-    comp, assignment = _levels(g)
-    assert assignment.height == 1
-    assert [assignment.levels[v] for v in comp] == [0, 1, 0, 1]
+    comp, levels, height = _levels(g)
+    assert height == 1
+    assert [levels[v] for v in comp] == [0, 1, 0, 1]
 
 
 def test_path_height_reaches_the_encoding():
     g = build_path(path_spec(3, [3]))
-    _, assignment = _levels(g)
-    assert assignment.height == 5
+    _, _, height = _levels(g)
+    assert height == 5
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +195,7 @@ def test_low_components_pass_the_digraph_checks():
         for comp in components(g):
             part = reverse._component_digraph(g, comp)
             assert Digraph(part.name, part.vertices, part.edges) == part
-            induced = g.induced(comp, name=part.name)
+            induced = g.induced(comp)
             assert part.vertices == induced.vertices
             assert sorted(part.edges) == sorted(induced.edges)
             done += 1
@@ -181,14 +209,10 @@ def test_fan_variant_agrees_with_direct_decision():
         template = random_single_template(rng, nontrivial=True)
         meta = build_digraph(template)
         g = random_digraph_instance(rng, n_levels=meta.k + 1)
-        for comp in components(g):
-            try:
-                assignment = assign_levels(g, comp)
-            except Unbalanced:
+        for comp, height in levelled_components(*g.adjacency)[1]:
+            if height is None or height >= meta.k + 2:
                 continue
-            if assignment.height >= meta.k + 2:
-                continue
-            sub = g.induced(comp, name="part")
+            sub = g.induced(comp)
             assert stage2_decide(sub, meta) == stage2_decide_fans(sub, meta)
             done += 1
             if done >= 100:
@@ -201,8 +225,8 @@ def test_fan_variant_agrees_with_direct_decision():
 
 def test_path_instance_has_one_internal_component():
     g = build_path(path_spec(2, [1]))
-    comp, assignment = _levels(g)
-    parts = internal_components(g, comp, assignment.levels, assignment.height)
+    comp, levels, height = _levels(g)
+    parts = internal_components(g, comp, levels, height)
     assert len(parts) == 1
     (c,) = parts
     assert [g.vertices[v] for v in c.base] == ["q0"]
@@ -211,8 +235,8 @@ def test_path_instance_has_one_internal_component():
 
 def test_encoding_of_two_cycle_has_four_internal_components(two_cycle):
     meta = build_digraph(two_cycle)
-    comp, assignment = _levels(meta.digraph)
-    parts = internal_components(meta.digraph, comp, assignment.levels, assignment.height)
+    comp, levels, height = _levels(meta.digraph)
+    parts = internal_components(meta.digraph, comp, levels, height)
     assert len(parts) == 4
     for c in parts:
         assert len(c.base) == 1 and len(c.top) == 1
@@ -222,7 +246,7 @@ def test_encoding_of_two_cycle_has_four_internal_components(two_cycle):
             (c.base[0], *meta.tuples[c.top[0] - len(meta.template.domain)])
         ]
         want = {l for l in range(1, meta.k + 1) if singles >> l & 1}
-        assert gamma(meta.digraph, c, assignment.levels, meta.k) == want
+        assert gamma(meta.digraph, c, levels, meta.k) == want
 
 
 def test_component_with_base_only():
@@ -233,9 +257,8 @@ def test_component_with_base_only():
         ["b", "v", "c1", "c2", "c3", "e"],
         [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5)],
     )
-    comp = components(g)[0]
-    assignment = assign_levels(g, comp)
-    parts = internal_components(g, comp, assignment.levels, 4)
+    comp, levels, _ = _levels(g)
+    parts = internal_components(g, comp, levels, 4)
     slack = next(c for c in parts if c.vertices == (1,))
     assert [g.vertices[x] for x in slack.base] == ["b"]
     assert slack.top == ()
@@ -246,10 +269,10 @@ def test_gamma_of_path_interior_is_its_single_set(singles):
     k = max(singles) if singles else 2
     k = max(k, 2)
     g = build_path(path_spec(k, singles))
-    comp, assignment = _levels(g)
-    (c,) = internal_components(g, comp, assignment.levels, assignment.height)
-    assert gamma(g, c, assignment.levels, k) == frozenset(singles)
-    assert gamma_by_search(g, c, assignment.levels, k) == frozenset(singles)
+    comp, levels, height = _levels(g)
+    (c,) = internal_components(g, comp, levels, height)
+    assert gamma(g, c, levels, k) == frozenset(singles)
+    assert gamma_by_search(g, c, levels, k) == frozenset(singles)
 
 
 def test_gamma_of_slack_vertex_is_empty():
@@ -260,12 +283,12 @@ def test_gamma_of_slack_vertex_is_empty():
         ["b", "v", "c1", "c2", "c3", "e"],
         [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5)],
     )
-    comp, assignment = _levels(g)
-    assert assignment.height == 4
-    parts = internal_components(g, comp, assignment.levels, 4)
+    comp, levels, height = _levels(g)
+    assert height == 4
+    parts = internal_components(g, comp, levels, 4)
     slack = [c for c in parts if c.vertices == (1,)]
     assert len(slack) == 1
-    assert gamma(g, slack[0], assignment.levels, 2) == frozenset()
+    assert gamma(g, slack[0], levels, 2) == frozenset()
 
 
 def _random_internals(seed, ks, per_k):
@@ -275,15 +298,12 @@ def _random_internals(seed, ks, per_k):
         found = 0
         while found < per_k:
             g = random_digraph_instance(rng, n_levels=k + 2)
-            for comp in components(g):
-                try:
-                    assignment = assign_levels(g, comp)
-                except Unbalanced:
+            levels, parts = levelled_components(*g.adjacency)
+            for comp, height in parts:
+                if height != k + 2:
                     continue
-                if assignment.height != k + 2:
-                    continue
-                for c in internal_components(g, comp, assignment.levels, k + 2):
-                    yield k, g, assignment.levels, c
+                for c in internal_components(g, comp, levels, k + 2):
+                    yield k, g, levels, c
                     found += 1
 
 
@@ -301,18 +321,18 @@ def test_component_edges_match_a_scan_of_every_edge():
         assert sorted(own) == sorted(edges_by_scan(g, c))
         assert len(set(own)) == len(own)
     g = worked_digraph()
-    comp, assignment = _levels(g)
-    for c in internal_components(g, comp, assignment.levels, 4):
+    comp, levels, height = _levels(g)
+    for c in internal_components(g, comp, levels, 4):
         assert sorted(reverse._own_edges(g, c)) == sorted(edges_by_scan(g, c))
 
 
 def test_forced_positions_remain_interpretable_at_their_minimum():
     """Each component maps into the path whose singles are exactly gamma."""
     g = worked_digraph()
-    comp, assignment = _levels(g)
-    for c in internal_components(g, comp, assignment.levels, 4):
-        gm = gamma(g, c, assignment.levels, 2)
-        sub, level_of = boundary_subgraph(g, c, assignment.levels)
+    comp, levels, height = _levels(g)
+    for c in internal_components(g, comp, levels, 4):
+        gm = gamma(g, c, levels, 2)
+        sub, level_of = boundary_subgraph(g, c, levels)
         assert interpretable_at_levels(sub, level_of, path_spec(2, gm))
 
 
@@ -323,7 +343,7 @@ def test_forced_positions_remain_interpretable_at_their_minimum():
 
 
 def _oracle_components(g):
-    nbrs = g.neighbours
+    nbrs = [incident(g, x) for x in range(len(g.vertices))]
     seen = [False] * len(g.vertices)
     out = []
     for root in range(len(g.vertices)):
@@ -345,7 +365,7 @@ def _oracle_components(g):
 
 def _oracle_assign_levels(g, comp):
     """(levels, height); raises Unbalanced with the tree-walk witness."""
-    nbrs = g.neighbours
+    nbrs = [incident(g, x) for x in range(len(g.vertices))]
     root = comp[0]
     level = {root: 0}
     parent = {root: root}
@@ -375,7 +395,7 @@ def _oracle_assign_levels(g, comp):
 
 def _oracle_internal_components(g, comp, levels, height):
     """(vertices, base, top, edges) of each internal component."""
-    nbrs = g.neighbours
+    nbrs = [incident(g, x) for x in range(len(g.vertices))]
     seen = set()
     result = []
     for root in comp:
@@ -510,9 +530,9 @@ def test_stage_walks_match_the_walks_they_replaced(case):
 def test_objects_for_a_bare_path():
     k = 3
     g = build_path(path_spec(k, {1, 3}))
-    comp, assignment = _levels(g)
-    parts = internal_components(g, comp, assignment.levels, assignment.height)
-    obj = build_objects(g, comp, assignment.levels, parts, k)
+    comp, levels, height = _levels(g)
+    parts = internal_components(g, comp, levels, height)
+    obj = build_objects(g, comp, levels, parts, k)
     assert len(obj.type1) == 1
     (t1,) = obj.type1
     top_name = g.vertices[t1.e]
@@ -544,17 +564,17 @@ def test_shared_base_merges_position_sets():
 
 def test_worked_fixture_objects(two_cycle):
     g = worked_digraph()
-    comp, assignment = _levels(g)
-    assert assignment.height == 4
-    parts = internal_components(g, comp, assignment.levels, 4)
+    comp, levels, height = _levels(g)
+    assert height == 4
+    parts = internal_components(g, comp, levels, 4)
     assert len(parts) == len(EXPECTED_GAMMAS)
     for c in parts:
         first = g.vertices[c.vertices[0]]
         assert c.gamma == frozenset(EXPECTED_GAMMAS[first]), first
-        assert gamma(g, c, assignment.levels, 2) == c.gamma
-        assert gamma_by_search(g, c, assignment.levels, 2) == c.gamma
+        assert gamma(g, c, levels, 2) == c.gamma
+        assert gamma_by_search(g, c, levels, 2) == c.gamma
 
-    obj = build_objects(g, comp, assignment.levels, parts, 2)
+    obj = build_objects(g, comp, levels, parts, 2)
     by_top = {g.vertices[o.e]: o.sets for o in obj.type1}
     assert by_top["e1"] == (("xg:e1:1",), ("xg:e1:2",))
     assert by_top["e2"] == (("b2",), ("b3",))
