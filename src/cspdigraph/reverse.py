@@ -12,9 +12,10 @@ stage walks the out- and in-lists of the digraph's cached adjacency:
             the solver runs the same walk for its level windows.
   stage 2   components strictly lower than the encoding are decided
             directly against the encoded digraph, once per shape (the
-            vertex count and the edges renumbered in vertex order); a
-            NO again yields the fixed NO instance, a YES constrains
-            nothing further.
+            vertex count and the edges renumbered in vertex order, read
+            before a digraph is built for a new shape); a NO again
+            yields the fixed NO instance, a YES constrains nothing
+            further.
   stage 3   full-height components are compiled into hyperedges: the
             induced subgraph between the extreme levels splits into
             internal components, each of which pins a set of tuple
@@ -116,26 +117,29 @@ def stage2_decide(component: Digraph, meta: TemplateDigraph) -> bool:
     return find_hom(component, meta.digraph) is not None
 
 
-def _component_digraph(g: Digraph, comp: list[int]) -> Digraph:
-    """One component (sorted vertex ids) on its own, from its out-edges.
+def _component_edges(g: Digraph, comp: list[int]) -> tuple[tuple[int, int], ...]:
+    """One component's edges (sorted vertex ids), from its out-edges,
+    renumbered in vertex order.  With the vertex count they are equal
+    for equal components, so they key one stage-2 decision."""
+    at = {v: i for i, v in enumerate(comp)}
+    outs = g.adjacency[0]
+    return tuple([(at[u], at[w]) for u in comp for w in outs[u]])
+
+
+def _component_digraph(names: tuple[str, ...], edges: tuple[tuple[int, int], ...]) -> Digraph:
+    """A component on its own, from its vertex names and _component_edges.
 
     A component of a valid digraph is valid: its names are distinct and
     its edges distinct and within it, so it is built without Digraph's
-    checks.  Its vertex count and its edges, renumbered in vertex order,
-    are equal for equal components, so they share one decision."""
-    at = {v: i for i, v in enumerate(comp)}
-    outs = g.adjacency[0]
-    edges = tuple((at[u], at[w]) for u in comp for w in outs[u])
-    return Digraph._unchecked(
-        f"part:{g.vertices[comp[0]]}", tuple(g.vertices[v] for v in comp), edges
-    )
+    checks, and only for a shape that stage 2 has not decided yet."""
+    return Digraph._unchecked(f"part:{names[0]}", names, edges)
 
 
 # ---------------------------------------------------------------------------
 # Stage 3A: internal components, gamma, and the four object kinds
 
 
-@dataclass
+@dataclass(slots=True)
 class InternalComponent:
     cid: int
     vertices: tuple[int, ...]
@@ -162,16 +166,16 @@ def internal_components(
     """
     outs, ins = g.adjacency
     pinning = height - 1  # internal levels 1..k pin their position
-    seen: set[int] = set()
+    seen = bytearray(len(levels))  # 1 once a vertex joins a component
     result = []
     for root in comp:
-        if root in seen or not 0 < levels[root] < height:
+        if seen[root] or not 0 < levels[root] < height:
             continue
         comp_vs = [root]
-        base: set[int] = set()
-        top: set[int] = set()
+        base: list[int] = []  # with repeats, one entry per edge
+        top: list[int] = []
         forced: set[int] = set()
-        seen.add(root)
+        seen[root] = 1
         for u in comp_vs:
             lu = levels[u]
             pins = lu < pinning and ins[u]
@@ -179,24 +183,24 @@ def internal_components(
                 if pins and outs[w]:
                     forced.add(lu)
                 if levels[w] == height:
-                    top.add(w)
-                elif w not in seen:
-                    seen.add(w)
+                    top.append(w)
+                elif not seen[w]:
+                    seen[w] = 1
                     comp_vs.append(w)
             for w in ins[u]:
                 if levels[w] == 0:
-                    base.add(w)
-                elif w not in seen:
-                    seen.add(w)
+                    base.append(w)
+                elif not seen[w]:
+                    seen[w] = 1
                     comp_vs.append(w)
         comp_vs.sort()
         result.append(
             InternalComponent(
-                cid=len(result),
-                vertices=tuple(comp_vs),
-                base=tuple(sorted(base)),
-                top=tuple(sorted(top)),
-                gamma=frozenset(forced),
+                len(result),
+                tuple(comp_vs),
+                tuple(sorted(set(base))) if len(base) > 1 else tuple(base),
+                tuple(sorted(set(top))) if len(top) > 1 else tuple(top),
+                frozenset(forced),
             )
         )
     return result
@@ -249,13 +253,13 @@ def gamma(g: Digraph, c: InternalComponent, levels: list[int], k: int) -> frozen
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeIObject:
     e: int
     sets: tuple[tuple[str, ...], ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeIIObject:
     b: int
     cid: int
@@ -317,10 +321,11 @@ def build_objects(
     name = g.vertices.__getitem__
 
     alpha: dict[tuple[int, int, int], str] = {}
-    beta: dict[tuple[int, int, int], str] = {}
+    beta: list[str] = []
     # top-free components by base vertex, in internals order
     top_free_on: dict[int, list[InternalComponent]] = {}
-    tops_pinning: dict[tuple[int, int], list[InternalComponent]] = {}
+    # (top, position) -> the names that pin it, in internals order
+    pinned: dict[tuple[int, int], list[str]] = {}
     for c in internals:
         if not c.top:
             for b in c.base:
@@ -329,32 +334,30 @@ def build_objects(
                     if i not in c.gamma:
                         alpha[c.cid, b, i] = f"{prefix}xa:{c.cid}:{name(b)}:{i}"
         for e in c.top:
-            if not c.base:
+            if c.base:
+                for i in c.gamma:
+                    pinned.setdefault((e, i), []).extend(map(name, c.base))
+            else:
                 for i in sorted(c.gamma):
-                    beta[c.cid, e, i] = f"{prefix}xb:{c.cid}:{name(e)}:{i}"
-            for i in c.gamma:
-                tops_pinning.setdefault((e, i), []).append(c)
+                    x = f"{prefix}xb:{c.cid}:{name(e)}:{i}"
+                    beta.append(x)
+                    pinned.setdefault((e, i), []).append(x)
 
-    free = {
-        (e, i): f"{prefix}xg:{name(e)}:{i}"
-        for e in gn
-        for i in range(1, k + 1)
-        if (e, i) not in tops_pinning
-    }
-    x_order = tuple([name(v) for v in g0] + [*alpha.values(), *beta.values(), *free.values()])
-
+    # the free positions' names are allocated in the order they are read
+    free: list[str] = []
     type1: list[TypeIObject] = []
     for e in gn:
         sets = []
         for i in range(1, k + 1):
-            members: list[str] = []
-            for c in tops_pinning.get((e, i), ()):
-                if c.base:
-                    members.extend(name(b) for b in c.base)
-                else:
-                    members.append(beta[c.cid, e, i])
-            sets.append(tuple(dict.fromkeys(members)) or (free[e, i],))
+            members = pinned.get((e, i))
+            if members is None:
+                x = f"{prefix}xg:{name(e)}:{i}"
+                free.append(x)
+                sets.append((x,))
+            else:
+                sets.append(tuple(dict.fromkeys(members)) if len(members) > 1 else tuple(members))
         type1.append(TypeIObject(e, tuple(sets)))
+    x_order = tuple([*map(name, g0), *alpha.values(), *beta, *free])
 
     type2: list[TypeIIObject] = []
     for b in g0:
@@ -409,13 +412,14 @@ def sim_closure(objects: ReverseObjects) -> SimPartition:
                 unite(by_top[e][i][0] for e in c.top)
 
     classes: dict[int, list[str]] = {}
-    for x in objects.x_order:
-        classes.setdefault(uf.find(rank[x]), []).append(x)
+    for i, x in enumerate(objects.x_order):
+        classes.setdefault(uf.find(i), []).append(x)
     rep = {x: members[0] for members in classes.values() for x in members}
 
+    # a one-member set cannot straddle classes
     for o in objects.type1:
         for members in o.sets:
-            if len({rep[x] for x in members}) != 1:
+            if len(members) > 1 and len({rep[x] for x in members}) != 1:
                 raise InternalInvariantViolation(
                     f"object set {members} straddles classes after closure"
                 )
@@ -423,17 +427,17 @@ def sim_closure(objects: ReverseObjects) -> SimPartition:
 
 
 def assemble_instance(
-    objects: ReverseObjects, partition: SimPartition
+    objects: ReverseObjects, partition: SimPartition, offset: int = 0
 ) -> tuple[list[str], list[tuple[int, ...]]]:
     """(domain, rows): the class representatives, and one hyperedge of
-    them, by index into the domain, per type-I and type-II object."""
-    domain = [x for x in objects.x_order if partition.rep[x] == x]
-    index = {x: i for i, x in enumerate(domain)}
-    rows = []
-    for o in objects.type1:
-        rows.append(tuple(index[partition.rep[s[0]]] for s in o.sets))
-    for o in objects.type2:
-        rows.append(tuple(index[partition.rep[s[0]]] for s in o.sets))
+    them per type-I and type-II object, by index into the domain plus
+    offset (where the domain starts in a larger one)."""
+    rep = partition.rep
+    domain = [x for x in objects.x_order if rep[x] == x]
+    head = {x: i for i, x in enumerate(domain, offset)}
+    at = {x: head[r] for x, r in rep.items()}
+    rows = [tuple([at[s[0]] for s in o.sets]) for o in objects.type1]
+    rows += [tuple([at[s[0]] for s in o.sets]) for o in objects.type2]
     return domain, rows
 
 
@@ -518,10 +522,10 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
             reports.append(ComponentReport(names, "fixed-no", f"height {height} > {n}"))
             return ReverseResult(fixed_no(template), "fixed-no", reports)
         if height < n:
-            part = _component_digraph(g, comp)
-            key = (len(comp), part.edges)
+            edges = _component_edges(g, comp)
+            key = (len(comp), edges)
             if key not in decided:
-                decided[key] = stage2_decide(part, meta)
+                decided[key] = stage2_decide(_component_digraph(names, edges), meta)
             if not decided[key]:
                 reports.append(ComponentReport(names, "fixed-no", "low component, no map"))
                 return ReverseResult(fixed_no(template), "fixed-no", reports)
@@ -549,10 +553,9 @@ def reverse_instance(g: Digraph, template: RelStructure) -> ReverseResult:
         cid_offset += len(internals)
         objects = build_objects(g, comp, levels, internals, k, prefix)
         partition = sim_closure(objects)
-        domain, part_rows = assemble_instance(objects, partition)
-        offset = len(domains)
-        domains.extend(domain)
-        rows.extend(tuple(i + offset for i in t) for t in part_rows)
+        domain, part_rows = assemble_instance(objects, partition, len(domains))
+        domains += domain
+        rows += part_rows
         reports.append(
             ComponentReport(names, "assembled", objects=objects, partition=partition)
         )

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from cspdigraph import reverse, solver
 from cspdigraph.builder import build_digraph, build_path, path_spec
 from cspdigraph.cli import _objects_report
-from cspdigraph.errors import PreconditionError, TrivialTemplate, Unbalanced
+from cspdigraph.errors import (
+    InternalInvariantViolation,
+    PreconditionError,
+    TrivialTemplate,
+    Unbalanced,
+)
 from cspdigraph.forward import forward_instance
 from cspdigraph.merge import merge_instance, merge_template
 from cspdigraph.reverse import (
@@ -193,7 +198,8 @@ def test_low_components_pass_the_digraph_checks():
         k = template.relations[0].arity
         g = random_digraph_instance(rng, n_levels=k + 1)
         for comp in components(g):
-            part = reverse._component_digraph(g, comp)
+            names = tuple(g.vertices[v] for v in comp)
+            part = reverse._component_digraph(names, reverse._component_edges(g, comp))
             assert Digraph(part.name, part.vertices, part.edges) == part
             induced = g.induced(comp)
             assert part.vertices == induced.vertices
@@ -546,6 +552,50 @@ def test_objects_for_a_bare_path():
     assert rows == [(0, 1, 0)]
 
 
+class _UnitesNothing(UnionFind):
+    def union(self, i, j):
+        pass
+
+
+def test_closure_check_catches_a_set_that_straddles_classes(monkeypatch):
+    """The worked fixture's top e3 has the two-member set (b2, b4); with a
+    union-find that unites nothing it spans two classes, and sim_closure
+    must say so rather than assemble from it."""
+    g = worked_digraph()
+    comp, levels, height = _levels(g)
+    obj = build_objects(g, comp, levels, internal_components(g, comp, levels, height), 2)
+    assert ("b2", "b4") in [s for o in obj.type1 for s in o.sets]
+    monkeypatch.setattr(reverse, "UnionFind", _UnitesNothing)
+    with pytest.raises(InternalInvariantViolation, match="straddles classes"):
+        sim_closure(obj)
+
+
+def test_closure_check_reads_only_sets_of_two_or_more(monkeypatch):
+    """A one-member set cannot straddle classes: the bare path's sets are
+    all single, so the check passes however little the closure unites."""
+    g = build_path(path_spec(3, {1, 3}))
+    comp, levels, height = _levels(g)
+    obj = build_objects(g, comp, levels, internal_components(g, comp, levels, height), 3)
+    assert all(len(s) == 1 for o in obj.type1 for s in o.sets)
+    monkeypatch.setattr(reverse, "UnionFind", _UnitesNothing)
+    assert len(sim_closure(obj).classes) == len(obj.x_order)
+
+
+def test_assembly_offset_shifts_every_row():
+    """assemble_instance(objects, partition, d) is the offset-0 assembly
+    with d added to every index, over the same domain."""
+    g = worked_digraph()
+    comp, levels, height = _levels(g)
+    obj = build_objects(g, comp, levels, internal_components(g, comp, levels, height), 2)
+    partition = sim_closure(obj)
+    domain, rows = assemble_instance(obj, partition)
+    assert len(rows) == len(obj.type1) + len(obj.type2)
+    for d in (1, 7, 1000):
+        shifted_domain, shifted = assemble_instance(obj, partition, d)
+        assert shifted_domain == domain
+        assert shifted == [tuple(i + d for i in t) for t in rows]
+
+
 def test_shared_base_merges_position_sets():
     # two tops above one base vertex pinning position 1 each
     g = worked_digraph()
@@ -724,6 +774,30 @@ def test_multi_component_union(two_cycle):
     assert (find_hom(g, meta.digraph) is not None) == (
         find_hom(res.instance, two_cycle) is not None
     )
+
+
+def test_second_component_rows_follow_the_first_domain(two_cycle):
+    """Two disjoint forward gadgets reversed in one digraph give each
+    gadget's own rows, the second's shifted by the first's domain size."""
+    x1 = make_structure("x1", ["u", "v", "w"], [("R", 2, [(0, 1), (1, 2)])], role="instance")
+    x2 = make_structure(
+        "x2", ["p", "q", "r", "s"], [("R", 2, [(0, 1), (2, 1), (3, 0), (2, 3)])], role="instance"
+    )
+    g1, g2 = forward_instance(x1, 2), forward_instance(x2, 2)
+    alone1, alone2 = reverse_instance(g1, two_cycle), reverse_instance(g2, two_cycle)
+    res = reverse_instance(_disjoint_union("both", [g1, g2]), two_cycle)
+    assert [r.stage for r in res.reports] == ["assembled", "assembled"]
+    d = len(alone1.instance.domain)
+    assert d == 3 and len(res.instance.domain) == d + len(alone2.instance.domain)
+    rows1 = alone1.instance.relations[0].tuples
+    rows2 = alone2.instance.relations[0].tuples
+    assert res.instance.relations[0].tuples == rows1 + tuple(
+        tuple(i + d for i in t) for t in rows2
+    )
+    named = {tuple(res.instance.domain[i] for i in t) for t in res.instance.relations[0].tuples}
+    assert named == {
+        ("0.u", "0.v"), ("0.v", "0.w"), ("1.p", "1.q"), ("1.r", "1.q"), ("1.s", "1.p"), ("1.r", "1.s")
+    }
 
 
 def test_identified_base_vertices_agree_under_every_hom(two_cycle):
@@ -959,6 +1033,22 @@ def test_closure_of_a_fan_is_linear_in_its_tops(two_cycle, monkeypatch):
     res = reverse_instance(make_digraph("fan", names, edges), two_cycle)
     assert res.mode == "assembled" and res.instance.domain == ("b",)
     assert Counting.calls <= 10 * t
+
+
+def test_stage2_builds_a_digraph_only_for_a_new_shape(two_cycle, monkeypatch):
+    """Stage 2 keys each low component by its vertex count and renumbered
+    edges before it builds anything: 200 single edges and 100 two-edge
+    paths make two digraphs and two searches."""
+    built = []
+    component_digraph = reverse._component_digraph
+    monkeypatch.setattr(
+        reverse, "_component_digraph", lambda *args: built.append(1) or component_digraph(*args)
+    )
+    edge = make_digraph("e", ["s", "t"], [(0, 1)])
+    path = make_digraph("p", ["a", "b", "c"], [(0, 1), (1, 2)])
+    res = reverse_instance(_disjoint_union("lows", [edge] * 200 + [path] * 100), two_cycle)
+    assert [r.stage for r in res.reports] == ["low-yes"] * 300 + ["fixed-yes"]
+    assert len(built) == 2
 
 
 @st.composite
