@@ -37,7 +37,10 @@ from .structures import (
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()  # one decode of the whole file
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
 def _write(path: str | None, text: str) -> None:

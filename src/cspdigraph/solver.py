@@ -27,15 +27,12 @@ The search core works on integers only: initial domain masks in, image
 lists out.  Names meet it only in ``enumerate_homs``, which resolves them
 once; the core and witness searches pass masks and rows directly.  Each
 search owns its domains, trail and queues.  What it reads of a target
-relation, the tuples as a frozenset and a binary relation's neighbour
-masks with their memos, is built once per relation and value count and
-kept on the relation (``Relation.prepared``), so every search into one
-target shares it.  A memo entry is a fixed function of its domain mask,
-so sharing it changes no answer, and interleaved searches stay safe.
-
-A digraph is searched as it is: ``Digraph.relations`` is E over its
-edge tuple, kept on the digraph, so every search into one digraph shares
-what is prepared on E.
+relation, a binary relation's neighbour masks with their memos and, on
+the E of a digraph (kept on the digraph), the level windows, is built
+once per relation and value count by ``_target`` and kept on the
+relation (``Relation.prepared``), so every search into one target shares
+it.  A memo entry is a fixed function of its domain mask, so sharing it
+changes no answer, and interleaved searches stay safe.
 
 A search of a digraph into a digraph starts from level windows.  A
 homomorphism between connected balanced digraphs shifts every level by
@@ -44,13 +41,13 @@ height h may take a target vertex w only if w's component is unbalanced,
 or balanced of some height H >= h with w's level in [l, l + H - h].  The
 source's levels come from the walk of ``levelled_components`` over the
 arc lists the search builds anyway (a component with a loop counts as
-unbalanced), the target's from ``Digraph.level_windows``, kept on the
-target with the one walk they come from.  The windows change no answer: a value outside its window
-fails arc consistency, since the walks from the vertex down to its
-component's bottom and up to its top unfold into trees, on which arc
-consistency is global (Freuder, JACM 1982).  So the root fixpoint, the
-search tree and the order of the solutions are those without windows;
-only the propagation that peels one level per wave is skipped.
+unbalanced), the target's from ``_level_windows``.  The windows change
+no answer: a value outside its window fails arc consistency, since the
+walks from the vertex down to its component's bottom and up to its top
+unfold into trees, on which arc consistency is global (Freuder, JACM
+1982).  So the root fixpoint, the search tree and the order of the
+solutions are those without windows; only the propagation that peels
+one level per wave is skipped.
 """
 
 from __future__ import annotations
@@ -131,17 +128,46 @@ def _neighbour_masks(
     return _Neighbours(out), _Neighbours(inn)
 
 
-def _target(rel: Relation, n_vals: int) -> tuple[frozenset, tuple | None]:
-    """(tuples, sides): the relation as searches over n_vals values read
-    it, its tuples as a frozenset and, if binary, its (out, inn) neighbour
-    masks; built on first use and kept on the relation for every later
-    search into it."""
+def _target(rel: Relation, n_vals: int) -> tuple[tuple, tuple | None, dict]:
+    """(tuples, sides, windows): the relation as searches over n_vals
+    values read it, with its (out, inn) neighbour masks if binary and a
+    digraph E's ``_level_windows``; built once, kept on the relation."""
     prepared = rel.prepared
     if n_vals not in prepared:
-        tuples = frozenset(rel.tuples)
-        sides = _neighbour_masks(tuples, n_vals) if rel.arity == 2 else None
-        prepared[n_vals] = tuples, sides
+        sides = _neighbour_masks(rel.tuples, n_vals) if rel.arity == 2 else None
+        prepared[n_vals] = rel.tuples, sides, {}
     return prepared[n_vals]
+
+
+def _level_windows(target: Digraph, h: int) -> list[int]:
+    """For a balanced component of height h searched into the digraph
+    target, the mask of the vertices that its level l may take, for
+    l = 0..h: those of unbalanced components, and those at levels
+    l..l+H-h of balanced components of a height H >= h.  Kept per h in
+    the target E's ``_target`` entry, under None the masks of the one walk
+    they come from: unbalanced, and per height H one per level."""
+    windows = _target(target.relations[0], len(target.vertices))[2]
+    if h not in windows:
+        if None not in windows:
+            level, parts = levelled_components(*target.adjacency)
+            unbalanced = 0
+            by_height: dict[int, list[int]] = {}
+            for comp, height in parts:
+                if height is None:
+                    for v in comp:
+                        unbalanced |= 1 << v
+                else:
+                    masks = by_height.setdefault(height, [0] * (height + 1))
+                    for v in comp:
+                        masks[level[v]] |= 1 << v
+            windows[None] = unbalanced, by_height
+        unbalanced, by_height = windows[None]
+        row = windows[h] = [unbalanced] * (h + 1)
+        for height, masks in by_height.items():
+            for l in range(h + 1) if height >= h else ():
+                for mask in masks[l : l + height - h + 1]:
+                    row[l] |= mask
+    return windows[h]
 
 
 class _Constraint:
@@ -150,7 +176,7 @@ class _Constraint:
 
     __slots__ = ("scope", "tuples", "requeue")
 
-    def __init__(self, scope: tuple[int, ...], tuples: frozenset[tuple[int, ...]]):
+    def __init__(self, scope: tuple[int, ...], tuples: tuple[tuple[int, ...], ...]):
         self.scope = scope
         self.tuples = tuples
         # with a repeated variable, the constraint's own pruning can take
@@ -183,7 +209,7 @@ class _Search:
         # every other constraint is scanned; by_var lists them per variable
         self.constraints: list[_Constraint] = []
         self.by_var: list[list[int]] = [[] for _ in range(self.n_vars)]
-        for rows, (tuples, target_sides) in relations:
+        for rows, (tuples, target_sides, _) in relations:
             scanned = rows
             if target_sides is not None:
                 scanned = [t for t in rows if t[0] == t[1]]
@@ -220,7 +246,7 @@ class _Search:
         doms = self.domains
         for comp, h in parts:
             if h is not None and loops.isdisjoint(comp):
-                windows = target.level_windows(h)
+                windows = _level_windows(target, h)
                 for v in comp:
                     doms[v] &= windows[level[v]]
 

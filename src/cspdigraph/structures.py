@@ -54,7 +54,8 @@ class Relation:
     @cached_property
     def prepared(self) -> dict:
         """What the solver builds once to search into this relation, by
-        value count; empty until a search first asks (solver._target)."""
+        value count: its neighbour masks and, on a digraph's E, its level
+        windows; empty until a search first asks (solver._target)."""
         return {}
 
 
@@ -206,7 +207,7 @@ class Digraph(_Lookups):
 
     @cached_property
     def relations(self) -> tuple[Relation, ...]:
-        """E over the edge tuple, kept, so searches share what is prepared."""
+        """E over the edge tuple, kept, so searches share its prepared slot."""
         return (Relation("E", 2, self.edges),)
 
     @cached_property
@@ -221,46 +222,6 @@ class Digraph(_Lookups):
             outs[u].append(v)
             ins[v].append(u)
         return outs, ins
-
-    @cached_property
-    def _level_masks(self) -> tuple[int, dict[int, list[int]]]:
-        """(unbalanced, by_height) from one levelled_components walk over
-        the adjacency: the mask of the vertices of unbalanced components
-        (a loop makes one unbalanced), and for each height H of a
-        balanced component the mask, per level 0..H, of the vertices of
-        such components at that level."""
-        level, parts = levelled_components(*self.adjacency)
-        unbalanced = 0
-        by_height: dict[int, list[int]] = {}
-        for comp, height in parts:
-            if height is None:
-                for v in comp:
-                    unbalanced |= 1 << v
-            else:
-                masks = by_height.setdefault(height, [0] * (height + 1))
-                for v in comp:
-                    masks[level[v]] |= 1 << v
-        return unbalanced, by_height
-
-    @cached_property
-    def _windows(self) -> dict[int, list[int]]:
-        """level_windows' lists so far, by height."""
-        return {}
-
-    def level_windows(self, h: int) -> list[int]:
-        """For a balanced component of height h searched into this digraph,
-        the mask of the vertices that its level l may take, for l = 0..h:
-        those of unbalanced components, and those at levels l..l+H-h of
-        balanced components of a height H >= h.  Kept per h, with the one
-        walk they come from, for every search into this digraph."""
-        if h not in self._windows:
-            unbalanced, by_height = self._level_masks
-            windows = self._windows[h] = [unbalanced] * (h + 1)
-            for height, masks in by_height.items():
-                for l in range(h + 1) if height >= h else ():
-                    for mask in masks[l : l + height - h + 1]:
-                        windows[l] |= mask
-        return self._windows[h]
 
     def induced(self, vertex_ids: Sequence[int]) -> "Digraph":
         """Induced subgraph, keeping the name, vertex names and relative order."""

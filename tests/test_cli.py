@@ -351,6 +351,19 @@ def test_readme_command_block_names_every_verb_of_the_parser():
     assert set(verbs) == set(sub.choices)
 
 
+def test_readme_layout_block_names_every_module_of_the_package():
+    """README's `## Layout` block lists exactly the package's modules,
+    apart from ``__init__.py``, each once."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Layout\n", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    package = block.split("src/cspdigraph/\n", 1)[1]
+    listed = [w for line in package.splitlines() for w in line.split()[:1] if w.endswith(".py")]
+    modules = [p.name for p in (root / "src" / "cspdigraph").glob("*.py")]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(modules) - {"__init__.py"}
+
+
 def test_endos_prints_each_map_as_it_is_found(capsys, monkeypatch):
     """endos prints each endomorphism before the search yields the next,
     so its memory does not grow with their number; the output is that of
@@ -726,6 +739,20 @@ def test_parse_error_is_usage_error(ctx, capsys):
     code, _, err = run(capsys, "stats", "--template", str(bad))
     assert code == 2
     assert "line 4" in err
+
+
+@pytest.mark.parametrize("verb", ["stats", "solve"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(ctx, capsys, verb):
+    """A file that does not decode as UTF-8 exits 2 with one line naming
+    its path and the offset of its first bad byte, past the first read
+    buffer here, and echoes none of its contents."""
+    bad = ctx / "bad.rel"
+    head = b"structure s\n" + b"# padding\n" * 2000
+    bad.write_bytes(head + b"domain \xff\nrelation R 1\ntuple a\nend\n")
+    argv = ["stats", "--template", str(bad)]
+    if verb == "solve":
+        argv = ["solve", "--template", str(ctx / "2cycle.rel"), "--instance", str(bad)]
+    assert run(capsys, *argv) == (2, "", f"error: {bad}: not UTF-8 at byte {len(head) + 7}\n")
 
 
 def test_nonempty_relation_is_precondition_error(ctx, capsys):

@@ -942,6 +942,44 @@ def test_low_components_share_one_template_structure(two_cycle, monkeypatch):
     assert len(masks) == 1
 
 
+def test_low_components_of_many_shapes_share_the_encodings_search_state(
+    two_cycle, monkeypatch
+):
+    """Stage 2 decides 22 distinct low-component shapes in a search each:
+    out-stars with 1 to 20 leaves (height 1) and directed paths of
+    heights 2 and 3.  Every search reads one set of the encoding's
+    neighbour masks, and the level windows of every height come from one
+    walk of the encoding, kept for the later searches."""
+    stars = [[(0, i) for i in range(1, n + 1)] for n in range(1, 21)]
+    paths = [[(i, i + 1) for i in range(n)] for n in (2, 3)]
+    g = _disjoint_union(
+        "lows",
+        [make_digraph("c", [f"v{i}" for i in range(len(e) + 1)], e) for e in stars + paths],
+    )
+    masks, walks, metas = [], [], []
+    neighbour_masks = solver._neighbour_masks
+    walk = solver.levelled_components
+    build = reverse.build_digraph
+    monkeypatch.setattr(
+        solver, "_neighbour_masks", lambda *args: masks.append(1) or neighbour_masks(*args)
+    )
+    monkeypatch.setattr(
+        solver, "levelled_components", lambda outs, ins: walks.append(outs) or walk(outs, ins)
+    )
+    monkeypatch.setattr(reverse, "build_digraph", lambda t: metas.append(build(t)) or metas[-1])
+    res = reverse_instance(g, two_cycle)
+    assert [r.stage for r in res.reports] == ["low-yes"] * 22 + ["fixed-yes"]
+    (encoding,) = [meta.digraph for meta in metas]
+    assert len(masks) == 1
+    # the encoding once, and each source component in its own search
+    assert [outs is encoding.adjacency[0] for outs in walks].count(True) == 1
+    assert len(walks) == 1 + 22
+    # read again, each height's windows are the kept list, and walk nothing
+    for h in (1, 2, 3):
+        assert solver._level_windows(encoding, h) is solver._level_windows(encoding, h)
+    assert len(walks) == 1 + 22
+
+
 def _stem(rng, k, names, edges, tag):
     """A random oriented path from level 1 up to level k + 1 on fresh
     vertices; its down-steps make zigzags, so gamma varies. Returns the

@@ -23,7 +23,7 @@ ALLOWED = {
     "gamma": "perfbench FUNCTIONS times it",
     "classify": "perfbench FUNCTIONS times it",
     "gadget_size": "perfbench/workloads.py checks the gadget counts with it",
-    "restrict_endomorphism": "the converse transfer (ROADMAP item 3) builds on it",
+    "restrict_endomorphism": "the converse transfer, still open on the ROADMAP, builds on it",
 }
 
 
