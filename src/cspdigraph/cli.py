@@ -3,14 +3,16 @@
 Exit codes: 0 success or YES decision, 1 NO decision, 2 usage or input
 errors, 3 precondition violations (trivial template, identity-set shape,
 and similar), 4 internal errors (any other exception, reported on one
-line, so that a crash never reads as an answer).  All primary output is
-byte-deterministic given the same inputs and seed; diagnostics go to the
-error stream.
+line, so that a crash never reads as an answer), 141 standard output
+closed by its reader (silently, as SIGPIPE would end the process).  All
+primary output is byte-deterministic given the same inputs and seed;
+diagnostics go to the error stream.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import verify as verify_mod
@@ -373,6 +375,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed standard output early (`| head -1`), which is
+        # no input error: exit as SIGPIPE would, with standard output on
+        # devnull, so that the interpreter's last flush cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -131,5 +131,5 @@ def unmerge_instance(x: RelStructure, blocks: BlockInfo | None = None) -> RelStr
     rels = []
     for i, arity in enumerate(blocks.arities):
         rng = blocks.block_range(i)
-        rels.append((names[i], arity, [tuple(t[p] for p in rng) for t in rel.tuples]))
+        rels.append((names[i], arity, [t[rng.start : rng.stop] for t in rel.tuples]))
     return make_structure(x.name, x.domain, rels, role="instance")

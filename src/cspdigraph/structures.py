@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import NonemptyRelationRequired, ParseError
@@ -547,17 +547,26 @@ def _read_bulk(run: str, index: dict[str, int], edges: list[tuple[int, int]]) ->
     # strings that run.split() would make and drop again
     if run[0] == "v":
         names = run[7:-1].split("\nvertex ")  # 'vertex a\nvertex b\n'
-        if len(set(names)) < len(names) or not index.keys().isdisjoint(names):
+        n0 = len(index)
+        index.update(zip(names, range(n0, n0 + len(names))))
+        if len(index) < n0 + len(names):
+            # a name repeats: each value was its key's insertion rank, and
+            # update keeps a present key where it stands, so the first n0
+            # keys, ranked again, are the index as it was
+            old = list(islice(index, n0))
+            index.clear()
+            index.update(zip(old, range(n0)))
             return 0
-        index.update(zip(names, range(len(index), len(index) + len(names))))
         return len(names)
     toks = run[5:-1].replace("\nedge ", " ").split(" ")  # 'edge a b\nedge c d\n'
+    ends = map(index.__getitem__, toks)  # one iterator: zip pairs it with itself
+    n0 = len(edges)
     try:
-        ends = list(map(index.__getitem__, toks))
+        edges += zip(ends, ends)
     except KeyError:
+        del edges[n0:]
         return 0
-    edges += zip(ends[::2], ends[1::2])
-    return len(ends) // 2
+    return len(edges) - n0
 
 
 def serialize_digraph(g: Digraph) -> str:

@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from cspdigraph.identities import parse_identities, parse_op_table
 from cspdigraph.structures import parse_digraph, parse_structure
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PARITY4 = """\
 structure parity4
@@ -382,6 +385,62 @@ def test_endos_prints_each_map_as_it_is_found(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["endos", "--structure", zigzag]) == 0
     assert out.getvalue() == want and want.count("endo ") > 2
+
+
+# seven vertices and one edge a -> b: 7^5 endomorphisms, far more output
+# than a pipe holds, so endos is still writing when its reader stops
+SEVEN_ONE_EDGE = "digraph g\n" + "".join(f"vertex {v}\n" for v in "abcdefg") + "edge a b\nend\n"
+
+
+def test_endos_into_a_closed_pipe_exits_141_silently(tmp_path):
+    """`cspdg endos ... | head -1`: once the reader has closed the pipe,
+    the process exits 141, as SIGPIPE would end it, and writes nothing
+    to stderr, neither its own error line nor a failed last flush."""
+    g = tmp_path / "g7.dg"
+    g.write_text(SEVEN_ONE_EDGE)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cspdigraph.cli", "endos", "--structure", str(g)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"endo a=a b=b c=a d=a e=a f=a g=a\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError;
+    its file descriptor is one the test owns."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_exits_141_with_stdout_on_devnull(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "g7.dg"
+    g.write_text(SEVEN_ONE_EDGE)
+    r, w = os.pipe()
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(w))
+        assert main(["endos", "--structure", str(g)]) == 141
+        # the interpreter's last flush of stdout goes to devnull
+        assert os.path.samestat(os.fstat(w), os.stat(os.devnull))
+    finally:
+        os.close(r)
+        os.close(w)
+    assert capsys.readouterr().err == ""
 
 
 def test_findops_found_and_none(ctx, capsys):

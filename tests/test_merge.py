@@ -88,6 +88,31 @@ def test_unmerge_projects_blocks():
     assert out.domain == x.domain
 
 
+def test_unmerge_of_merge_gives_back_every_row_of_three_blocks():
+    """Blocks of arities (1, 3, 2): each relation's rows read back over
+    the original elements, the middle block, at offsets 1-3, included;
+    every other row of a block holds a pad."""
+    x = make_structure(
+        "x",
+        ["a", "b", "c", "d"],
+        [
+            ("U", 1, [(0,), (3,)]),
+            ("T", 3, [(0, 1, 2), (3, 3, 0), (2, 1, 0)]),
+            ("B", 2, [(1, 3), (2, 2)]),
+        ],
+        role="instance",
+    )
+    blocks = BlockInfo((1, 3, 2))
+    out = unmerge_instance(merge_instance(x, blocks), blocks)
+    assert [(r.name, r.arity) for r in out.relations] == [("U", 1), ("T", 3), ("B", 2)]
+    assert out.domain[:4] == x.domain
+    for orig, back in zip(x.relations, out.relations):
+        assert all(len(t) == orig.arity for t in back.tuples)
+        assert [t for t in back.tuples if max(t) < 4] == list(orig.tuples)
+        assert all(min(t) >= 4 for t in back.tuples if max(t) >= 4)
+        assert len(back.tuples) == 7
+
+
 def test_unmerge_empty():
     x = make_structure(
         "x", ["x"], [("R1*R2", 3, [])], role="instance", block_arities=(2, 1)

@@ -508,6 +508,29 @@ def test_canonical_files_are_read_in_bulk_but_for_head_and_end():
         assert read == lines - 2
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        # a name repeated inside the run
+        "vertex c\nvertex d\nvertex c\nvertex e\n",
+        # a name read by an earlier run
+        "vertex c\nvertex b\nvertex d\n",
+        # an unknown name as the last token, after many good pairs
+        "edge a b\nedge b a\n" * 5000 + "edge b nowhere\n",
+    ],
+    ids=["repeat-in-run", "repeat-of-earlier", "unknown-last"],
+)
+def test_a_refused_run_leaves_index_and_edges_as_they_were(run):
+    """_read_bulk reads a run in one pass and, when it refuses the run,
+    undoes that pass: index and edges hold what they held, values and
+    order included, so the line loop reads the run from where it was."""
+    index = {"b": 0, "a": 1}
+    edges = [(1, 0), (0, 0)]
+    assert structures_mod._read_bulk(run, index, edges) == 0
+    assert list(index.items()) == [("b", 0), ("a", 1)]
+    assert edges == [(1, 0), (0, 0)]
+
+
 def canonical_compare(s, x, y, kind: str) -> int:
     """Strict total comparison; returns -1, 0 or 1.
 
