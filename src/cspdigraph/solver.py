@@ -27,27 +27,30 @@ The search core works on integers only: initial domain masks in, image
 lists out.  Names meet it only in ``enumerate_homs``, which resolves them
 once; the core and witness searches pass masks and rows directly.  Each
 search owns its domains, trail and queues.  What it reads of a target
-relation, a binary relation's neighbour masks with their memos and, on
-the E of a digraph (kept on the digraph), the level windows, is built
-once per relation and value count by ``_target`` and kept on the
-relation (``Relation.prepared``), so every search into one target shares
-it.  A memo entry is a fixed function of its domain mask, so sharing it
-changes no answer, and interleaved searches stay safe.
+relation, a binary relation's neighbour masks with their memos and its
+level windows, is built once per relation and value count by ``_target``
+and kept on the relation (``Relation.prepared``), so every search into
+one target shares it.  A memo entry is a fixed function of its domain
+mask, so sharing it changes no answer, and interleaved searches stay
+safe.
 
-A search of a digraph into a digraph starts from level windows.  A
+A search over exactly one relation, binary with a row that is no loop,
+starts from level windows, whatever the relation is named and whatever
+holds it: its rows and the target's tuples are then two digraphs.  A
 homomorphism between connected balanced digraphs shifts every level by
 one constant, so a source vertex at level l of a balanced component of
 height h may take a target vertex w only if w's component is unbalanced,
 or balanced of some height H >= h with w's level in [l, l + H - h].  The
 source's levels come from the walk of ``levelled_components`` over the
 arc lists the search builds anyway (a component with a loop counts as
-unbalanced), the target's from ``_level_windows``.  The windows change
-no answer: a value outside its window fails arc consistency, since the
-walks from the vertex down to its component's bottom and up to its top
-unfold into trees, on which arc consistency is global (Freuder, JACM
-1982).  So the root fixpoint, the search tree and the order of the
-solutions are those without windows; only the propagation that peels
-one level per wave is skipped.
+unbalanced), the target's from ``_level_windows``, one walk of the
+target's tuples.  The windows change no answer: a value outside its
+window fails arc consistency, since the walks from the vertex down to
+its component's bottom and up to its top unfold into trees, on which arc
+consistency is global (Freuder, JACM 1982).  So the root fixpoint, the
+search tree and the order of the solutions are those without windows;
+only the propagation that peels one level per wave is skipped.  A search
+over several relations starts without them.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from .errors import (
     UnbalancedInput,
 )
 from .identities import IdentitySet, OpTable, product_offsets
-from .structures import Digraph, Relation, levelled_components, make_structure
+from .structures import Digraph, Relation, adjacency_lists, levelled_components, make_structure
 
 Hom = dict[str, str]
 
@@ -130,8 +133,8 @@ def _neighbour_masks(
 
 def _target(rel: Relation, n_vals: int) -> tuple[tuple, tuple | None, dict]:
     """(tuples, sides, windows): the relation as searches over n_vals
-    values read it, with its (out, inn) neighbour masks if binary and a
-    digraph E's ``_level_windows``; built once, kept on the relation."""
+    values read it, with its (out, inn) neighbour masks and its
+    ``_level_windows`` if binary; built once, kept on the relation."""
     prepared = rel.prepared
     if n_vals not in prepared:
         sides = _neighbour_masks(rel.tuples, n_vals) if rel.arity == 2 else None
@@ -139,17 +142,18 @@ def _target(rel: Relation, n_vals: int) -> tuple[tuple, tuple | None, dict]:
     return prepared[n_vals]
 
 
-def _level_windows(target: Digraph, h: int) -> list[int]:
-    """For a balanced component of height h searched into the digraph
-    target, the mask of the vertices that its level l may take, for
-    l = 0..h: those of unbalanced components, and those at levels
-    l..l+H-h of balanced components of a height H >= h.  Kept per h in
-    the target E's ``_target`` entry, under None the masks of the one walk
-    they come from: unbalanced, and per height H one per level."""
-    windows = _target(target.relations[0], len(target.vertices))[2]
+def _level_windows(prepared: tuple, h: int) -> list[int]:
+    """For a balanced component of height h searched into the binary
+    relation that ``_target`` prepared, a digraph over its values, the
+    mask of the values that its level l may take, for l = 0..h: those of
+    unbalanced components, and those at levels l..l+H-h of balanced
+    components of a height H >= h.  Kept per h in the entry's windows,
+    under None the masks of the one walk they come from: unbalanced, and
+    per height H one per level."""
+    tuples, (out, _), windows = prepared
     if h not in windows:
         if None not in windows:
-            level, parts = levelled_components(*target.adjacency)
+            level, parts = levelled_components(*adjacency_lists(len(out.rows), tuples))
             unbalanced = 0
             by_height: dict[int, list[int]] = {}
             for comp, height in parts:
@@ -188,13 +192,10 @@ class _Search:
     """From elements 0..len(domains)-1, element v starting from the value
     mask domains[v]; a relation is (source rows, its target relation as
     _target gives it for the values the masks range over), and a
-    solution is an image list.  ``target`` is given when the source is a
-    digraph searched into that digraph: the masks are then cut to the
-    level windows."""
+    solution is an image list.  With one relation, binary and with a row
+    that is no loop, the masks are cut to the level windows."""
 
-    def __init__(
-        self, domains: list[int], relations: Iterable[tuple], target: Digraph | None = None
-    ):
+    def __init__(self, domains: list[int], relations: list[tuple]):
         self.n_vars = len(domains)
         self.domains = list(domains)
         # var, old mask for every domain write, oldest first
@@ -233,20 +234,20 @@ class _Search:
         # branching order among equal domain sizes: higher degree first,
         # then lower index (the sort is stable)
         self.order = sorted(range(self.n_vars), key=degree.__getitem__, reverse=True)
-        if target is not None and self.sides:
-            self._cut_to_windows(target)
+        if len(relations) == 1 and self.sides:
+            self._cut_to_windows(relations[0][1])
 
-    def _cut_to_windows(self, target: Digraph) -> None:
-        """AND each source vertex's level window into its mask.  The
-        source is a digraph: its arcs are the two sides' lists, and its
-        only scanned constraints are its loops."""
+    def _cut_to_windows(self, prepared: tuple) -> None:
+        """AND each source vertex's level window in the target relation
+        ``prepared`` into its mask.  The one relation's rows are a digraph:
+        its arcs are the two sides' lists, its only scanned rows its loops."""
         (_, _, heads), (_, _, tails) = self.sides
         level, parts = levelled_components(heads, tails)
         loops = {c.scope[0] for c in self.constraints}
         doms = self.domains
         for comp, h in parts:
             if h is not None and loops.isdisjoint(comp):
-                windows = _level_windows(target, h)
+                windows = _level_windows(prepared, h)
                 for v in comp:
                     doms[v] &= windows[level[v]]
 
@@ -422,8 +423,7 @@ def enumerate_homs(source, target, restriction=None) -> Iterator[Hom]:
 
     The one place where names meet the search.  At call time the
     signatures are checked, and then the restriction's names are
-    resolved into initial domain masks.  A digraph into a digraph starts
-    from the level windows, the restriction ANDed in.
+    resolved into initial domain masks.
     """
     t = _template(target)
     if dict(source.signature()) != dict(t.signature()):
@@ -438,8 +438,7 @@ def enumerate_homs(source, target, restriction=None) -> Iterator[Hom]:
         domains[source.element_index(name)] = mask
     n_vals = len(t.domain)
     relations = [(r.tuples, _target(t.relation(r.name), n_vals)) for r in source.relations]
-    windows = t if isinstance(source, Digraph) and isinstance(t, Digraph) else None
-    images = _Search(domains, relations, windows).solutions()
+    images = _Search(domains, relations).solutions()
     return (dict(zip(source.domain, map(t.domain.__getitem__, image))) for image in images)
 
 
@@ -465,15 +464,13 @@ def _non_surjective_endo(s) -> list[int] | None:
     """The image list of an endomorphism that misses an element, or None.
 
     The elements are tried as the one missed in declaration order; the
-    first that can be missed gives the first such endomorphism found.  A
-    digraph's searches start from its level windows, cut once.
+    first that can be missed gives the first such endomorphism found.
     """
     n = len(s.domain)
     relations = [(r.tuples, _target(r, n)) for r in s.relations]
-    start = _Search([(1 << n) - 1] * n, relations, s if isinstance(s, Digraph) else None).domains
+    full = (1 << n) - 1
     for avoided in range(n):
-        missed = ~(1 << avoided)
-        image = next(_Search([d & missed for d in start], relations).solutions(), None)
+        image = next(_Search([full ^ 1 << avoided] * n, relations).solutions(), None)
         if image is not None:
             return image
     return None
@@ -758,17 +755,8 @@ def identity_results(
 # Level-restricted interpretability into connecting paths
 
 
-def interpretable_at_levels(
-    h: Digraph,
-    level_of: Mapping[str, int],
-    spec: PathSpec,
-    anchors: Mapping[str, str] | None = None,
-) -> bool:
-    """Is there a hom into the spec's path sending each vertex to its level?
-
-    Anchors pin vertices to named path vertices ("iota"/"tau" or a
-    concrete q<i> name) on top of the level restriction.
-    """
+def interpretable_at_levels(h: Digraph, level_of: Mapping[str, int], spec: PathSpec) -> bool:
+    """Is there a hom into the spec's path sending each vertex to its level?"""
     for u, v in h.edges:
         if level_of[h.vertices[v]] != level_of[h.vertices[u]] + 1:
             raise UnbalancedInput(
@@ -778,12 +766,5 @@ def interpretable_at_levels(
     by_level: dict[int, list[str]] = {}
     for name, level in zip(path.vertices, accumulate(spec.orientations(), initial=0)):
         by_level.setdefault(level, []).append(name)
-    last = len(path.vertices) - 1
-    named = {"iota": path.vertices[0], "tau": path.vertices[last]}
-    restriction: dict[str, list[str]] = {}
-    for v in h.vertices:
-        restriction[v] = by_level.get(level_of[v], [])
-    if anchors:
-        for v, target in anchors.items():
-            restriction[v] = [named.get(target, target)]
+    restriction = {v: by_level.get(level_of[v], []) for v in h.vertices}
     return find_hom(h, path, restriction) is not None

@@ -54,8 +54,8 @@ class Relation:
     @cached_property
     def prepared(self) -> dict:
         """What the solver builds once to search into this relation, by
-        value count: its neighbour masks and, on a digraph's E, its level
-        windows; empty until a search first asks (solver._target)."""
+        value count: if binary, its neighbour masks and level windows,
+        whatever holds it; empty until a search first asks (solver._target)."""
         return {}
 
 
@@ -212,16 +212,10 @@ class Digraph(_Lookups):
 
     @cached_property
     def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(outs, ins): for each vertex the heads of its out-edges and the
-        tails of its in-edges, in edge order; built on first use, for the
+        """The ``adjacency_lists`` of the edges, built on first use, for the
         walks over the digraph.  The lists are shared and read only; they
         stay lists, as a copy into tuples costs about half the build again."""
-        outs: list[list[int]] = [[] for _ in self.vertices]
-        ins: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in self.edges:
-            outs[u].append(v)
-            ins[v].append(u)
-        return outs, ins
+        return adjacency_lists(len(self.vertices), self.edges)
 
     def induced(self, vertex_ids: Sequence[int]) -> "Digraph":
         """Induced subgraph, keeping the name, vertex names and relative order."""
@@ -236,6 +230,19 @@ class Digraph(_Lookups):
                 if u in remap and v in remap
             ),
         )
+
+
+def adjacency_lists(
+    n: int, edges: Iterable[tuple[int, int]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """(outs, ins) over the vertices 0..n-1: for each vertex the heads of
+    its out-edges and the tails of its in-edges, in edge order."""
+    outs: list[list[int]] = [[] for _ in range(n)]
+    ins: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        outs[u].append(v)
+        ins[v].append(u)
+    return outs, ins
 
 
 def levelled_components(

@@ -106,9 +106,10 @@ def random_instance_for(rng: Lcg64, template: RelStructure, max_elems: int = 4):
     )
 
 
-def random_digraph_instance(rng: Lcg64, n_levels: int, max_vertices: int = 14) -> Digraph:
-    """Balanced scaffold with edges kept at one half, or adversarial noise."""
-    n = rng.randint(1, max_vertices)
+def random_digraph_instance(rng: Lcg64, n_levels: int) -> Digraph:
+    """Balanced scaffold with edges kept at one half, or adversarial noise,
+    on 1 to 14 vertices."""
+    n = rng.randint(1, 14)
     kind = rng.below(3)
     names = [f"g{i}" for i in range(n)]
     if kind == 2:

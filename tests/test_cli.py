@@ -684,6 +684,39 @@ def test_missing_file_is_usage_error(ctx, capsys):
     assert "error" in err
 
 
+def test_lift_without_template_witnesses_exits_1(capsys):
+    """parity4 has no majority polymorphism, so no witness is lifted."""
+    code, out, err = run(
+        capsys, "lift", "--template", str(FIXTURES / "parity4.rel"),
+        "--sigma", str(FIXTURES / "majority.ids"),
+    )
+    assert (code, out, err) == (1, "template-witnesses none\n", "")
+
+
+EDGE, MAJ = str(FIXTURES / "edge.rel"), str(FIXTURES / "majority.ids")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["core", "--structure", "{empty}"], "{empty}: empty file"),
+        (["reverse", "--instance", EDGE, "--template", EDGE],
+         f"{EDGE}: reverse expects a digraph instance"),
+        (["export-dot", "--digraph", EDGE], f"{EDGE}: export-dot expects a digraph file"),
+        (["lift", "--template", EDGE, "--sigma", MAJ, "--witness", "m"],
+         "--witness expects <symbol>=<table-file>, got 'm'"),
+    ],
+    ids=["empty-file", "reverse-of-a-structure", "dot-of-a-structure", "witness-without-="],
+)
+def test_inputs_of_the_wrong_kind_are_usage_errors(ctx, capsys, argv, message):
+    empty = ctx / "empty.rel"
+    empty.write_text("")
+    argv = [a.replace("{empty}", str(empty)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.replace('{empty}', str(empty))}\n"
+
+
 PARSERS = {
     "structure": parse_structure,
     "digraph": parse_digraph,

@@ -971,12 +971,15 @@ def test_low_components_of_many_shapes_share_the_encodings_search_state(
     assert [r.stage for r in res.reports] == ["low-yes"] * 22 + ["fixed-yes"]
     (encoding,) = [meta.digraph for meta in metas]
     assert len(masks) == 1
-    # the encoding once, and each source component in its own search
-    assert [outs is encoding.adjacency[0] for outs in walks].count(True) == 1
+    # the encoding once, over lists of its vertex count (no component is
+    # as large), and each source component in its own search
+    n = len(encoding.vertices)
+    assert [len(outs) for outs in walks].count(n) == 1
     assert len(walks) == 1 + 22
     # read again, each height's windows are the kept list, and walk nothing
+    prepared = solver._target(encoding.relations[0], n)
     for h in (1, 2, 3):
-        assert solver._level_windows(encoding, h) is solver._level_windows(encoding, h)
+        assert solver._level_windows(prepared, h) is solver._level_windows(prepared, h)
     assert len(walks) == 1 + 22
 
 

@@ -469,13 +469,27 @@ def _root_fixpoint(x, a, restriction):
     return roots[0] if roots else None
 
 
+def _without_windows(call, *args):
+    """call(*args) with every search started from its masks as given: the
+    reference the level windows must not move."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver._Search, "_cut_to_windows", lambda self, prepared: None)
+        return call(*args)
+
+
+# commutative and idempotent: a binary search over the cells of f
+_COMMUTATIVE = parse_identities("symbol f 2\nidentity f(x,x) = x\nidentity f(x,y) = f(y,x)\n")
+
+
 @given(_levelled_digraph("x"), _levelled_digraph("a"), st.data())
 @settings(max_examples=300, deadline=None)
 def test_level_windows_change_no_answer(x, a, data):
-    """A digraph into a digraph starts from level windows, a structure
-    copy without them.  Both give the same first map, the same first 30
-    maps, the same cores and the same domains after the root's arc
-    consistency, with a restriction or without."""
+    """Every search over one binary relation starts from level windows: a
+    digraph into a digraph, and its structure copy alike.  Both give the
+    same first map, the same first 30 maps, the same cores and the same
+    domains after the root's arc consistency as a search without windows,
+    with a restriction or without; and find_operations on a digraph finds
+    the tables it finds without windows."""
     restriction = data.draw(
         st.dictionaries(
             st.sampled_from(x.vertices),
@@ -485,15 +499,26 @@ def test_level_windows_change_no_answer(x, a, data):
         | st.none()
     )
     xs, at = _structure_copy(x, "instance"), _structure_copy(a, "template")
-    assert find_hom(x, a, restriction) == find_hom(xs, at, restriction)
-    assert list(itertools.islice(enumerate_homs(x, a, restriction), 30)) == list(
-        itertools.islice(enumerate_homs(xs, at, restriction), 30)
-    )
-    assert _root_fixpoint(x, a, restriction) == _root_fixpoint(xs, at, restriction)
+    first = _without_windows(find_hom, x, a, restriction)
+    assert find_hom(x, a, restriction) == first
+    assert find_hom(xs, at, restriction) == first
+
+    def first_30(source, target):
+        return list(itertools.islice(enumerate_homs(source, target, restriction), 30))
+
+    maps = _without_windows(first_30, x, a)
+    assert first_30(x, a) == maps
+    assert first_30(xs, at) == maps
+    fixpoint = _without_windows(_root_fixpoint, x, a, restriction)
+    assert _root_fixpoint(x, a, restriction) == fixpoint
+    assert _root_fixpoint(xs, at, restriction) == fixpoint
     for g in (x, a):
         copy = _structure_copy(g, "template")
-        assert is_core(g) == is_core(copy)
-        assert core_of(g).vertices == core_of(copy).domain
+        core = _without_windows(core_of, g).vertices
+        assert is_core(g) == is_core(copy) == _without_windows(is_core, g)
+        assert core_of(g).vertices == core_of(copy).domain == core
+    tables = _without_windows(find_operations, x, _COMMUTATIVE)
+    assert find_operations(x, _COMMUTATIVE) == tables
 
 
 def _directed_path(n):
@@ -501,10 +526,11 @@ def _directed_path(n):
 
 
 def test_a_directed_path_into_itself_propagates_in_linear_work(monkeypatch):
-    """P_n -> P_n: the level windows leave each vertex its own image, so
-    the domain writes and the neighbour unions over domains grow at most
-    2.2x from n = 200 to n = 400; arc consistency from full domains
-    peels one level per wave, about n^2/6 revisions."""
+    """P_n -> P_n, as digraphs or as their structure copies: the level
+    windows leave each vertex its own image, so the domain writes and the
+    neighbour unions over domains grow at most 2.2x from n = 200 to
+    n = 400; arc consistency from full domains peels one level per wave,
+    about n^2/6 revisions."""
     counts = {"writes": 0, "unions": 0}
 
     class CountingTrail(list):
@@ -530,15 +556,19 @@ def test_a_directed_path_into_itself_propagates_in_linear_work(monkeypatch):
 
     monkeypatch.setattr(solver._Search, "__init__", counting_init)
     monkeypatch.setattr(solver._Neighbours, "union", counting_union)
-    seen = {}
-    for n in (200, 400):
-        counts.update(writes=0, unions=0)
-        hom = find_hom(_directed_path(n), _directed_path(n))
-        assert hom == {f"p{i}": f"p{i}" for i in range(n)}
-        seen[n] = dict(counts)
-    assert seen[200]["unions"] > 0
-    for kind in counts:
-        assert seen[400][kind] <= 2.2 * seen[200][kind], seen
+    for copy in (False, True):
+        seen = {}
+        for n in (200, 400):
+            counts.update(writes=0, unions=0)
+            path = _directed_path(n)
+            if copy:
+                path = _structure_copy(path, "template")
+            hom = find_hom(path, path)
+            assert hom == {f"p{i}": f"p{i}" for i in range(n)}
+            seen[n] = dict(counts)
+        assert seen[200]["unions"] > 0
+        for kind in counts:
+            assert seen[400][kind] <= 2.2 * seen[200][kind], (copy, seen)
 
 
 @pytest.mark.parametrize(
@@ -871,6 +901,22 @@ def test_the_bound_counts_cells_plus_rows(monkeypatch, edge_template):
         find_operations(edge_template, majority_identities())
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "symbol f 1\nidentity f(x) = x\nidentity x = y\n",
+        "symbol f 2\nidentity f(x,y) = x\nidentity f(x,y) = y\n",
+    ],
+    ids=["two-bare-variables", "one-class-two-constants"],
+)
+def test_an_identity_set_false_before_any_search_is_none(edge_template, monkeypatch, text):
+    """x = y fails for two distinct values, and f(x,y) = x with f(x,y) = y
+    pins the cell f(0,1) to 0 and to 1: both answer None, and no search
+    is started."""
+    monkeypatch.setattr(solver, "_Search", None)
+    assert find_operations(edge_template, parse_identities(text)) is None
+
+
 def test_a_nullary_symbol_is_a_constant_tuple(edge_template):
     sigma = parse_identities("symbol c 0\n")
     assert find_operations(edge_template, sigma) is None
@@ -882,16 +928,12 @@ def test_a_nullary_symbol_is_a_constant_tuple(edge_template):
 # Level-restricted interpretability
 
 
-def _level_restricted_brute(h, level_of, spec, anchors=None):
+def _level_restricted_brute(h, level_of, spec):
     path = build_path(spec)
     levels = list(itertools.accumulate(spec.orientations(), initial=0))
     slots = []
     for v in h.vertices:
-        options = [i for i in range(len(path.vertices)) if levels[i] == level_of[v]]
-        if anchors and v in anchors:
-            target = {"iota": path.vertices[0], "tau": path.vertices[-1]}[anchors[v]]
-            options = [i for i in options if path.vertices[i] == target]
-        slots.append(options)
+        slots.append([i for i in range(len(path.vertices)) if levels[i] == level_of[v]])
     edge_set = set(path.edges)
     for choice in itertools.product(*slots):
         assign = dict(zip(h.vertices, choice))
