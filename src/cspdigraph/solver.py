@@ -465,12 +465,18 @@ def _non_surjective_endo(s) -> list[int] | None:
 
     The elements are tried as the one missed in declaration order; the
     first that can be missed gives the first such endomorphism found.
+    One search is set up, and each try runs it again from its window-cut
+    masks with the missed element's bit cleared, which are the masks a
+    search set up with that bit already cleared would start from.
     """
     n = len(s.domain)
     relations = [(r.tuples, _target(r, n)) for r in s.relations]
-    full = (1 << n) - 1
+    search = _Search([(1 << n) - 1] * n, relations)
+    windowed = search.domains
     for avoided in range(n):
-        image = next(_Search([full ^ 1 << avoided] * n, relations).solutions(), None)
+        search.domains = [d & ~(1 << avoided) for d in windowed]
+        search.trail = []
+        image = next(search.solutions(), None)
         if image is not None:
             return image
     return None

@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import NonemptyRelationRequired, ParseError
@@ -140,6 +141,13 @@ class RelStructure(_Lookups):
         return make_structure(self.name, [self.domain[i] for i in keep], rels, role=self.role)
 
 
+def _distinct(rows: Iterable) -> tuple:
+    """The rows without repeats, each where it first occurs: one set shows
+    whether a row repeats, and only then does an ordered pass drop them."""
+    rows = tuple(rows)
+    return rows if len(set(rows)) == len(rows) else tuple(dict.fromkeys(rows))
+
+
 def make_structure(
     name: str,
     domain: Sequence[str],
@@ -149,7 +157,7 @@ def make_structure(
 ) -> RelStructure:
     """Build a structure from index tuples, deduplicating silently."""
     rels = tuple(
-        Relation(rname, arity, tuple(dict.fromkeys(map(tuple, tuples))))
+        Relation(rname, arity, _distinct(map(tuple, tuples)))
         for rname, arity, tuples in relations
     )
     return RelStructure(
@@ -301,7 +309,7 @@ def make_digraph(
     edges: Iterable[tuple[int, int]],
 ) -> Digraph:
     """Build a digraph from index edges, deduplicating silently."""
-    return Digraph(name, tuple(vertices), tuple(dict.fromkeys(edges)))
+    return Digraph(name, tuple(vertices), _distinct(edges))
 
 
 def fresh_prefix(names: Iterable[str], heads: tuple[str, ...]) -> str:
@@ -388,7 +396,25 @@ def parse_structure(text: str) -> RelStructure:
     for lineno, body in lines:
         toks = body.split()
         kw = toks[0]
-        if kw == "domain":
+        # tuple lines are most lines, so they are tested for first
+        if kw == "tuple":
+            if not relations:
+                raise ParseError("'tuple' before any 'relation'", lineno)
+            if domain is None:
+                raise ParseError("'tuple' before 'domain'", lineno)
+            rname, arity, tuples = relations[-1]
+            if len(toks) - 1 != arity:
+                raise ParseError(
+                    f"tuple has {len(toks) - 1} entries, relation {rname!r} "
+                    f"has arity {arity}",
+                    lineno,
+                )
+            try:
+                tuples.append(tuple(map(index.__getitem__, toks[1:])))
+            except KeyError:
+                unknown = next(t for t in toks[1:] if t not in index)
+                raise ParseError(f"unknown element name {unknown!r}", lineno) from None
+        elif kw == "domain":
             if domain is not None:
                 raise ParseError("second 'domain' line", lineno)
             if len(toks) < 2:
@@ -422,24 +448,6 @@ def parse_structure(text: str) -> RelStructure:
             if any(r[0] == toks[1] for r in relations):
                 raise ParseError(f"duplicate relation name {toks[1]!r}", lineno)
             relations.append((toks[1], arity, []))
-        elif kw == "tuple":
-            if not relations:
-                raise ParseError("'tuple' before any 'relation'", lineno)
-            if domain is None:
-                raise ParseError("'tuple' before 'domain'", lineno)
-            rname, arity, tuples = relations[-1]
-            if len(toks) - 1 != arity:
-                raise ParseError(
-                    f"tuple has {len(toks) - 1} entries, relation {rname!r} "
-                    f"has arity {arity}",
-                    lineno,
-                )
-            idx = []
-            for t in toks[1:]:
-                if t not in index:
-                    raise ParseError(f"unknown element name {t!r}", lineno)
-                idx.append(index[t])
-            tuples.append(tuple(idx))
         elif kw == "end":
             break
         else:
@@ -541,7 +549,7 @@ def parse_digraph(text: str) -> Digraph:
         raise ParseError("empty digraph file")
     if not ended:
         raise ParseError("missing 'end'")
-    return Digraph._unchecked(name, tuple(index), tuple(dict.fromkeys(edges)))
+    return Digraph._unchecked(name, tuple(index), _distinct(edges))
 
 
 def _read_bulk(run: str, index: dict[str, int], edges: list[tuple[int, int]]) -> int:
@@ -566,24 +574,21 @@ def _read_bulk(run: str, index: dict[str, int], edges: list[tuple[int, int]]) ->
             return 0
         return len(names)
     toks = run[5:-1].replace("\nedge ", " ").split(" ")  # 'edge a b\nedge c d\n'
-    ends = map(index.__getitem__, toks)  # one iterator: zip pairs it with itself
-    n0 = len(edges)
     try:
-        edges += zip(ends, ends)
+        # a run has two names or more, so the getter gives a tuple, and an
+        # unknown name raises before any edge is appended
+        ends = iter(itemgetter(*toks)(index))
     except KeyError:
-        del edges[n0:]
         return 0
-    return len(edges) - n0
+    edges += zip(ends, ends)  # one iterator: zip pairs it with itself
+    return len(toks) // 2
 
 
 def serialize_digraph(g: Digraph) -> str:
-    out = [f"digraph {g.name}"]
-    for v in g.vertices:
-        out.append(f"vertex {v}")
-    for u, v in g.edges:
-        out.append(f"edge {g.vertices[u]} {g.vertices[v]}")
-    out.append("end")
-    return "\n".join(out) + "\n"
+    names = g.vertices
+    vertex_lines = [f"vertex {v}" for v in names]
+    edge_lines = [f"edge {names[u]} {names[v]}" for u, v in g.edges]
+    return "\n".join([f"digraph {g.name}", *vertex_lines, *edge_lines, "end\n"])
 
 
 # ---------------------------------------------------------------------------

@@ -571,6 +571,37 @@ def test_a_directed_path_into_itself_propagates_in_linear_work(monkeypatch):
             assert seen[400][kind] <= 2.2 * seen[200][kind], (copy, seen)
 
 
+def test_a_core_test_sets_up_one_search(monkeypatch):
+    """_non_surjective_endo sets its search up once and reruns it for each
+    element it tries to miss: a directed path is a core, so all 20 of its
+    vertices are tried, and the answers are those of a search set up
+    afresh for each."""
+    made = []
+    init = solver._Search.__init__
+
+    def counting_init(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    path = _directed_path(20)
+    monkeypatch.setattr(solver._Search, "__init__", counting_init)
+    assert solver._non_surjective_endo(path) is None
+    assert len(made) == 1
+    for g in (path, make_digraph("g", ["a", "b", "c"], [(0, 1), (1, 2), (0, 2), (2, 2)])):
+        made.clear()
+        witness = solver._non_surjective_endo(g)
+        assert len(made) == 1
+        n = len(g.vertices)
+        relations = [(g.edges, solver._target(g.relations[0], n))]
+        fresh = None
+        for avoided in range(n):
+            masks = [((1 << n) - 1) ^ 1 << avoided] * n
+            fresh = next(solver._Search(masks, relations).solutions(), None)
+            if fresh is not None:
+                break
+        assert witness == fresh
+
+
 @pytest.mark.parametrize(
     "target, error, message",
     [

@@ -81,6 +81,17 @@ def test_instance_accepts_empty_relation():
          "^line 2: block arities must be positive$"),
         ("instance x\nblocks -1 3\ndomain a\nrelation R 2\nend\n",
          "^line 2: block arities must be positive$"),
+        # a tuple before any relation and before the domain: the relation
+        # is missed first
+        ("structure t\n\ntuple a\ndomain a\nrelation R 1\nend\n",
+         "^line 3: 'tuple' before any 'relation'$"),
+        ("structure t\nrelation R 1\n# no domain yet\ntuple a\ndomain a\nend\n",
+         "^line 4: 'tuple' before 'domain'$"),
+        # the first unknown element of a tuple, left to right
+        ("structure t\ndomain a\nrelation R 3\ntuple a b c\nend\n",
+         "^line 4: unknown element name 'b'$"),
+        ("structure t\ndomain a b\nrelation R 3\ntuple a b c\nend\n",
+         "^line 4: unknown element name 'c'$"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -97,6 +108,9 @@ def test_parse_error_carries_line_number():
 def test_duplicate_tuples_dedupe_silently():
     s = make_structure("t", ["a"], [("R", 1, [(0,), (0,)])])
     assert s.relations[0].tuples == ((0,),)
+    # repeated out of sorted order: each row stays where it first occurs
+    s = make_structure("t", ["a", "b"], [("R", 1, [(1,), (0,), (1,)])])
+    assert s.relations[0].tuples == ((1,), (0,))
 
 
 def test_digraph_round_trip_minimal():
@@ -140,12 +154,19 @@ def test_direct_structure_construction_names_the_first_bad_tuple(tuples, message
 
 
 def test_built_and_parsed_digraphs_drop_repeated_edges_in_first_order():
-    g = make_digraph("g", ["a", "b", "c"], [(1, 2), (0, 1), (1, 2), (2, 0), (0, 1)])
-    assert g.edges == ((1, 2), (0, 1), (2, 0))
-    text = "digraph g\nvertex a\nvertex b\nvertex c\n" + "".join(
-        f"edge {'abc'[u]} {'abc'[v]}\n" for u, v in [(1, 2), (0, 1), (1, 2), (2, 0), (0, 1)]
-    )
-    assert parse_digraph(text + "end\n") == g
+    """Also where a set of the edges would come out in another order, and
+    with the repeats inside one edge run that parse_digraph reads in bulk."""
+    for edges, first in [
+        ([(1, 2), (0, 1), (1, 2), (2, 0), (0, 1)], ((1, 2), (0, 1), (2, 0))),
+        ([(2, 1), (1, 0), (2, 0), (1, 0), (2, 1), (0, 2)], ((2, 1), (1, 0), (2, 0), (0, 2))),
+    ]:
+        g = make_digraph("g", ["a", "b", "c"], edges)
+        assert g.edges == first
+        text = "digraph g\nvertex a\nvertex b\nvertex c\n" + "".join(
+            f"edge {'abc'[u]} {'abc'[v]}\n" for u, v in edges
+        ) + "end\n"
+        assert _bulk_share(text) == (len(edges) + 3, len(edges) + 5)
+        assert parse_digraph(text) == g
 
 
 _name = st.text(alphabet="abcdefgh012", min_size=1, max_size=4)
@@ -517,13 +538,16 @@ def test_canonical_files_are_read_in_bulk_but_for_head_and_end():
         "vertex c\nvertex b\nvertex d\n",
         # an unknown name as the last token, after many good pairs
         "edge a b\nedge b a\n" * 5000 + "edge b nowhere\n",
+        # an unknown name in the middle, with good pairs before and after
+        "edge a b\nedge b a\n" * 2500 + "edge nowhere a\n" + "edge b b\n" * 2500,
     ],
-    ids=["repeat-in-run", "repeat-of-earlier", "unknown-last"],
+    ids=["repeat-in-run", "repeat-of-earlier", "unknown-last", "unknown-middle"],
 )
 def test_a_refused_run_leaves_index_and_edges_as_they_were(run):
     """_read_bulk reads a run in one pass and, when it refuses the run,
-    undoes that pass: index and edges hold what they held, values and
-    order included, so the line loop reads the run from where it was."""
+    leaves index and edges as they were, values and order included (an
+    edge run appends nothing), so the line loop reads the run from where
+    it was."""
     index = {"b": 0, "a": 1}
     edges = [(1, 0), (0, 0)]
     assert structures_mod._read_bulk(run, index, edges) == 0
